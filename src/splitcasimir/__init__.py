@@ -11,10 +11,7 @@ Quick start::
 """
 
 from .kernel import (  # noqa: F401
-    APPROX,
-    EXACT,
     SparseOp,
-    Tolerance,
     Vec,
     apply_poly_factors,
     kron,

@@ -1,12 +1,11 @@
 """Hot numeric kernels for sparse integer/float linear algebra.
 
-Every exact operator in this package is stored as integer coordinate
-triplets times a single rational scale, so the inner loops below run on
-plain ``int64``/``float64`` arrays.  When numba is importable and the
-environment variable ``SPLITCASIMIR_NUMBA`` is not set to ``0``, the loop
-kernels are JIT-compiled; otherwise vectorized pure-numpy fallbacks are
-used.  Both paths are exercised by the benchmark in
-``benchmarks/bench_kernels.py`` and give bit-identical results.
+Every operator in this package is stored as integer coordinate triplets
+times a single rational scale, so the inner loops below run on plain
+``int64`` arrays.  When numba is importable and the environment variable
+``SPLITCASIMIR_NUMBA`` is not set to ``0``, the loop kernels are
+JIT-compiled; otherwise vectorized pure-numpy fallbacks are used.  Both
+paths give bit-identical results.
 
 Arbitrary-precision (Python int) data lives in object arrays and always
 takes the numpy/pure-python path; numba never sees it.
@@ -150,7 +149,7 @@ def _spmm_expand_numpy(a_row, a_col, a_data, b_indptr, b_col, b_data):
 # ---------------------------------------------------------------------------
 
 def csr_matvec(indptr, row, col, data, v, n_rows):
-    """out = A @ v for CSR/COO-sorted A.  data/v may be int64, float64 or object."""
+    """out = A @ v for CSR/COO-sorted A.  data/v may be int64 or object."""
     if data.dtype == object or v.dtype == object:
         out = np.zeros(n_rows, dtype=object)
         out[:] = 0

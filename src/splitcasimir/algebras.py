@@ -12,11 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernel import (
-    EXACT,
     SparseOp,
     Vec,
     _pair_trace,
-    randomized_zero_check,
 )
 from .rootdata import RootSystem
 
@@ -338,19 +336,25 @@ def check_antisymmetry(alg: LieAlgebra) -> bool:
 
 def check_jacobi(alg: LieAlgebra, rng: Optional[np.random.Generator] = None,
                  trials: int = 8) -> bool:
-    """Jacobi identity as ad([a,b]) = [ad a, ad b].
+    """Jacobi identity as ad([a,b]) = [ad a, ad b]."""
+    return _check_brackets(alg, alg.ad_matrices(), rng, trials)
+
+
+def _check_brackets(alg: LieAlgebra, gens: Sequence[SparseOp],
+                    rng: Optional[np.random.Generator], trials: int) -> bool:
+    """[T_a, T_b] = C^d_{ab} T_d for the operators T = gens.
 
     Exhaustive over basis pairs up to JACOBI_EXHAUSTIVE_DIM, randomized-exact
-    over random algebra elements beyond (a vanishing bilinear identity is
-    checked on random integer combinations).
+    beyond: the bilinear identity [T(x), T(y)] = T([x, y]) is checked on
+    random integer combinations x, y applied to a random vector, so every
+    trial probes all basis pairs at once.
     """
-    ads = alg.ad_matrices()
     if alg.dim <= JACOBI_EXHAUSTIVE_DIM:
         for a in range(alg.dim):
             for b in range(a + 1, alg.dim):
-                comm = ads[a] @ ads[b] - ads[b] @ ads[a]
+                comm = gens[a] @ gens[b] - gens[b] @ gens[a]
                 for d, v in alg.bracket_in_basis(a, b):
-                    comm = comm - ads[d].scaled(v)
+                    comm = comm - gens[d].scaled(v)
                 if not comm.is_zero():
                     return False
         return True
@@ -358,14 +362,15 @@ def check_jacobi(alg: LieAlgebra, rng: Optional[np.random.Generator] = None,
     for _ in range(trials):
         xa = rng.integers(-3, 4, size=alg.dim)
         xb = rng.integers(-3, 4, size=alg.dim)
-        ad_x = _combine(ads, xa)
-        ad_y = _combine(ads, xb)
+        t_x = _combine(gens, xa)
+        t_y = _combine(gens, xb)
         # [x, y] in the basis via the structure tensor
         coeffs = _bracket_coeffs_dense(alg, xa, xb)
-        ad_xy = _combine(ads, None, fractions=coeffs)
-        comm = ad_x @ ad_y - ad_y @ ad_x - ad_xy
-        v = Vec.random_exact(alg.dim, rng)
-        if not comm.matvec(v).is_zero():
+        t_xy = _combine(gens, None, fractions=coeffs)
+        v = Vec.random_exact(t_x.cols, rng)
+        image = (t_x.matvec(t_y.matvec(v)) - t_y.matvec(t_x.matvec(v))
+                 - t_xy.matvec(v))
+        if not image.is_zero():
             return False
     return True
 
@@ -414,28 +419,8 @@ def check_adjoint_casimir_is_identity(alg: LieAlgebra) -> bool:
 def check_representation(rep: Representation,
                          rng: Optional[np.random.Generator] = None,
                          trials: int = 8) -> bool:
-    """[T_a, T_b] = C^d_{ab} T_d, exhaustive for small algebras."""
-    alg = rep.algebra
-    gens = rep.generators
-    if alg.dim <= JACOBI_EXHAUSTIVE_DIM:
-        for a in range(alg.dim):
-            for b in range(a + 1, alg.dim):
-                comm = gens[a] @ gens[b] - gens[b] @ gens[a]
-                for d, v in alg.bracket_in_basis(a, b):
-                    comm = comm - gens[d].scaled(v)
-                if not comm.is_zero():
-                    return False
-        return True
-    rng = rng or np.random.default_rng(0)
-    for _ in range(trials):
-        a = int(rng.integers(0, alg.dim))
-        b = int(rng.integers(0, alg.dim))
-        comm = gens[a] @ gens[b] - gens[b] @ gens[a]
-        for d, v in alg.bracket_in_basis(a, b):
-            comm = comm - gens[d].scaled(v)
-        if not comm.is_zero():
-            return False
-    return True
+    """[T_a, T_b] = C^d_{ab} T_d for the representation's generators."""
+    return _check_brackets(rep.algebra, rep.generators, rng, trials)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebras import LieAlgebra, Representation
-from .classical import _metric_c, sl_pair_metric_inv
+from .classical import _metric_c
 from .kernel import (
-    EXACT,
     SparseOp,
-    Vec,
     kron,
     trace_word,
 )
@@ -120,10 +118,10 @@ def _flush(rows, cols, buf_r, buf_c, buf_d, den) -> SparseOp:
                     data, Fraction(1, den))
 
 
-def swap_operator(d: int, field: str = EXACT) -> SparseOp:
+def swap_operator(d: int) -> SparseOp:
     return SparseOp.from_triplets(
         d * d, d * d, [(i * d + j, j * d + i, 1)
-                       for i in range(d) for j in range(d)], field)
+                       for i in range(d) for j in range(d)])
 
 
 _EXCEPTIONAL_SERIES = ("G", "F", "E")
@@ -197,8 +195,7 @@ def two_site(op2: SparseOp, a: int, b: int, n_sites: int, d: int) -> SparseOp:
     data = np.array(trips_d, dtype=op2.data.dtype)
     return SparseOp(d ** n_sites, d ** n_sites,
                     np.array(trips_r, dtype=np.int64),
-                    np.array(trips_c, dtype=np.int64), data, op2.scale,
-                    op2.field)
+                    np.array(trips_c, dtype=np.int64), data, op2.scale)
 
 
 def perm_two_site(a: int, b: int, n_sites: int, d: int) -> SparseOp:

@@ -1,7 +1,8 @@
 """Command-line verification harness.
 
-Subcommands: construct, verify, projectors, ybe, vogel, report.  Exit code
-is 0 iff every executed check passed.  Identical (config, seed) runs emit
+Subcommands: construct, verify, projectors, ybe, vogel, report.  Only the
+subcommands that run identity suites (verify, report) take --method.  Exit
+code is 0 iff every executed check passed.  Identical (config, seed) runs emit
 byte-identical reports; --timings adds wall-clock columns and is excluded
 from that guarantee.
 """
@@ -11,11 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from .identities import METHODS
 from .report import CheckRecord, Report, emit, vogel_table_markdown
 
 SUITES = ("construct", "casimir", "identities", "projectors", "ybe", "vogel")
@@ -41,9 +43,12 @@ class SuiteConfig:
     samples: Optional[List[Fraction]] = None
 
     def to_dict(self) -> dict:
+        samples = None if self.samples is None else \
+            [str(x) for x in self.samples]
         return {"algebras": self.algebras, "suites": self.suites,
                 "method": self.method, "format": self.fmt,
-                "cache_dir": self.cache_dir, "seed": self.seed}
+                "cache_dir": self.cache_dir, "seed": self.seed,
+                "samples": samples}
 
 
 class _Recorder:
@@ -220,10 +225,8 @@ def _suite_ybe(rec: _Recorder, name: str, config: SuiteConfig) -> None:
         list(zip(config.samples[::2], config.samples[1::2]))
     for u, v in pairs:
         rec.run(f"{name} YBE({u},{v})",
-                lambda u=u, v=v: verify_ybe(fam, u, v, config.method,
-                                            seed=config.seed))
-    rec.run(f"{name} unitarity", lambda: verify_unitarity(fam, Fraction(2, 5),
-                                                          config.method))
+                lambda u=u, v=v: verify_ybe(fam, u, v, seed=config.seed))
+    rec.run(f"{name} unitarity", lambda: verify_unitarity(fam, Fraction(2, 5)))
     rec.run(f"{name} form equivalence",
             lambda: verify_form_equivalence(
                 name, samples=[u for u, _ in pairs[:2]]))
@@ -310,13 +313,13 @@ def _algebra_args(args) -> List[str]:
     return names
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, method: bool = False) -> None:
     p.add_argument("--algebra", action="append",
                    help="algebra name(s), e.g. sl(4); comma separated or repeated")
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "exact_full", "randomized_exact",
-                            "approx"])
+    if method:
+        p.add_argument("--method", default="auto", choices=METHODS,
+                       help="identity verification method")
     p.add_argument("--format", default="json",
                    choices=["json", "csv", "markdown"])
     p.add_argument("--seed", type=int, default=0)
@@ -336,20 +339,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         ("projectors", ["construct", "projectors"]),
                         ("vogel", ["vogel"])]:
         p = sub.add_parser(cmd)
-        _common_flags(p)
+        _common_flags(p, method="identities" in suites)
         p.set_defaults(suites=suites)
     p = sub.add_parser("ybe")
     _common_flags(p)
     p.add_argument("--case", default=None, help="alias for --algebra")
-    p.add_argument("--form", default="spectral",
-                   choices=["spectral", "casimir_rational"])
     p.add_argument("--u", default=None)
     p.add_argument("--v", default=None)
     p.add_argument("--samples", default=None,
                    help="comma-separated u,v pairs, e.g. 1/2,1/3,2/5,3/7")
     p.set_defaults(suites=["ybe"])
     p = sub.add_parser("report")
-    _common_flags(p)
+    _common_flags(p, method=True)
     p.add_argument("--suite", action="append", choices=list(SUITES),
                    help="suites to run (default: all)")
     p = sub.add_parser("vogel-table")
@@ -377,7 +378,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         samples = [Fraction(x) for x in args.samples.split(",")]
 
     config = SuiteConfig(
-        algebras=_algebra_args(args), suites=suites, method=args.method,
+        algebras=_algebra_args(args), suites=suites,
+        method=getattr(args, "method", "auto"),
         fmt=args.format, cache_dir=args.cache_dir, seed=args.seed,
         timings=args.timings, samples=samples)
     report = run_suite(config)

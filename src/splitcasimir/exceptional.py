@@ -339,12 +339,6 @@ def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
     return alg, rep
 
 
-def raised_d_contractions() -> Tuple[Fraction, Dict]:
-    """Helpers for the metric-raised d-tensor identities; see tests."""
-    gram, d = j3_structure()
-    return gram, d
-
-
 # ---------------------------------------------------------------------------
 # e6 = der(J3) + traceless Jordan multiplications, acting on all of J3
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .catalog import AdjointContext, AlgebraName, adjoint_context, parse_name
+from .catalog import adjoint_context, parse_name
 from .kernel import (
-    EXACT,
     SparseOp,
     Vec,
     apply_poly_factors,
@@ -22,6 +21,7 @@ from .kernel import (
 
 EXACT_FULL_MAX_DIM = 78 * 78  # full-basis verification up to the e6 adjoint
 RANDOM_TRIALS = 32
+METHODS = ("auto", "exact_full", "randomized_exact")
 
 
 @dataclass
@@ -153,6 +153,17 @@ def symmetric_part_identity(name: str) -> CharIdentity:
 # verification
 # ---------------------------------------------------------------------------
 
+def _resolve_method(method: str, dim: int) -> str:
+    """exact_full or randomized_exact; "auto" picks exact_full up to
+    EXACT_FULL_MAX_DIM."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; "
+                         f"expected one of {', '.join(METHODS)}")
+    if method == "auto":
+        return "exact_full" if dim <= EXACT_FULL_MAX_DIM else "randomized_exact"
+    return method
+
+
 def _subspace_random(unit: Optional[SparseOp], dim: int,
                      rng: np.random.Generator) -> Vec:
     v = Vec.random_exact(dim, rng)
@@ -166,8 +177,7 @@ def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
     """Check prod_i (op - r_i * unit) v = 0 on basis vectors (exact_full)
     or random subspace vectors (randomized_exact)."""
     dim = op.rows
-    if method == "auto":
-        method = "exact_full" if dim <= EXACT_FULL_MAX_DIM else "randomized_exact"
+    method = _resolve_method(method, dim)
     roots = ident.roots
     rng = np.random.default_rng(seed)
     if method == "exact_full":
@@ -447,8 +457,7 @@ def verify_universal_sym_identity(name: str, method: str = "auto",
     rhs = cp.scaled(Fraction(-1, 6)) \
         + (ctx.ops["I"] + ctx.ops["P"] + ctx.big_k).scaled(mu)
     dim = cp.rows
-    if method == "auto":
-        method = "exact_full" if dim <= EXACT_FULL_MAX_DIM else "randomized_exact"
+    method = _resolve_method(method, dim)
     if method == "exact_full":
         ok = (cp @ cp) == rhs
         rep = VerificationReport(f"{name} C+^2 universal identity",
@@ -498,8 +507,7 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
     rhs = cp.scaled(mu1) + (ctx.ops["I"] + ctx.ops["P"]
                             - ctx.big_k.scaled(2)).scaled(mu2)
     dim = cp.rows
-    if method == "auto":
-        method = "exact_full" if dim <= EXACT_FULL_MAX_DIM else "randomized_exact"
+    method = _resolve_method(method, dim)
     if method == "exact_full":
         lhs = (cp @ cp @ cp) + (cp @ cp).scaled(Fraction(1, 2))
         ok = lhs == rhs

@@ -1,15 +1,13 @@
-"""Scalar field abstraction and the sparse linear-operator kernel.
+"""The sparse linear-operator kernel over Q.
 
-Scalars come in two flavours: exact (``fractions.Fraction``; arithmetic is
-closed and lossless) and approximate (``float`` compared through an explicit
-:class:`Tolerance` carried by the caller, never an implicit global).
-
-A :class:`SparseOp` stores sorted, deduplicated coordinate triplets whose
-values are an integer array times one common rational ``scale``.  All hot
-arithmetic therefore runs on ``int64``/``float64`` numpy arrays (see
+Every scalar is exact: a :class:`Vec` or :class:`SparseOp` holds an integer
+array times one common rational ``scale`` (``fractions.Fraction``), so
+arithmetic is closed and lossless and every check is a zero-residual
+statement.  A :class:`SparseOp` stores sorted, deduplicated coordinate
+triplets.  All hot arithmetic therefore runs on ``int64`` numpy arrays (see
 ``_kernels``); when an operation could overflow 64-bit integers the data is
 lifted to arbitrary-precision Python ints in an object array and the same
-algorithms run in pure numpy.  Exact results never depend on which path ran.
+algorithms run in pure numpy.  Results never depend on which path ran.
 """
 
 from __future__ import annotations
@@ -23,14 +21,11 @@ import numpy as np
 
 from . import _kernels
 
-EXACT = "exact"
-APPROX = "approx"
-
 # products and row-sums are kept strictly below this before falling back to
 # arbitrary precision
 _INT64_SAFE = 2 ** 62
 
-ScalarLike = Union[int, Fraction, float]
+ScalarLike = Union[int, Fraction]
 
 
 class KernelError(Exception):
@@ -43,20 +38,6 @@ class DimensionMismatchError(KernelError):
 
 class DimensionLimitError(KernelError):
     pass
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Explicit comparison tolerance for approximate scalars."""
-
-    rel: float = 1e-9
-    abs: float = 1e-12
-
-    def is_zero(self, value: float, reference: float = 1.0) -> bool:
-        return abs(value) <= max(self.abs, self.rel * abs(reference))
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -105,22 +86,16 @@ def _shrink_if_safe(data: np.ndarray) -> np.ndarray:
 
 
 class Vec:
-    """Dense vector over the exact or approximate field: int data * scale."""
+    """Dense vector over Q: int data * scale."""
 
-    __slots__ = ("data", "scale", "field")
+    __slots__ = ("data", "scale")
 
-    def __init__(self, data: np.ndarray, scale=Fraction(1), field: str = EXACT,
+    def __init__(self, data: np.ndarray, scale=Fraction(1),
                  _canonical: bool = False):
         self.data = data
-        self.field = field
-        if field == APPROX:
-            if scale != 1.0:
-                self.data = data * float(scale)
-            self.scale = 1.0
-        else:
-            self.scale = scale
-            if not _canonical:
-                self._canonicalize()
+        self.scale = scale
+        if not _canonical:
+            self._canonicalize()
 
     def _canonicalize(self) -> None:
         data = _shrink_if_safe(self.data)
@@ -144,10 +119,8 @@ class Vec:
         return Vec(_shrink_if_safe(arr), Fraction(1, den))
 
     @staticmethod
-    def zeros(n: int, field: str = EXACT) -> "Vec":
-        if field == APPROX:
-            return Vec(np.zeros(n), 1.0, APPROX)
-        return Vec(np.zeros(n, dtype=np.int64), Fraction(1), EXACT)
+    def zeros(n: int) -> "Vec":
+        return Vec(np.zeros(n, dtype=np.int64))
 
     @staticmethod
     def random_exact(n: int, rng: np.random.Generator) -> "Vec":
@@ -159,34 +132,20 @@ class Vec:
         return len(self.data)
 
     def fractions(self) -> list:
-        if self.field == APPROX:
-            return [float(x) for x in self.data]
         s = self.scale
         return [int(x) * s for x in self.data]
 
-    def to_approx(self) -> "Vec":
-        if self.field == APPROX:
-            return self
-        return Vec(self.data.astype(np.float64) * float(self.scale), 1.0, APPROX)
+    def max_abs_value(self) -> Fraction:
+        return _max_abs(self.data) * abs(self.scale)
 
-    def max_abs_value(self) -> float:
-        if self.field == APPROX:
-            return float(np.abs(self.data).max()) if len(self.data) else 0.0
-        return float(Fraction(_max_abs(self.data)) * abs(self.scale))
-
-    def is_zero(self, tol: Optional[Tolerance] = None) -> bool:
-        if self.field == APPROX:
-            tol = tol or DEFAULT_TOL
-            return all(tol.is_zero(float(x)) for x in self.data)
+    def is_zero(self) -> bool:
         return _max_abs(self.data) == 0
 
     def scaled(self, c: ScalarLike) -> "Vec":
-        if self.field == APPROX:
-            return Vec(self.data * float(c), 1.0, APPROX)
         c = Fraction(c)
         if c == 0:
             return Vec.zeros(len(self.data))
-        return Vec(self.data, self.scale * c, EXACT, _canonical=True)
+        return Vec(self.data, self.scale * c, _canonical=True)
 
     def _aligned(self, other: "Vec"):
         s = fraction_gcd(self.scale, other.scale)
@@ -205,8 +164,6 @@ class Vec:
     def __add__(self, other: "Vec") -> "Vec":
         if len(self) != len(other):
             raise DimensionMismatchError("vector length mismatch")
-        if self.field == APPROX or other.field == APPROX:
-            return Vec(self.to_approx().data + other.to_approx().data, 1.0, APPROX)
         a, ma, b, mb, s = self._aligned(other)
         if a.dtype != object:
             bound = _max_abs(a) * abs(ma) + _max_abs(b) * abs(mb)
@@ -220,37 +177,31 @@ class Vec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vec):
             return NotImplemented
-        if self.field != other.field or len(self) != len(other):
+        if len(self) != len(other):
             return False
-        if self.field == APPROX:
-            return bool(np.array_equal(self.data, other.data))
         return self.scale == other.scale and bool(np.array_equal(self.data, other.data))
 
     __hash__ = None
 
 
 class SparseOp:
-    """Sparse matrix over the exact or approximate field.
+    """Sparse matrix over Q.
 
     Invariants: triplets sorted by (row, col), no stored zeros, integer data
-    with gcd 1 and positive ``scale`` (exact field).  ``kron_factors``, when
-    set, records the factors whose Kronecker product equals this operator.
+    with gcd 1 and positive ``scale``.
     """
 
-    __slots__ = ("rows", "cols", "row", "col", "data", "scale", "field",
-                 "kron_factors", "_indptr", "_max_abs", "_row_nnz_max")
+    __slots__ = ("rows", "cols", "row", "col", "data", "scale",
+                 "_indptr", "_max_abs", "_row_nnz_max")
 
     def __init__(self, rows: int, cols: int, row: np.ndarray, col: np.ndarray,
-                 data: np.ndarray, scale=Fraction(1), field: str = EXACT,
-                 kron_factors=None, _canonical: bool = False):
+                 data: np.ndarray, scale=Fraction(1), _canonical: bool = False):
         self.rows = rows
         self.cols = cols
         self.row = row
         self.col = col
         self.data = data
         self.scale = scale
-        self.field = field
-        self.kron_factors = kron_factors
         self._indptr = None
         self._max_abs = None
         self._row_nnz_max = None
@@ -281,46 +232,33 @@ class SparseOp:
                     else:
                         data = np.add.reduceat(data, idx)
                 row, col = row[idx], col[idx]
-        if self.field == APPROX:
-            data = np.asarray(data, dtype=np.float64)
-            if self.scale != 1.0:
-                data = data * float(self.scale)
-                self.scale = 1.0
-            keep = data != 0.0
+        data = _shrink_if_safe(np.asarray(data))
+        if data.dtype == object:
+            keep = np.array([int(x) != 0 for x in data], dtype=bool)
         else:
-            data = _shrink_if_safe(np.asarray(data))
-            if data.dtype != object:
-                data = data.astype(np.int64)
-            if data.dtype == object:
-                keep = np.array([int(x) != 0 for x in data], dtype=bool)
-            else:
-                keep = data != 0
+            data = data.astype(np.int64)
+            keep = data != 0
         if not keep.all():
             row, col, data = row[keep], col[keep], data[keep]
-        if self.field == EXACT:
-            g = _gcd_reduce(data)
-            if g > 1:
-                data = data // g
-                self.scale = self.scale * g
-            if self.scale < 0:
-                data = -data
-                self.scale = -self.scale
-            if len(data) == 0:
-                self.scale = Fraction(1)
+        g = _gcd_reduce(data)
+        if g > 1:
+            data = data // g
+            self.scale = self.scale * g
+        if self.scale < 0:
+            data = -data
+            self.scale = -self.scale
+        if len(data) == 0:
+            self.scale = Fraction(1)
         self.row, self.col, self.data = row, col, data
 
     @staticmethod
     def from_triplets(rows: int, cols: int,
-                      triplets: Iterable[tuple], field: str = EXACT) -> "SparseOp":
+                      triplets: Iterable[tuple]) -> "SparseOp":
         rr, cc, vv = [], [], []
         for r, c, v in triplets:
             rr.append(r)
             cc.append(c)
             vv.append(v)
-        if field == APPROX:
-            return SparseOp(rows, cols, np.array(rr, dtype=np.int64),
-                            np.array(cc, dtype=np.int64),
-                            np.array(vv, dtype=np.float64), 1.0, APPROX)
         fracs = [Fraction(v) for v in vv]
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         arr = np.empty(len(fracs), dtype=object)
@@ -329,28 +267,23 @@ class SparseOp:
                         np.array(cc, dtype=np.int64), arr, Fraction(1, den))
 
     @staticmethod
-    def from_dense(matrix, field: str = EXACT) -> "SparseOp":
+    def from_dense(matrix) -> "SparseOp":
         matrix = np.asarray(matrix, dtype=object)
         rows, cols = matrix.shape
         trip = [(i, j, matrix[i, j]) for i in range(rows) for j in range(cols)
                 if matrix[i, j] != 0]
-        return SparseOp.from_triplets(rows, cols, trip, field)
+        return SparseOp.from_triplets(rows, cols, trip)
 
     @staticmethod
-    def identity(n: int, field: str = EXACT, scale=Fraction(1)) -> "SparseOp":
+    def identity(n: int, scale=Fraction(1)) -> "SparseOp":
         idx = np.arange(n, dtype=np.int64)
-        if field == APPROX:
-            return SparseOp(n, n, idx, idx, np.full(n, float(scale)), 1.0, APPROX)
-        return SparseOp(n, n, idx, idx, np.ones(n, dtype=np.int64), Fraction(scale),
-                        field, _canonical=(scale == 1))
+        return SparseOp(n, n, idx, idx, np.ones(n, dtype=np.int64),
+                        Fraction(scale), _canonical=(scale == 1))
 
     @staticmethod
-    def zero(rows: int, cols: int, field: str = EXACT) -> "SparseOp":
+    def zero(rows: int, cols: int) -> "SparseOp":
         e = np.zeros(0, dtype=np.int64)
-        d = np.zeros(0) if field == APPROX else e
-        return SparseOp(rows, cols, e, e, d,
-                        1.0 if field == APPROX else Fraction(1), field,
-                        _canonical=True)
+        return SparseOp(rows, cols, e, e, e, _canonical=True)
 
     # -- cached structure --------------------------------------------------
 
@@ -379,10 +312,7 @@ class SparseOp:
     def entries(self) -> Iterator[tuple]:
         s = self.scale
         for r, c, d in zip(self.row, self.col, self.data):
-            if self.field == APPROX:
-                yield int(r), int(c), float(d)
-            else:
-                yield int(r), int(c), int(d) * s
+            yield int(r), int(c), int(d) * s
 
     def to_dense_fractions(self) -> np.ndarray:
         out = np.full((self.rows, self.cols), Fraction(0), dtype=object)
@@ -390,28 +320,18 @@ class SparseOp:
             out[r, c] = v
         return out
 
-    def to_approx(self) -> "SparseOp":
-        if self.field == APPROX:
-            return self
-        return SparseOp(self.rows, self.cols, self.row, self.col,
-                        self.data.astype(np.float64) * float(self.scale),
-                        1.0, APPROX, _canonical=True)
-
     def transpose(self) -> "SparseOp":
         return SparseOp(self.cols, self.rows, self.col.copy(), self.row.copy(),
-                        self.data.copy(), self.scale, self.field)
+                        self.data.copy(), self.scale)
 
-    def is_zero(self, tol: Optional[Tolerance] = None) -> bool:
-        if self.field == APPROX and self.nnz:
-            tol = tol or DEFAULT_TOL
-            return all(tol.is_zero(float(x)) for x in self.data)
+    def is_zero(self) -> bool:
         return self.nnz == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOp):
             return NotImplemented
-        return (self.field == other.field and self.rows == other.rows
-                and self.cols == other.cols and self.scale == other.scale
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.scale == other.scale
                 and np.array_equal(self.row, other.row)
                 and np.array_equal(self.col, other.col)
                 and bool(np.array_equal(self.data, other.data)))
@@ -419,23 +339,19 @@ class SparseOp:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"SparseOp({self.rows}x{self.cols}, nnz={self.nnz}, "
-                f"field={self.field})")
+        return f"SparseOp({self.rows}x{self.cols}, nnz={self.nnz})"
 
     # -- arithmetic ---------------------------------------------------------
 
     def scaled(self, c: ScalarLike) -> "SparseOp":
-        if self.field == APPROX:
-            return SparseOp(self.rows, self.cols, self.row, self.col,
-                            self.data * float(c), 1.0, APPROX, _canonical=True)
         c = Fraction(c)
         if c == 0:
             return SparseOp.zero(self.rows, self.cols)
         op = SparseOp(self.rows, self.cols, self.row, self.col, self.data,
-                      self.scale * c, EXACT, _canonical=True)
+                      self.scale * c, _canonical=True)
         if op.scale < 0:
             return SparseOp(self.rows, self.cols, self.row, self.col,
-                            -self.data, -op.scale, EXACT, _canonical=True)
+                            -self.data, -op.scale, _canonical=True)
         return op
 
     def __neg__(self) -> "SparseOp":
@@ -448,11 +364,6 @@ class SparseOp:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError(
                 f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        if self.field == APPROX or other.field == APPROX:
-            a, b = self.to_approx(), other.to_approx()
-            return SparseOp(a.rows, a.cols, np.concatenate([a.row, b.row]),
-                            np.concatenate([a.col, b.col]),
-                            np.concatenate([a.data, b.data]), 1.0, APPROX)
         s = fraction_gcd(self.scale, other.scale)
         ma, mb = int(self.scale / s), int(other.scale / s)
         da, db = self.data, other.data
@@ -476,11 +387,6 @@ class SparseOp:
     def matvec(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise DimensionMismatchError("matvec length mismatch")
-        if self.field == APPROX or v.field == APPROX:
-            a = self.to_approx()
-            out = _kernels.csr_matvec(a.indptr, a.row, a.col, a.data,
-                                      v.to_approx().data, a.rows)
-            return Vec(out, 1.0, APPROX)
         data, vdata = self.data, v.data
         bound = self.row_nnz_max * max(self.max_abs, 1) * max(_max_abs(vdata), 1)
         if bound >= _INT64_SAFE and data.dtype != object:
@@ -494,9 +400,9 @@ class SparseOp:
         return Vec(out, self.scale * v.scale)
 
     def apply_dense(self, b: np.ndarray) -> np.ndarray:
-        """Raw CSR x dense-matrix product on the integer/float cores."""
+        """Raw CSR x dense-matrix product on the integer cores."""
         data = self.data
-        if self.field == EXACT and data.dtype != object and b.dtype != object:
+        if data.dtype != object and b.dtype != object:
             bound = self.row_nnz_max * max(self.max_abs, 1) * max(1, int(np.abs(b).max()) if b.size else 1)
             if bound >= _INT64_SAFE:
                 data = _to_object(data)
@@ -513,12 +419,6 @@ class SparseOp:
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.field == APPROX or other.field == APPROX:
-            a, b = self.to_approx(), other.to_approx()
-            r, c, d = _kernels.spmm(a.indptr, a.row, a.col, a.data,
-                                    b.indptr, b.row, b.col, b.data,
-                                    a.rows, b.cols)
-            return SparseOp(a.rows, b.cols, r, c, d, 1.0, APPROX)
         da, db = self.data, other.data
         bound = (min(self.row_nnz_max, other.nnz or 1)
                  * max(self.max_abs, 1) * max(other.max_abs, 1))
@@ -534,22 +434,10 @@ class SparseOp:
         return SparseOp(self.rows, other.cols, r, c, d,
                         self.scale * other.scale)
 
-    def trace(self) -> ScalarLike:
+    def trace(self) -> Fraction:
         mask = self.row == self.col
-        if self.field == APPROX:
-            return float(self.data[mask].sum())
         total = sum(int(x) for x in self.data[mask])
         return total * self.scale
-
-    def check_kron_factors(self) -> bool:
-        """Expand kron_factors (small instances) and compare entrywise."""
-        if not self.kron_factors:
-            return True
-        acc = self.kron_factors[0]
-        for f in self.kron_factors[1:]:
-            acc = kron(acc, f)
-        acc.kron_factors = None
-        return acc == self
 
 
 # ---------------------------------------------------------------------------
@@ -560,24 +448,18 @@ def kron(a: SparseOp, b: SparseOp) -> SparseOp:
     """Kronecker product; entry ((i1,i2),(j1,j2)) = a(i1,j1) * b(i2,j2)."""
     if a.rows * b.rows >= 2 ** 62 or a.cols * b.cols >= 2 ** 62:
         raise DimensionLimitError("kron index arithmetic would overflow")
-    if a.field == APPROX or b.field == APPROX:
-        a, b = a.to_approx(), b.to_approx()
     row = (a.row[:, None] * b.rows + b.row[None, :]).ravel()
     col = (a.col[:, None] * b.cols + b.col[None, :]).ravel()
     da, db = a.data, b.data
-    if a.field == EXACT:
-        if max(a.max_abs, 1) * max(b.max_abs, 1) >= _INT64_SAFE:
-            da = _to_object(da) if da.dtype != object else da
-            db = _to_object(db) if db.dtype != object else db
-        if (da.dtype == object) != (db.dtype == object):
-            da = da if da.dtype == object else _to_object(da)
-            db = db if db.dtype == object else _to_object(db)
+    if max(a.max_abs, 1) * max(b.max_abs, 1) >= _INT64_SAFE:
+        da = _to_object(da) if da.dtype != object else da
+        db = _to_object(db) if db.dtype != object else db
+    if (da.dtype == object) != (db.dtype == object):
+        da = da if da.dtype == object else _to_object(da)
+        db = db if db.dtype == object else _to_object(db)
     data = (da[:, None] * db[None, :]).ravel()
-    scale = a.scale * b.scale if a.field == EXACT else 1.0
-    out = SparseOp(a.rows * b.rows, a.cols * b.cols, row, col, data, scale,
-                   a.field)
-    out.kron_factors = [a, b]
-    return out
+    return SparseOp(a.rows * b.rows, a.cols * b.cols, row, col, data,
+                    a.scale * b.scale)
 
 
 def apply_poly_factors(op: SparseOp, roots: Sequence[ScalarLike], v: Vec,
@@ -598,12 +480,12 @@ def apply_poly_factors(op: SparseOp, roots: Sequence[ScalarLike], v: Vec,
     return out
 
 
-def _pair_trace(a: SparseOp, b: SparseOp) -> ScalarLike:
+def _pair_trace(a: SparseOp, b: SparseOp) -> Fraction:
     # Tr(A B) = sum_{ij} A_ij B_ji via a sorted key join
     if a.cols != b.rows or a.rows != b.cols:
         raise DimensionMismatchError("trace_word pair shape mismatch")
     if a.nnz == 0 or b.nnz == 0:
-        return 0.0 if a.field == APPROX else Fraction(0)
+        return Fraction(0)
     key_a = a.row * a.cols + a.col
     key_b = b.col * a.cols + b.row
     order = np.argsort(key_b, kind="stable")
@@ -612,18 +494,15 @@ def _pair_trace(a: SparseOp, b: SparseOp) -> ScalarLike:
     pos_c = np.minimum(pos, len(key_b_sorted) - 1)
     hit = key_b_sorted[pos_c] == key_a
     if not hit.any():
-        return 0.0 if a.field == APPROX else Fraction(0)
+        return Fraction(0)
     da = a.data[hit]
     db = b.data[order][pos_c[hit]]
-    if a.field == APPROX or b.field == APPROX:
-        return float(np.dot(np.asarray(da, dtype=np.float64),
-                            np.asarray(db, dtype=np.float64)))
     total = sum(int(x) * int(y) for x, y in zip(da, db))
     return total * a.scale * b.scale
 
 
 def trace_word(ops: Sequence[SparseOp], product_nnz_limit: int = 40_000_000
-               ) -> ScalarLike:
+               ) -> Fraction:
     """Exact trace of a product of sparse operators.
 
     Never materializes a dense product: single factors read the diagonal,
@@ -653,23 +532,20 @@ def trace_word(ops: Sequence[SparseOp], product_nnz_limit: int = 40_000_000
     return _trace_word_columns(ops)
 
 
-def _trace_word_columns(ops: Sequence[SparseOp], block: int = 64) -> ScalarLike:
+def _trace_word_columns(ops: Sequence[SparseOp], block: int = 64) -> Fraction:
     n = ops[0].rows
-    exact = all(o.field == EXACT for o in ops)
-    total = Fraction(0) if exact else 0.0
-    scale = Fraction(1) if exact else 1.0
+    total = 0
+    scale = Fraction(1)
     for o in ops:
         scale = scale * o.scale
     for start in range(0, n, block):
         width = min(block, n - start)
-        cur = np.zeros((n, width), dtype=np.int64 if exact else np.float64)
+        cur = np.zeros((n, width), dtype=np.int64)
         for j in range(width):
             cur[start + j, j] = 1
         for o in reversed(ops):
             cur = o.apply_dense(cur)
-        diag = [cur[start + j, j] for j in range(width)]
-        total += (sum(int(x) for x in diag) if exact
-                  else float(np.sum(diag)))
+        total += sum(int(cur[start + j, j]) for j in range(width))
     return total * scale
 
 
@@ -685,12 +561,11 @@ class ZeroCheckResult:
 
 
 def randomized_zero_check(apply_fn: Callable[[Vec], Vec], dim: int,
-                          trials: int = 20, field: str = EXACT,
+                          trials: int = 20,
                           rng: Optional[np.random.Generator] = None,
-                          seed: int = 0,
-                          tol: Optional[Tolerance] = None) -> ZeroCheckResult:
-    """Apply an operator expression to random vectors; ZERO iff every image
-    vanishes (exactly for the exact field, below ``tol`` otherwise).
+                          seed: int = 0) -> ZeroCheckResult:
+    """Apply an operator expression to random integer vectors; ZERO iff
+    every image is exactly zero.
 
     Records the witness vector on the first failure.
     """
@@ -698,10 +573,8 @@ def randomized_zero_check(apply_fn: Callable[[Vec], Vec], dim: int,
         rng = np.random.default_rng(seed)
     for t in range(trials):
         v = Vec.random_exact(dim, rng)
-        if field == APPROX:
-            v = v.to_approx()
         image = apply_fn(v)
-        if not image.is_zero(tol):
+        if not image.is_zero():
             return ZeroCheckResult("NONZERO", t + 1, witness=v)
     return ZeroCheckResult("ZERO", trials)
 
@@ -716,8 +589,6 @@ def apply_two_site(op: SparseOp, v: Vec, sites: Tuple[int, int],
         raise DimensionMismatchError("two-site operator has wrong shape")
     if len(v) != d ** n_sites:
         raise DimensionMismatchError("vector length mismatch")
-    if op.field == APPROX or v.field == APPROX:
-        op, v = op.to_approx(), v.to_approx()
     cube = v.data.reshape((d,) * n_sites)
     axes = [a, b] + [k for k in range(n_sites) if k not in (a, b)]
     moved = np.ascontiguousarray(np.transpose(cube, axes))
@@ -726,15 +597,13 @@ def apply_two_site(op: SparseOp, v: Vec, sites: Tuple[int, int],
     out_cube = out.reshape((d,) * n_sites)
     inverse = np.argsort(axes)
     restored = np.ascontiguousarray(np.transpose(out_cube, inverse)).ravel()
-    if op.field == APPROX:
-        return Vec(restored, 1.0, APPROX)
     return Vec(restored, op.scale * v.scale)
 
 
 def poly_of_op(op: SparseOp, coeffs: Sequence[ScalarLike],
                unit: Optional[SparseOp] = None) -> SparseOp:
     """Materialize sum_k coeffs[k] * op^k (op^0 = unit or identity), Horner style."""
-    unit = unit if unit is not None else SparseOp.identity(op.rows, op.field)
+    unit = unit if unit is not None else SparseOp.identity(op.rows)
     acc = unit.scaled(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc @ op
@@ -746,7 +615,7 @@ def poly_of_op(op: SparseOp, coeffs: Sequence[ScalarLike],
 def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],
                       unit: Optional[SparseOp] = None) -> SparseOp:
     """Materialize prod_i (op - r_i * unit) as a sparse operator."""
-    unit = unit if unit is not None else SparseOp.identity(op.rows, op.field)
+    unit = unit if unit is not None else SparseOp.identity(op.rows)
     acc = None
     for r in roots:
         factor = op - unit.scaled(r) if r != 0 else op

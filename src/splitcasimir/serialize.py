@@ -13,7 +13,7 @@ import struct
 from fractions import Fraction
 from typing import BinaryIO
 
-from .kernel import EXACT, KernelError, SparseOp
+from .kernel import KernelError, SparseOp
 
 MAGIC = b"SCSO"
 FORMAT_VERSION = 1
@@ -36,8 +36,6 @@ def _read_bigint(stream: BinaryIO) -> int:
 
 
 def write_sparse(op: SparseOp, stream: BinaryIO) -> None:
-    if op.field != EXACT:
-        raise SerializationError("only exact-field operators are serialized")
     stream.write(MAGIC)
     stream.write(struct.pack("<HQQQ", FORMAT_VERSION, op.rows, op.cols, op.nnz))
     num, den = op.scale.numerator, op.scale.denominator

@@ -140,9 +140,6 @@ class _Poly:
                 return k
         return len(self.c)
 
-    def coeff(self, k) -> Fraction:
-        return self.c[k] if k < len(self.c) else Fraction(0)
-
 
 def universal_dim_g(p: VogelPoint) -> Fraction:
     """(alpha-2t)(beta-2t)(gamma-2t)/(alpha beta gamma)."""
@@ -197,16 +194,6 @@ def universal_dim_y2(p: VogelPoint, which: str) -> Fraction:
     # (105 at so(8)); both coinciding slots label equal irreducible pieces
     # of a triality-split triple, so each reports a third of it (35).
     return merged / 3
-
-
-def _sub(p: _Poly, q: _Poly) -> _Poly:
-    n = max(len(p.c), len(q.c))
-    return _Poly([p.coeff(k) - q.coeff(k) for k in range(n)])
-
-
-def _add(p: _Poly, q: _Poly) -> _Poly:
-    n = max(len(p.c), len(q.c))
-    return _Poly([p.coeff(k) + q.coeff(k) for k in range(n)])
 
 
 def exceptional_line_check(p: VogelPoint) -> Tuple[bool, Optional[Tuple[Fraction, Fraction]]]:

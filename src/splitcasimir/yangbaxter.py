@@ -21,10 +21,7 @@ from .catalog import defining, parse_name
 from .casimir import invariant_set, split_casimir, split_parts, swap_operator
 from .identities import VerificationReport, defining_identity
 from .kernel import (
-    APPROX,
-    EXACT,
     SparseOp,
-    Tolerance,
     Vec,
     apply_two_site,
     poly_of_op,
@@ -37,9 +34,6 @@ DEFAULT_SAMPLES: List[Tuple[Fraction, Fraction]] = [
     (Fraction(7, 9), Fraction(-2, 11)),
     (Fraction(3, 8), Fraction(1, 5)),
 ]
-
-YBE_TOL = Tolerance(rel=0.0, abs=1e-9)
-
 
 class YangBaxterError(Exception):
     pass
@@ -336,26 +330,19 @@ def _check_poles(fam: RMatrixFamily, *us) -> None:
             raise PoleError(f"sample {u} hits a pole of {fam.case}")
 
 
-def verify_ybe(fam: RMatrixFamily, u, v, method: str = "auto",
-               trials: int = 8, seed: int = 0,
-               tol: Tolerance = YBE_TOL) -> VerificationReport:
+def verify_ybe(fam: RMatrixFamily, u, v, trials: int = 8,
+               seed: int = 0) -> VerificationReport:
     """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) on V^(x3), applied
-    to random vectors factor by factor."""
+    exactly to random integer vectors factor by factor."""
     u, v = Fraction(u), Fraction(v)
     _check_poles(fam, u, v, u + v)
-    if method == "auto":
-        method = "exact" if fam.site_dim <= 27 else "approx"
     r_u = fam.evaluate(u)
     r_uv = fam.evaluate(u + v)
     r_v = fam.evaluate(v)
-    if method == "approx":
-        r_u, r_uv, r_v = r_u.to_approx(), r_uv.to_approx(), r_v.to_approx()
     d = fam.site_dim
     rng = np.random.default_rng(seed)
     for t in range(trials):
         w = Vec.random_exact(d ** 3, rng)
-        if method == "approx":
-            w = w.to_approx()
         lhs = apply_two_site(r_v, w, (1, 2), 3, d)
         lhs = apply_two_site(r_uv, lhs, (0, 2), 3, d)
         lhs = apply_two_site(r_u, lhs, (0, 1), 3, d)
@@ -363,36 +350,24 @@ def verify_ybe(fam: RMatrixFamily, u, v, method: str = "auto",
         rhs = apply_two_site(r_uv, rhs, (0, 2), 3, d)
         rhs = apply_two_site(r_v, rhs, (1, 2), 3, d)
         diff = lhs - rhs
-        zero = diff.is_zero() if method == "exact" else diff.is_zero(tol)
-        if not zero:
+        if not diff.is_zero():
             return VerificationReport(
-                f"{fam.case} YBE({fam.form}) at ({u},{v})", "FAIL", method,
+                f"{fam.case} YBE({fam.form}) at ({u},{v})", "FAIL", "exact",
                 t + 1, detail=f"residual {diff.max_abs_value()}")
     return VerificationReport(f"{fam.case} YBE({fam.form}) at ({u},{v})",
-                              "PASS", method, trials)
+                              "PASS", "exact", trials)
 
 
-def verify_unitarity(fam: RMatrixFamily, u, method: str = "auto",
-                     tol: Tolerance = YBE_TOL) -> VerificationReport:
-    """P R(u) P R(-u) = 1."""
+def verify_unitarity(fam: RMatrixFamily, u) -> VerificationReport:
+    """P R(u) P R(-u) = 1, checked as an exact operator equality."""
     u = Fraction(u)
     _check_poles(fam, u, -u)
-    if method == "auto":
-        method = "exact" if fam.site_dim <= 27 else "approx"
     d = fam.site_dim
     perm = swap_operator(d)
-    r_u, r_mu = fam.evaluate(u), fam.evaluate(-u)
-    if method == "approx":
-        perm = perm.to_approx()
-        r_u, r_mu = r_u.to_approx(), r_mu.to_approx()
-    prod = perm @ r_u @ perm @ r_mu
-    ident = SparseOp.identity(d * d, field=prod.field)
-    if method == "exact":
-        ok = prod == ident
-    else:
-        ok = (prod - ident).is_zero(tol)
+    prod = perm @ fam.evaluate(u) @ perm @ fam.evaluate(-u)
+    ok = prod == SparseOp.identity(d * d)
     return VerificationReport(f"{fam.case} unitarity({fam.form}) at u={u}",
-                              "PASS" if ok else "FAIL", method)
+                              "PASS" if ok else "FAIL", "exact")
 
 
 def verify_form_equivalence(case: str, samples: Sequence = (),

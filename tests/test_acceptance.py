@@ -3,8 +3,8 @@ pass/fail line per criterion.
 
 Exact means zero residual in rational arithmetic; randomized-exact means the
 expression is applied to 32 random integer vectors and every image is
-exactly zero; the single approximate tolerance is the e7 Yang-Baxter
-residual bound 1e-9.
+exactly zero.  No criterion uses a floating-point tolerance: the e7
+Yang-Baxter and unitarity checks are exact as well.
 """
 
 import time
@@ -193,18 +193,17 @@ def test_criterion_6_yang_baxter():
     for case in exact_cases:
         fam = build_rmatrix(case, "spectral")
         for u, v in DEFAULT_SAMPLES:
-            rep = verify_ybe(fam, u, v, method="exact", trials=1)
+            rep = verify_ybe(fam, u, v, trials=1)
             if not rep.passed:
                 failed.append(f"{case}:ybe({u},{v})")
         for u, _ in DEFAULT_SAMPLES:
-            if not verify_unitarity(fam, u, method="exact").passed:
+            if not verify_unitarity(fam, u).passed:
                 failed.append(f"{case}:unit({u})")
     fam7 = build_rmatrix("e7", "spectral")
-    rep = verify_ybe(fam7, Fraction(1, 2), Fraction(1, 3), method="approx",
-                     trials=8)
+    rep = verify_ybe(fam7, Fraction(1, 2), Fraction(1, 3), trials=8)
     if not rep.passed:
         failed.append("e7:ybe")
-    if not verify_unitarity(fam7, Fraction(2, 5), method="approx").passed:
+    if not verify_unitarity(fam7, Fraction(2, 5)).passed:
         failed.append("e7:unit")
     for case in exact_cases + ["e7"]:
         if not verify_form_equivalence(

@@ -39,6 +39,20 @@ def test_classical_invariants(series, rank, dim, module):
     assert check_representation(rep)
 
 
+def test_randomized_representation_check_probes_every_pair(monkeypatch):
+    # generator 3 of sl(4) occurs in none of the 8 basis pairs (nor their
+    # brackets) that a pair-sampling check with the default seed would draw
+    from splitcasimir import algebras
+    from splitcasimir.algebras import Representation
+    monkeypatch.setattr(algebras, "JACOBI_EXHAUSTIVE_DIM", 0)
+    alg, rep = build_classical("A", 3)
+    assert check_representation(rep)
+    gens = list(rep.generators)
+    gens[3] = gens[3].scaled(2)
+    bad = Representation(alg, rep.dim_module, gens, rep.kind)
+    assert not check_representation(bad)
+
+
 def test_sl_killing_pair_formula():
     # g_{ij,kl} = 2(N d_jk d_il - d_ij d_kl) against the basis-free trace form
     n = 4

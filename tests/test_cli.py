@@ -92,6 +92,25 @@ def test_cli_ybe_single_pair(tmp_path):
     assert any("YBE(1/2,1/3)" in t for t in targets)
 
 
+def test_cli_ybe_report_records_samples(tmp_path):
+    out = tmp_path / "ybe.json"
+    rc = main(["ybe", "--case", "sl(2)", "--samples", "1/2,1/3",
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["config"]["samples"] == ["1/2", "1/3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ybe", "--case", "sl(2)", "--form", "spectral"],
+    ["verify", "--algebra", "sl(2)", "--method", "approx"],
+    ["ybe", "--case", "sl(2)", "--method", "exact_full"],
+])
+def test_cli_rejects_removed_options(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", "/dev/null"])
+    assert exc.value.code == 2
+
+
 def test_cache_round_trip_and_corruption(tmp_path):
     (alg_rep, warning) = load_or_build("sl(2)", tmp_path)[0], None
     alg, rep = load_or_build("sl(2)", tmp_path)[0]

@@ -109,6 +109,15 @@ def test_identity_failure_is_reported_not_raised():
     assert rep.witness is not None
 
 
+@pytest.mark.parametrize("method", ["approx", "exact", "bogus"])
+def test_unknown_method_raises(method):
+    # a method outside auto | exact_full | randomized_exact must not run
+    # under a label it did not earn
+    with pytest.raises(ValueError):
+        verify_identity(SparseOp.identity(4), CharIdentity([1]),
+                        method=method)
+
+
 def test_minimal_polynomial_identity_operator():
     mp = minimal_polynomial(SparseOp.identity(5), 3)
     assert mp["roots"] == [Fraction(1)]

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from splitcasimir import _kernels
 from splitcasimir.kernel import (
-    APPROX,
-    EXACT,
     DimensionMismatchError,
     SparseOp,
-    Tolerance,
     Vec,
     apply_poly_factors,
     kron,
@@ -136,7 +133,6 @@ def test_kron_matches_dense_oracle():
     got = kron(a, b)
     want = dense_kron(a.to_dense_fractions(), b.to_dense_fractions())
     assert np.array_equal(got.to_dense_fractions(), want)
-    assert got.check_kron_factors()
 
 
 @settings(max_examples=25, deadline=None)
@@ -148,7 +144,6 @@ def test_kron_associativity(seed):
     c = random_exact_op(rng, 2, 2, 0.6)
     left = kron(kron(a, b), c)
     right = kron(a, kron(b, c))
-    left.kron_factors = right.kron_factors = None
     assert left == right
 
 
@@ -261,14 +256,15 @@ def test_zero_check_identity_has_witness():
     assert not ident.matvec(res.witness).is_zero()
 
 
-def test_zero_check_approx_tolerance():
-    tiny = SparseOp.identity(3, field=APPROX, scale=Fraction(1, 10 ** 12))
-    res = randomized_zero_check(tiny.matvec, 3, trials=4, field=APPROX,
-                                seed=2, tol=Tolerance(rel=1e-9, abs=1e-9))
-    assert res.is_zero
+def test_zero_check_tiny_scale_is_nonzero():
+    # exact arithmetic has no tolerance: 10^-12 * identity is not zero
+    tiny = SparseOp.identity(3, scale=Fraction(1, 10 ** 12))
+    res = randomized_zero_check(tiny.matvec, 3, trials=4, seed=2)
+    assert res.verdict == "NONZERO"
+    assert not tiny.matvec(res.witness).is_zero()
 
 
-# --- storage-order / field invariants -------------------------------------------
+# --- storage-order invariants -------------------------------------------
 
 def test_exact_results_independent_of_entry_order():
     trips = [(0, 1, Fraction(1, 2)), (1, 0, Fraction(-2, 3)), (0, 0, 3)]

@@ -134,10 +134,10 @@ def test_e6_ybe_exact_and_form():
     assert verify_form_equivalence("e6", samples=[Fraction(1, 2)]).passed
 
 
-def test_e7_ybe_approx_and_form_exact():
+def test_e7_ybe_and_form_exact():
     fam = build_rmatrix("e7", "spectral")
     rep = verify_ybe(fam, Fraction(1, 2), Fraction(1, 3), trials=2)
-    assert rep.passed and rep.method == "approx"
+    assert rep.passed and rep.method == "exact"
     assert verify_form_equivalence("e7", samples=[Fraction(1, 2)]).passed
 
 
