@@ -15,6 +15,7 @@ from .kernel import (
     SparseOp,
     Vec,
     _pair_trace,
+    combine,
 )
 from .rootdata import RootSystem
 
@@ -376,13 +377,9 @@ def _check_brackets(alg: LieAlgebra, gens: Sequence[SparseOp],
 
 
 def _combine(ops: Sequence[SparseOp], ints, fractions=None) -> SparseOp:
-    acc = SparseOp.zero(ops[0].rows, ops[0].cols)
     if fractions is None:
-        fractions = [Fraction(int(x)) for x in ints]
-    for op, c in zip(ops, fractions):
-        if c != 0:
-            acc = acc + op.scaled(c)
-    return acc
+        fractions = [int(x) for x in ints]
+    return combine(zip(fractions, ops))
 
 
 def _bracket_coeffs_dense(alg: LieAlgebra, xa, xb) -> List[Fraction]:

@@ -143,8 +143,11 @@ class Vec:
 
     def scaled(self, c: ScalarLike) -> "Vec":
         c = Fraction(c)
-        if c == 0:
+        # a canonical zero has scale 1, so only then can the data be all zero
+        if c == 0 or (self.scale == 1 and not self.data.any()):
             return Vec.zeros(len(self.data))
+        if c < 0:
+            return Vec(-self.data, self.scale * -c, _canonical=True)
         return Vec(self.data, self.scale * c, _canonical=True)
 
     def _aligned(self, other: "Vec"):
@@ -161,7 +164,7 @@ class Vec:
             b = b if b.dtype == object else _to_object(b)
         return a, ma, b, mb, s
 
-    def __add__(self, other: "Vec") -> "Vec":
+    def _plus(self, other: "Vec", sign: int) -> "Vec":
         if len(self) != len(other):
             raise DimensionMismatchError("vector length mismatch")
         a, ma, b, mb, s = self._aligned(other)
@@ -169,10 +172,13 @@ class Vec:
             bound = _max_abs(a) * abs(ma) + _max_abs(b) * abs(mb)
             if bound >= _INT64_SAFE:
                 a, b = _to_object(a), _to_object(b)
-        return Vec(a * ma + b * mb, s)
+        return Vec(a * ma + b * (sign * mb), s)
+
+    def __add__(self, other: "Vec") -> "Vec":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Vec") -> "Vec":
-        return self + other.scaled(-1)
+        return self._plus(other, -1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vec):
@@ -214,10 +220,12 @@ class SparseOp:
         row = np.asarray(self.row, dtype=np.int64)
         col = np.asarray(self.col, dtype=np.int64)
         data = self.data
-        if len(data) and not (np.all(np.diff(row * self.cols + col) > 0)):
-            order = np.lexsort((col, row))
-            row, col, data = row[order], col[order], data[order]
-            key = row * self.cols + col
+        key = row * self.cols + col
+        if len(data) and not (np.all(np.diff(key) > 0)):
+            # one stable sort on the (row, col) key; only key and data are
+            # permuted, row and col are rebuilt from the reduced key
+            order = np.argsort(key, kind="stable")
+            key, data = key[order], data[order]
             boundary = np.empty(len(key), dtype=bool)
             boundary[0] = True
             np.not_equal(key[1:], key[:-1], out=boundary[1:])
@@ -231,7 +239,8 @@ class SparseOp:
                         data = np.add.reduceat(_to_object(data), idx)
                     else:
                         data = np.add.reduceat(data, idx)
-                row, col = row[idx], col[idx]
+                key = key[idx]
+            row, col = np.divmod(key, self.cols)
         data = _shrink_if_safe(np.asarray(data))
         if data.dtype == object:
             keep = np.array([int(x) != 0 for x in data], dtype=bool)
@@ -345,14 +354,13 @@ class SparseOp:
 
     def scaled(self, c: ScalarLike) -> "SparseOp":
         c = Fraction(c)
-        if c == 0:
+        if c == 0 or self.nnz == 0:
             return SparseOp.zero(self.rows, self.cols)
-        op = SparseOp(self.rows, self.cols, self.row, self.col, self.data,
-                      self.scale * c, _canonical=True)
-        if op.scale < 0:
+        if c < 0:
             return SparseOp(self.rows, self.cols, self.row, self.col,
-                            -self.data, -op.scale, _canonical=True)
-        return op
+                            -self.data, self.scale * -c, _canonical=True)
+        return SparseOp(self.rows, self.cols, self.row, self.col, self.data,
+                        self.scale * c, _canonical=True)
 
     def __neg__(self) -> "SparseOp":
         return self.scaled(-1)
@@ -460,6 +468,38 @@ def kron(a: SparseOp, b: SparseOp) -> SparseOp:
     data = (da[:, None] * db[None, :]).ravel()
     return SparseOp(a.rows * b.rows, a.cols * b.cols, row, col, data,
                     a.scale * b.scale)
+
+
+def combine(terms: Iterable[Tuple[ScalarLike, SparseOp]]) -> SparseOp:
+    """Materialize sum_k c_k * op_k from (c_k, op_k) pairs in one pass.
+
+    The scaled triplets of all terms are concatenated over the common scale
+    gcd and normalized once; int64 terms are lifted to object data by the
+    same per-term bound as ``SparseOp.__add__``, and duplicate positions by
+    the segment-sum guard of ``_normalize``.
+    """
+    terms = [(Fraction(c), op) for c, op in terms]
+    if not terms:
+        raise ValueError("combine needs at least one term")
+    rows, cols = terms[0][1].rows, terms[0][1].cols
+    if any((op.rows, op.cols) != (rows, cols) for _, op in terms):
+        raise DimensionMismatchError("combine terms differ in shape")
+    live = [(c * op.scale, op) for c, op in terms if c != 0 and op.nnz]
+    if not live:
+        return SparseOp.zero(rows, cols)
+    s = live[0][0]
+    for sc, _ in live[1:]:
+        s = fraction_gcd(s, sc)
+    mults = [int(sc / s) for sc, _ in live]
+    lift = any(op.data.dtype == object or op.max_abs * abs(m) >= _INT64_SAFE
+               for m, (_, op) in zip(mults, live))
+    data = []
+    for m, (_, op) in zip(mults, live):
+        d = _to_object(op.data) if lift and op.data.dtype != object else op.data
+        data.append(d * m if m != 1 else d)
+    return SparseOp(rows, cols, np.concatenate([op.row for _, op in live]),
+                    np.concatenate([op.col for _, op in live]),
+                    np.concatenate(data), s)
 
 
 def apply_poly_factors(op: SparseOp, roots: Sequence[ScalarLike], v: Vec,

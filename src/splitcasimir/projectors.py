@@ -26,7 +26,7 @@ from .identities import (
     defining_identity,
     verify_identity,
 )
-from .kernel import SparseOp, Vec
+from .kernel import SparseOp, Vec, combine
 
 # member products are checked by factored application beyond this dimension;
 # below it the products are also materialized sparsely as a cross-check
@@ -69,9 +69,7 @@ class ProjectorFamily:
                 report["traces"] = False
                 report["failures"].append(
                     f"trace({m.label}) = {tr} != {m.expected_dim}")
-        total = None
-        for m in self.members:
-            total = m.operator if total is None else total + m.operator
+        total = combine((1, m.operator) for m in self.members)
         if total != self.completeness_target:
             report["complete"] = False
             report["failures"].append("sum of members != completeness target")
@@ -122,6 +120,12 @@ def lagrange_family(op: SparseOp, ident: CharIdentity,
                     ) -> ProjectorFamily:
     """P_j = prod_{i != j} (op - a_i)/(a_j - a_i) over the identity's roots.
 
+    All members share one chain of powers W_k = unit @ op^k (k < number of
+    roots): P_j = sum_k c_jk W_k / prod_{i != j} (a_j - a_i), with c_jk the
+    coefficients of prod_{i != j} (x - a_i), summed by ``combine``.  That
+    equals the factor-by-factor product exactly when ``unit`` is idempotent
+    and commutes with ``op``; both are checked exactly first.
+
     Repeated roots are rejected by CharIdentity itself; non-primitive members
     are the caller's business (see refine_family).
     """
@@ -131,16 +135,25 @@ def lagrange_family(op: SparseOp, ident: CharIdentity,
                               unit=unit, trials=4, target="lagrange precheck")
         if not rep.passed:
             raise ProjectorError("characteristic identity fails; no family")
+    if unit @ unit != unit:
+        raise ProjectorError("unit is not idempotent; no family")
+    powers = [unit, unit @ op]
+    if powers[1] != op @ unit:
+        raise ProjectorError("unit does not commute with op; no family")
+    while len(powers) < len(ident.roots):
+        powers.append(powers[-1] @ op)
     members = []
     for aj in ident.roots:
-        proj = unit
+        coeffs = [Fraction(1)]  # prod_{i != j} (x - a_i), constant term first
         denom = Fraction(1)
         for ai in ident.roots:
             if ai == aj:
                 continue
-            proj = proj @ (op - unit.scaled(ai))
+            coeffs = [Fraction(0)] + coeffs
+            for k in range(len(coeffs) - 1):
+                coeffs[k] -= ai * coeffs[k + 1]
             denom *= (aj - ai)
-        proj = proj.scaled(Fraction(1) / denom)
+        proj = combine((c / denom, w) for c, w in zip(coeffs, powers))
         dim = (expected_dims or {}).get(aj)
         if dim is None:
             tr = proj.trace()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splitcasimir.algebras import (
+    _combine,
     check_adjoint_casimir_is_identity,
     check_antisymmetry,
     check_jacobi,
@@ -51,6 +52,24 @@ def test_randomized_representation_check_probes_every_pair(monkeypatch):
     gens[3] = gens[3].scaled(2)
     bad = Representation(alg, rep.dim_module, gens, rep.kind)
     assert not check_representation(bad)
+
+
+@pytest.mark.parametrize("name", ["sl(4)", "g2"])
+def test_combine_equals_termwise_sum(name):
+    from splitcasimir.catalog import defining
+    alg, rep = defining(name)
+    rng = np.random.default_rng(61)
+    for gens in (rep.generators, alg.ad_matrices()):
+        ints = rng.integers(-3, 4, size=alg.dim)
+        fracs = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                 for _ in range(alg.dim)]
+        for got, coeffs in ((_combine(gens, ints), ints),
+                            (_combine(gens, None, fractions=fracs), fracs)):
+            acc = SparseOp.zero(gens[0].rows, gens[0].cols)
+            for op, c in zip(gens, coeffs):
+                if c != 0:
+                    acc = acc + op.scaled(Fraction(c))
+            assert got == acc
 
 
 def test_sl_killing_pair_formula():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitcasimir import _kernels
@@ -14,6 +14,7 @@ from splitcasimir.kernel import (
     SparseOp,
     Vec,
     apply_poly_factors,
+    combine,
     kron,
     poly_of_op,
     product_of_shifts,
@@ -312,6 +313,79 @@ def test_bigint_overflow_lift_is_exact():
     dense = a.to_dense_fractions()
     want = dense_matmul(dense_matmul(dense, dense), dense)
     assert np.array_equal(prod.to_dense_fractions(), want)
+
+
+def test_vec_scaled_negative_is_canonical():
+    assert Vec.from_fractions([1, 2]).scaled(-1) == Vec.from_fractions([-1, -2])
+    assert (Vec.from_fractions([Fraction(1, 3), 2]).scaled(Fraction(-3, 2))
+            == Vec.from_fractions([Fraction(-1, 2), -3]))
+    assert Vec.zeros(3).scaled(-5) == Vec.zeros(3)
+
+
+def test_combine_matches_termwise_sum():
+    rng = np.random.default_rng(53)
+    ops = [random_exact_op(rng, 3, 5) for _ in range(6)]
+    coeffs = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+              for _ in ops]
+    acc = SparseOp.zero(3, 5)
+    dense = np.full((3, 5), Fraction(0), dtype=object)
+    for c, op in zip(coeffs, ops):
+        acc = acc + op.scaled(c)
+        dense = dense + op.to_dense_fractions() * c
+    got = combine(zip(coeffs, ops))
+    assert got == acc
+    assert np.array_equal(got.to_dense_fractions(), dense)
+    # cancelling terms leave the canonical zero
+    assert combine([(1, ops[0]), (-1, ops[0])]) == SparseOp.zero(3, 5)
+    with pytest.raises(DimensionMismatchError):
+        combine([(1, ops[0]), (1, SparseOp.identity(3))])
+
+
+def _stored(op):
+    return [int(x) for x in op.data]
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(2, 8), shift=st.integers(0, 2), sign=st.sampled_from([1, -1]),
+       deltas=st.lists(st.integers(-64, 64), min_size=8, max_size=8),
+       order=st.permutations(range(9)))
+def test_normalize_segment_sum_across_int64_bound(count, shift, sign, deltas, order):
+    # `count` duplicates of (1, 3) whose sum lands near 2^62 * 2^shift, plus a
+    # lone unit entry that keeps the gcd at 1; 3x5 so row/col come back from
+    # the key by divmod
+    base = 2 ** (62 + shift) // count
+    assume(base + 64 < 2 ** 62)
+    vals = [sign * (base + d) for d in deltas[:count]]
+    trips = [(1, 3, v) for v in vals] + [(2, 0, 1)]
+    trips = [trips[i] for i in order if i < len(trips)]
+    row, col, data = (np.array(x, dtype=np.int64) for x in zip(*trips))
+    op = SparseOp(3, 5, row, col, data)
+    total = sum(vals)
+    assert list(op.entries()) == [(1, 3, Fraction(total)), (2, 0, Fraction(1))]
+    assert (op.data.dtype == object) == (abs(total) >= 2 ** 62)
+    assert _stored(op) == [total, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=st.integers(8, 4096), shift=st.integers(0, 2), delta=st.integers(-2, 2),
+       other=st.integers(-3, 3), overlap=st.booleans())
+def test_combine_multiplier_across_int64_bound(mult, shift, delta, other, overlap):
+    # mult * max_abs lands near 2^62 * 2^shift; the second term shares the
+    # big entry's position when `overlap`
+    big = 2 ** (62 + shift) // mult + delta
+    a = SparseOp(2, 3, np.array([0, 1]), np.array([0, 2]),
+                 np.array([big, 1], dtype=np.int64))
+    pos = (0, 0) if overlap else (1, 1)
+    b = SparseOp.from_triplets(2, 3, [(pos[0], pos[1], 1)])
+    want = np.full((2, 3), Fraction(0), dtype=object)
+    want[0, 0] += big * mult
+    want[1, 2] += mult
+    want[pos] += other
+    got = combine([(mult, a), (other, b)])
+    assert np.array_equal(got.to_dense_fractions(), want)
+    assert got == a.scaled(mult) + b.scaled(other)
+    assert (got.data.dtype == object) == (max(abs(x) for x in _stored(got))
+                                          >= 2 ** 62)
 
 
 def test_poly_of_op_and_shifts():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from splitcasimir.catalog import adjoint_context, defining
-from splitcasimir.identities import CharIdentity, adjoint_identity
+from splitcasimir.casimir import split_casimir
+from splitcasimir.identities import (
+    CharIdentity,
+    adjoint_identity,
+    defining_identity,
+)
 from splitcasimir.kernel import SparseOp, Vec, kron
 from splitcasimir.projectors import (
     ProjectorError,
@@ -55,6 +60,47 @@ def test_lagrange_on_diagonal_oracle():
     fam = lagrange_family(op, CharIdentity([2, 5]))
     assert _dims(fam) == [2, 3]
     assert fam.verify()["all_pass"]
+
+
+def _chain_member(op, roots, aj, unit):
+    # the textbook product unit * prod_{i != j} (op - a_i unit)/(a_j - a_i)
+    proj, denom = unit, Fraction(1)
+    for ai in roots:
+        if ai != aj:
+            proj = proj @ (op - unit.scaled(ai))
+            denom *= aj - ai
+    return proj.scaled(1 / denom)
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("sl(4)", "adjoint"), ("so(7)", "adjoint"), ("sp(4)", "defining")])
+def test_shared_powers_equal_chain_products(name, kind):
+    if kind == "adjoint":
+        ctx = adjoint_context(name)
+        op, unit, ident = ctx.sc.operator, ctx.ops["I"], adjoint_identity(name)
+    else:
+        _, rep = defining(name)
+        op = split_casimir(rep, rep).operator
+        unit, ident = SparseOp.identity(op.rows), defining_identity(name)
+    fam = lagrange_family(op, ident, unit=unit)
+    assert [m.eigenvalue for m in fam.members] == ident.roots
+    for m in fam.members:
+        assert m.operator == _chain_member(op, ident.roots, m.eigenvalue, unit)
+
+
+def test_lagrange_family_rejects_non_idempotent_unit():
+    op = SparseOp.from_triplets(3, 3, [(0, 0, 2), (1, 1, 5), (2, 2, 5)])
+    with pytest.raises(ProjectorError, match="idempotent"):
+        lagrange_family(op, CharIdentity([2, 5]),
+                        unit=SparseOp.identity(3).scaled(2), precheck=False)
+
+
+def test_lagrange_family_rejects_non_commuting_unit():
+    # unit = [[1, 1], [0, 0]] is idempotent but does not commute with op
+    op = SparseOp.from_triplets(2, 2, [(0, 0, 2), (1, 1, 5)])
+    unit = SparseOp.from_triplets(2, 2, [(0, 0, 1), (0, 1, 1)])
+    with pytest.raises(ProjectorError, match="commute"):
+        lagrange_family(op, CharIdentity([2, 5]), unit=unit, precheck=False)
 
 
 def test_sl_adjoint_seven_projectors():
