@@ -1,4 +1,4 @@
-"""Hot numeric kernels for sparse integer/float linear algebra.
+"""Hot numeric kernels for exact sparse integer linear algebra.
 
 Every operator in this package is stored as integer coordinate triplets
 times a single rational scale, so the inner loops below run on plain

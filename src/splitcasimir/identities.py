@@ -17,6 +17,8 @@ from .kernel import (
     SparseOp,
     Vec,
     apply_poly_factors,
+    combine,
+    product_of_shifts,
 )
 
 EXACT_FULL_MAX_DIM = 78 * 78  # full-basis verification up to the e6 adjoint
@@ -174,22 +176,22 @@ def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
                     unit: Optional[SparseOp] = None, target: str = "",
                     trials: int = RANDOM_TRIALS, seed: int = 0
                     ) -> VerificationReport:
-    """Check prod_i (op - r_i * unit) v = 0 on basis vectors (exact_full)
-    or random subspace vectors (randomized_exact)."""
+    """Check prod_i (op - r_i * unit) = 0 on the image of ``unit``.
+
+    exact_full builds prod_i (op - r_i * unit) * unit as one sparse operator
+    chain: it is zero iff the identity holds on every basis vector, and a
+    FAIL names the first nonzero column.  randomized_exact applies the
+    factors to random subspace vectors."""
     dim = op.rows
     method = _resolve_method(method, dim)
     roots = ident.roots
     rng = np.random.default_rng(seed)
     if method == "exact_full":
-        for j in range(dim):
-            e = Vec.zeros(dim)
-            e.data[j] = 1
-            v = unit.matvec(e) if unit is not None else e
-            if v.is_zero():
-                continue
-            if not apply_poly_factors(op, roots, v, unit=unit).is_zero():
-                return VerificationReport(target, "FAIL", method, j + 1,
-                                          witness=[j])
+        residual = product_of_shifts(op, roots, unit=unit)
+        if residual.nnz:
+            j = int(residual.col.min())
+            return VerificationReport(target, "FAIL", method, j + 1,
+                                      witness=[j])
         return VerificationReport(target, "PASS", method, dim)
     for t in range(trials):
         v = _subspace_random(unit, dim, rng)
@@ -504,13 +506,13 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
                                   "FAIL", "formula",
                                   detail=f"dim formula gave {dim_formula}")
     cp, _ = ctx.sc.parts()
-    rhs = cp.scaled(mu1) + (ctx.ops["I"] + ctx.ops["P"]
-                            - ctx.big_k.scaled(2)).scaled(mu2)
+    rhs = combine([(mu1, cp), (mu2, ctx.ops["I"]), (mu2, ctx.ops["P"]),
+                   (-2 * mu2, ctx.big_k)])
     dim = cp.rows
     method = _resolve_method(method, dim)
     if method == "exact_full":
-        lhs = (cp @ cp @ cp) + (cp @ cp).scaled(Fraction(1, 2))
-        ok = lhs == rhs
+        c2 = cp @ cp
+        ok = combine([(1, c2 @ cp), (Fraction(1, 2), c2)]) == rhs
         return VerificationReport(f"{name} generic classical identity",
                                   "PASS" if ok else "FAIL", method)
     rng = np.random.default_rng(seed)

@@ -65,17 +65,15 @@ def _max_abs(data: np.ndarray) -> int:
 
 
 def _gcd_reduce(data: np.ndarray) -> int:
-    if len(data) == 0:
-        return 1
+    """gcd of the entries; 0 iff every entry is zero (or there are none)."""
     if data.dtype == object:
         g = 0
         for x in data:
             g = math.gcd(g, int(x))
             if g == 1:
                 return 1
-        return g or 1
-    g = int(np.gcd.reduce(np.abs(data)))
-    return g or 1
+        return g
+    return int(np.gcd.reduce(np.abs(data))) if len(data) else 0
 
 
 def _shrink_if_safe(data: np.ndarray) -> np.ndarray:
@@ -102,12 +100,9 @@ class Vec:
         g = _gcd_reduce(data)
         if g > 1:
             data = data // g
-            self.scale = self.scale * g
-        if len(data) and self.scale < 0:
-            data = -data
-            self.scale = -self.scale
-        if _max_abs(data) == 0:
-            self.scale = Fraction(1)
+        if self.scale < 0:
+            data, g = -data, -g
+        self.scale = self.scale * g if g else Fraction(1)
         self.data = data
 
     @staticmethod
@@ -139,7 +134,7 @@ class Vec:
         return _max_abs(self.data) * abs(self.scale)
 
     def is_zero(self) -> bool:
-        return _max_abs(self.data) == 0
+        return not self.data.any()
 
     def scaled(self, c: ScalarLike) -> "Vec":
         c = Fraction(c)
@@ -654,10 +649,13 @@ def poly_of_op(op: SparseOp, coeffs: Sequence[ScalarLike],
 
 def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],
                       unit: Optional[SparseOp] = None) -> SparseOp:
-    """Materialize prod_i (op - r_i * unit) as a sparse operator."""
-    unit = unit if unit is not None else SparseOp.identity(op.rows)
-    acc = None
+    """Materialize prod_i (op - r_i * unit) * unit (unit defaults to the
+    identity).  The first root acts first, as in ``apply_poly_factors``, so
+    column j is that function's image of ``unit`` e_j."""
+    acc = unit if unit is not None else SparseOp.identity(op.rows)
     for r in roots:
-        factor = op - unit.scaled(r) if r != 0 else op
-        acc = factor if acc is None else acc @ factor
-    return acc if acc is not None else unit
+        terms = [(1, op @ acc)]
+        if r != 0:
+            terms.append((-r, acc if unit is None else unit @ acc))
+        acc = combine(terms)
+    return acc

@@ -22,7 +22,7 @@ from splitcasimir.identities import (
     verify_identity,
     verify_universal_sym_identity,
 )
-from splitcasimir.kernel import SparseOp
+from splitcasimir.kernel import SparseOp, Vec, apply_poly_factors
 from splitcasimir.rootdata import root_system
 from splitcasimir.vogel import vogel_point
 
@@ -107,6 +107,63 @@ def test_identity_failure_is_reported_not_raised():
     rep = verify_identity(op, CharIdentity([0, 2]), target="bogus")
     assert rep.status == "FAIL"
     assert rep.witness is not None
+
+
+def _per_basis_vector(op, ident, unit):
+    """Oracle: the identity's factors applied to each unit e_j in turn."""
+    dim = op.rows
+    for j in range(dim):
+        e = Vec.zeros(dim)
+        e.data[j] = 1
+        v = unit.matvec(e) if unit is not None else e
+        if v.is_zero():
+            continue
+        if not apply_poly_factors(op, ident.roots, v, unit=unit).is_zero():
+            return "FAIL", j + 1, [j]
+    return "PASS", dim, None
+
+
+@pytest.mark.parametrize("name,rep", [("sl(3)", "defining"),
+                                      ("g2", "defining"),
+                                      ("sl(4)", "adjoint"),
+                                      ("sp(4)", "adjoint")])
+@pytest.mark.parametrize("drop", [None, 0, -1])
+def test_exact_full_equals_per_basis_vector_oracle(name, rep, drop):
+    if rep == "defining":
+        _, drep = defining(name)
+        op, ident, unit = (split_casimir(drep, drep).operator,
+                           defining_identity(name), None)
+    else:
+        ctx = adjoint_context(name)
+        op, ident, unit = ctx.sc.operator, adjoint_identity(name), ctx.sc.unit
+    if drop is not None:
+        roots = list(ident.roots)
+        del roots[drop]
+        ident = CharIdentity(roots)
+    got = verify_identity(op, ident, method="exact_full", unit=unit)
+    assert (got.status, got.trials, got.witness) == \
+        _per_basis_vector(op, ident, unit)
+    assert got.status == ("PASS" if drop is None else "FAIL")
+
+
+@pytest.mark.parametrize("drop", [None, 0, 1])
+def test_exact_full_chain_lifts_past_int64(drop):
+    # upper triangular with eigenvalues a, b, c: minimal polynomial
+    # (x - a)(x - b)(x - c).  After the factor for a, both op @ M and the
+    # shift c * M hold entries near b (b - a) and c (b - a), past 2^63
+    b = 2 ** 40 + 15
+    a, c = b - 2 ** 23 - 7, b + 2 ** 23 + 9
+    assert min(b, c) * (b - a) >= 2 ** 63
+    op = SparseOp.from_triplets(3, 3, [(0, 0, a), (0, 1, 1), (1, 1, b),
+                                       (1, 2, 1), (2, 2, c)])
+    roots = [a, c, b]
+    if drop is not None:
+        del roots[drop]
+    ident = CharIdentity(roots)
+    got = verify_identity(op, ident, method="exact_full")
+    assert (got.status, got.trials, got.witness) == \
+        _per_basis_vector(op, ident, None)
+    assert got.status == ("PASS" if drop is None else "FAIL")
 
 
 @pytest.mark.parametrize("method", ["approx", "exact", "bogus"])

@@ -404,6 +404,32 @@ def test_poly_of_op_and_shifts():
     assert np.array_equal(shifts.to_dense_fractions(), want2)
 
 
+def test_product_of_shifts_with_unit_pins_factor_order():
+    rng = np.random.default_rng(59)
+    n, k = 5, 2
+    a = random_exact_op(rng, n, n, 0.6)
+    # U = [[I_k, B], [0, 0]] is idempotent for any B
+    trips = [(i, i, 1) for i in range(k)]
+    trips += [(i, j, Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))))
+              for i in range(k) for j in range(k, n)]
+    unit = SparseOp.from_triplets(n, n, trips)
+    du, da = unit.to_dense_fractions(), a.to_dense_fractions()
+    assert np.array_equal(dense_matmul(du, du), du)
+    assert not np.array_equal(dense_matmul(da, du), dense_matmul(du, da))
+    r1, r2 = Fraction(2, 3), Fraction(-5, 2)
+    want = dense_matmul(dense_matmul(da - r2 * du, da - r1 * du), du)
+    swapped = dense_matmul(dense_matmul(da - r1 * du, da - r2 * du), du)
+    assert not np.array_equal(want, swapped)
+    got = product_of_shifts(a, [r1, r2], unit=unit)
+    assert np.array_equal(got.to_dense_fractions(), want)
+    # column j is the factor-by-factor image of unit e_j
+    for j in range(n):
+        e = Vec.zeros(n)
+        e.data[j] = 1
+        col = apply_poly_factors(a, [r1, r2], unit.matvec(e), unit=unit)
+        assert col.fractions() == list(want[:, j])
+
+
 def test_dimension_mismatch_raises():
     a = SparseOp.identity(3)
     b = SparseOp.identity(4)
