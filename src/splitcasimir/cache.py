@@ -32,7 +32,7 @@ def _code_hash() -> str:
     base = Path(splitcasimir.__file__).parent
     h = hashlib.sha256()
     for name in ("rootdata.py", "chevalley.py", "classical.py",
-                 "exceptional.py", "algebras.py", "kernel.py"):
+                 "exceptional.py", "algebras.py", "kernel.py", "_kernels.py"):
         h.update((base / name).read_bytes())
     return h.hexdigest()[:16]
 

@@ -22,7 +22,9 @@ import numpy as np
 from .algebras import LieAlgebra, Representation
 from .classical import _metric_c
 from .kernel import (
+    _INT64_SAFE,
     SparseOp,
+    _lift,
     kron,
     trace_word,
 )
@@ -88,13 +90,9 @@ def weighted_kron_sum(pairs, chunk_nnz: int = 4_000_000) -> SparseOp:
             continue
         r = (a.row[:, None] * b.rows + b.row[None, :]).ravel()
         cc = (a.col[:, None] * b.cols + b.col[None, :]).ravel()
-        da, db = a.data, b.data
-        if da.dtype != object and db.dtype != object and \
-                max(a.max_abs, 1) * max(b.max_abs, 1) * abs(mult) < 2 ** 62:
-            d = (da[:, None] * db[None, :]).ravel() * mult
-        else:
-            da = da.astype(object)
-            d = (da[:, None] * db[None, :]).ravel() * mult
+        da, db = _lift(max(a.max_abs, 1) * max(b.max_abs, 1) * abs(mult)
+                       >= _INT64_SAFE, a.data, b.data)
+        d = (da[:, None] * db[None, :]).ravel() * mult
         buf_r.append(r)
         buf_c.append(cc)
         buf_d.append(d)
@@ -108,14 +106,8 @@ def weighted_kron_sum(pairs, chunk_nnz: int = 4_000_000) -> SparseOp:
 
 
 def _flush(rows, cols, buf_r, buf_c, buf_d, den) -> SparseOp:
-    if any(d.dtype == object for d in buf_d):
-        from .kernel import _to_object
-        buf_d = [d if d.dtype == object else _to_object(d) for d in buf_d]
-        data = np.concatenate(buf_d)
-    else:
-        data = np.concatenate(buf_d)
     return SparseOp(rows, cols, np.concatenate(buf_r), np.concatenate(buf_c),
-                    data, Fraction(1, den))
+                    np.concatenate(_lift(False, *buf_d)), Fraction(1, den))
 
 
 def swap_operator(d: int) -> SparseOp:

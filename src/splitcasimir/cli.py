@@ -371,11 +371,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.algebra = (args.algebra or []) + [args.case]
 
     samples = None
-    if getattr(args, "u", None) is not None and \
-            getattr(args, "v", None) is not None:
-        samples = [Fraction(args.u), Fraction(args.v)]
-    elif getattr(args, "samples", None):
-        samples = [Fraction(x) for x in args.samples.split(",")]
+    if args.command == "ybe":
+        if (args.u is None) != (args.v is None):
+            parser.error("--u and --v must be given together")
+        if args.u is not None and args.samples:
+            parser.error("give either --u/--v or --samples, not both")
+        if args.u is not None:
+            samples = [Fraction(args.u), Fraction(args.v)]
+        elif args.samples:
+            samples = [Fraction(x) for x in args.samples.split(",")]
+            if len(samples) % 2:
+                parser.error("--samples needs an even number of values (u,v pairs)")
 
     config = SuiteConfig(
         algebras=_algebra_args(args), suites=suites,

@@ -4,10 +4,12 @@ Every scalar is exact: a :class:`Vec` or :class:`SparseOp` holds an integer
 array times one common rational ``scale`` (``fractions.Fraction``), so
 arithmetic is closed and lossless and every check is a zero-residual
 statement.  A :class:`SparseOp` stores sorted, deduplicated coordinate
-triplets.  All hot arithmetic therefore runs on ``int64`` numpy arrays (see
-``_kernels``); when an operation could overflow 64-bit integers the data is
-lifted to arbitrary-precision Python ints in an object array and the same
-algorithms run in pure numpy.  Results never depend on which path ran.
+triplets.  All hot arithmetic runs on ``int64`` numpy arrays through the
+one set of numpy kernels in ``_kernels``.  Every operation that multiplies
+or sums int64 data first bounds its result by ``_INT64_SAFE``; when the
+bound trips, or when an operand already holds arbitrary-precision Python
+ints in an object array, ``_lift`` turns every operand into object data and
+the same kernels run on it.  Results never depend on which dtype ran.
 """
 
 from __future__ import annotations
@@ -50,10 +52,15 @@ def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
                     math.lcm(a.denominator, b.denominator))
 
 
-def _to_object(arr: np.ndarray) -> np.ndarray:
-    out = np.empty(len(arr), dtype=object)
-    out[:] = [int(x) for x in arr]
-    return out
+def _lift(trips: bool, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The operands as object (Python int) data when the caller's overflow
+    bound ``trips`` or any operand already is object data; else unchanged.
+
+    A bound only matters for all-int64 operands, so a caller whose bound is
+    costly on object data may skip it then."""
+    if trips or any(a.dtype == object for a in arrays):
+        return tuple(a.astype(object, copy=False) for a in arrays)
+    return arrays
 
 
 def _max_abs(data: np.ndarray) -> int:
@@ -145,28 +152,15 @@ class Vec:
             return Vec(-self.data, self.scale * -c, _canonical=True)
         return Vec(self.data, self.scale * c, _canonical=True)
 
-    def _aligned(self, other: "Vec"):
-        s = fraction_gcd(self.scale, other.scale)
-        ma = int(self.scale / s)
-        mb = int(other.scale / s)
-        a, b = self.data, other.data
-        if a.dtype != object and _max_abs(a) * abs(ma) >= _INT64_SAFE:
-            a = _to_object(a)
-        if b.dtype != object and _max_abs(b) * abs(mb) >= _INT64_SAFE:
-            b = _to_object(b)
-        if (a.dtype == object) != (b.dtype == object):
-            a = a if a.dtype == object else _to_object(a)
-            b = b if b.dtype == object else _to_object(b)
-        return a, ma, b, mb, s
-
     def _plus(self, other: "Vec", sign: int) -> "Vec":
         if len(self) != len(other):
             raise DimensionMismatchError("vector length mismatch")
-        a, ma, b, mb, s = self._aligned(other)
-        if a.dtype != object:
-            bound = _max_abs(a) * abs(ma) + _max_abs(b) * abs(mb)
-            if bound >= _INT64_SAFE:
-                a, b = _to_object(a), _to_object(b)
+        s = fraction_gcd(self.scale, other.scale)
+        ma, mb = int(self.scale / s), int(other.scale / s)
+        a, b = self.data, other.data
+        a, b = _lift(a.dtype != object and b.dtype != object
+                     and _max_abs(a) * abs(ma) + _max_abs(b) * abs(mb) >= _INT64_SAFE,
+                     a, b)
         return Vec(a * ma + b * (sign * mb), s)
 
     def __add__(self, other: "Vec") -> "Vec":
@@ -226,14 +220,10 @@ class SparseOp:
             np.not_equal(key[1:], key[:-1], out=boundary[1:])
             if not boundary.all():
                 idx = np.flatnonzero(boundary)
-                if data.dtype == object:
-                    data = np.add.reduceat(data, idx)
-                else:
-                    segment = np.diff(np.append(idx, len(key)))
-                    if int(segment.max()) * max(1, _max_abs(data)) >= _INT64_SAFE:
-                        data = np.add.reduceat(_to_object(data), idx)
-                    else:
-                        data = np.add.reduceat(data, idx)
+                segment = np.diff(np.append(idx, len(key)))
+                (data,) = _lift(data.dtype != object and int(segment.max())
+                                * max(1, _max_abs(data)) >= _INT64_SAFE, data)
+                data = np.add.reduceat(data, idx)
                 key = key[idx]
             row, col = np.divmod(key, self.cols)
         data = _shrink_if_safe(np.asarray(data))
@@ -369,16 +359,11 @@ class SparseOp:
                 f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         s = fraction_gcd(self.scale, other.scale)
         ma, mb = int(self.scale / s), int(other.scale / s)
-        da, db = self.data, other.data
-        if da.dtype != object and self.max_abs * ma >= _INT64_SAFE:
-            da = _to_object(da)
-        if db.dtype != object and other.max_abs * mb >= _INT64_SAFE:
-            db = _to_object(db)
+        da, db = _lift(self.max_abs * ma >= _INT64_SAFE
+                       or other.max_abs * mb >= _INT64_SAFE,
+                       self.data, other.data)
         da = da * ma if ma != 1 else da
         db = db * mb if mb != 1 else db
-        if (da.dtype == object) != (db.dtype == object):
-            da = da if da.dtype == object else _to_object(da)
-            db = db if db.dtype == object else _to_object(db)
         return SparseOp(self.rows, self.cols,
                         np.concatenate([self.row, other.row]),
                         np.concatenate([self.col, other.col]),
@@ -390,50 +375,28 @@ class SparseOp:
     def matvec(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise DimensionMismatchError("matvec length mismatch")
-        data, vdata = self.data, v.data
-        bound = self.row_nnz_max * max(self.max_abs, 1) * max(_max_abs(vdata), 1)
-        if bound >= _INT64_SAFE and data.dtype != object:
-            data = _to_object(data)
-        if data.dtype == object and vdata.dtype != object:
-            vdata = _to_object(vdata)
-        if vdata.dtype == object and data.dtype != object:
-            data = _to_object(data)
-        out = _kernels.csr_matvec(self.indptr, self.row, self.col, data,
-                                  vdata, self.rows)
+        bound = self.row_nnz_max * max(self.max_abs, 1) * max(_max_abs(v.data), 1)
+        data, vdata = _lift(bound >= _INT64_SAFE, self.data, v.data)
+        out = _kernels.csr_matvec(self.row, self.col, data, vdata, self.rows)
         return Vec(out, self.scale * v.scale)
 
     def apply_dense(self, b: np.ndarray) -> np.ndarray:
         """Raw CSR x dense-matrix product on the integer cores."""
-        data = self.data
-        if data.dtype != object and b.dtype != object:
-            bound = self.row_nnz_max * max(self.max_abs, 1) * max(1, int(np.abs(b).max()) if b.size else 1)
-            if bound >= _INT64_SAFE:
-                data = _to_object(data)
-                b = np.vectorize(int, otypes=[object])(b) if b.dtype != object else b
-        if (data.dtype == object) != (b.dtype == object):
-            if data.dtype != object:
-                data = _to_object(data)
-            else:
-                b = np.vectorize(int, otypes=[object])(b)
-        return _kernels.csr_matmat_dense(self.indptr, self.row, self.col, data,
-                                         b, self.rows)
+        trips = (self.data.dtype != object and b.dtype != object
+                 and self.row_nnz_max * max(self.max_abs, 1)
+                 * max(1, int(np.abs(b).max()) if b.size else 1) >= _INT64_SAFE)
+        data, b = _lift(trips, self.data, b)
+        return _kernels.csr_matmat_dense(self.row, self.col, data, b, self.rows)
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        da, db = self.data, other.data
         bound = (min(self.row_nnz_max, other.nnz or 1)
                  * max(self.max_abs, 1) * max(other.max_abs, 1))
-        if bound >= _INT64_SAFE:
-            da = _to_object(da) if da.dtype != object else da
-            db = _to_object(db) if db.dtype != object else db
-        if (da.dtype == object) != (db.dtype == object):
-            da = da if da.dtype == object else _to_object(da)
-            db = db if db.dtype == object else _to_object(db)
-        r, c, d = _kernels.spmm(self.indptr, self.row, self.col, da,
-                                other.indptr, other.row, other.col, db,
-                                self.rows, other.cols)
+        da, db = _lift(bound >= _INT64_SAFE, self.data, other.data)
+        r, c, d = _kernels.spmm(self.row, self.col, da,
+                                other.indptr, other.col, db)
         return SparseOp(self.rows, other.cols, r, c, d,
                         self.scale * other.scale)
 
@@ -453,13 +416,8 @@ def kron(a: SparseOp, b: SparseOp) -> SparseOp:
         raise DimensionLimitError("kron index arithmetic would overflow")
     row = (a.row[:, None] * b.rows + b.row[None, :]).ravel()
     col = (a.col[:, None] * b.cols + b.col[None, :]).ravel()
-    da, db = a.data, b.data
-    if max(a.max_abs, 1) * max(b.max_abs, 1) >= _INT64_SAFE:
-        da = _to_object(da) if da.dtype != object else da
-        db = _to_object(db) if db.dtype != object else db
-    if (da.dtype == object) != (db.dtype == object):
-        da = da if da.dtype == object else _to_object(da)
-        db = db if db.dtype == object else _to_object(db)
+    da, db = _lift(max(a.max_abs, 1) * max(b.max_abs, 1) >= _INT64_SAFE,
+                   a.data, b.data)
     data = (da[:, None] * db[None, :]).ravel()
     return SparseOp(a.rows * b.rows, a.cols * b.cols, row, col, data,
                     a.scale * b.scale)
@@ -486,12 +444,10 @@ def combine(terms: Iterable[Tuple[ScalarLike, SparseOp]]) -> SparseOp:
     for sc, _ in live[1:]:
         s = fraction_gcd(s, sc)
     mults = [int(sc / s) for sc, _ in live]
-    lift = any(op.data.dtype == object or op.max_abs * abs(m) >= _INT64_SAFE
-               for m, (_, op) in zip(mults, live))
-    data = []
-    for m, (_, op) in zip(mults, live):
-        d = _to_object(op.data) if lift and op.data.dtype != object else op.data
-        data.append(d * m if m != 1 else d)
+    data = _lift(any(op.max_abs * abs(m) >= _INT64_SAFE
+                     for m, (_, op) in zip(mults, live)),
+                 *(op.data for _, op in live))
+    data = [d * m if m != 1 else d for m, d in zip(mults, data)]
     return SparseOp(rows, cols, np.concatenate([op.row for _, op in live]),
                     np.concatenate([op.col for _, op in live]),
                     np.concatenate(data), s)

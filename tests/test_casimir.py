@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitcasimir.casimir import (
     adjoint_split_casimir,
@@ -22,6 +24,7 @@ from splitcasimir.casimir import (
     swap_operator,
     trace_suite,
     two_site,
+    weighted_kron_sum,
 )
 from splitcasimir.catalog import adjoint_context, defining
 from splitcasimir.classical import build_classical
@@ -366,3 +369,29 @@ def test_split_casimir_mixed_representation_pair():
         delta_c2 = delta_c2 + (da @ db).scaled(v)
     want = kron(c2_def, i2) + kron(i1, c2_adj) + sc.operator.scaled(2)
     assert delta_c2 == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=st.integers(8, 4096), shift=st.integers(0, 2), delta=st.integers(-2, 2),
+       sign=st.sampled_from([1, -1]), other=st.integers(-3, 3))
+def test_weighted_kron_sum_across_int64_bound(mult, shift, delta, sign, other):
+    # mult * big lands near 2^62 * 2^shift; the second, small term shares
+    # every position of the first
+    big = 2 ** (62 + shift) // mult + delta
+    a = SparseOp(2, 2, np.array([0, 1]), np.array([0, 1]),
+                 np.array([big, 1], dtype=np.int64))
+    b = SparseOp(2, 3, np.array([0, 1]), np.array([0, 2]),
+                 np.array([sign, 1], dtype=np.int64))
+    ident = SparseOp.identity(2)
+    got = weighted_kron_sum([(mult, a, b), (other, ident, b)])
+    want = np.full((4, 6), Fraction(0), dtype=object)
+    for c, x in ((mult, a), (other, ident)):
+        dx, db = x.to_dense_fractions(), b.to_dense_fractions()
+        for i1 in range(2):
+            for j1 in range(2):
+                for i2 in range(2):
+                    for j2 in range(3):
+                        want[i1 * 2 + i2, j1 * 3 + j2] += c * dx[i1, j1] * db[i2, j2]
+    assert np.array_equal(got.to_dense_fractions(), want)
+    assert (got.data.dtype == object) == (max(abs(x) for x in want.ravel())
+                                          >= 2 ** 62)

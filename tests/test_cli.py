@@ -1,6 +1,8 @@
 """CLI orchestration, report emission, determinism, caching."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 
 from splitcasimir.cache import (
     CacheError,
+    _code_hash,
     cache_path,
     load_or_build,
     read_bundle,
@@ -101,6 +104,19 @@ def test_cli_ybe_report_records_samples(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["ybe", "--case", "sl(2)", "--samples", "1/2,1/3,2/5"],
+    ["ybe", "--case", "sl(2)", "--u", "7/3"],
+    ["ybe", "--case", "sl(2)", "--v", "7/3"],
+    ["ybe", "--case", "sl(2)", "--u", "1/2", "--v", "1/3", "--samples", "2/5,3/7"],
+])
+def test_cli_rejects_unpaired_ybe_samples(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", "/dev/null"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["ybe", "--case", "sl(2)", "--form", "spectral"],
     ["verify", "--algebra", "sl(2)", "--method", "approx"],
     ["ybe", "--case", "sl(2)", "--method", "exact_full"],
@@ -133,6 +149,29 @@ def test_cache_key_includes_version_and_code_hash(tmp_path):
     p = cache_path(tmp_path, "so(5)", "defining")
     assert "-v1-" in p.name
     assert len(p.name.split("-")[-1].split(".")[0]) == 16
+
+
+def test_cache_code_hash_covers_kernels(tmp_path):
+    # the hash of a package tree changes when its _kernels.py does
+    import splitcasimir
+    package = Path(splitcasimir.__file__).parent
+    for tree in ("same", "edited"):
+        shutil.copytree(package, tmp_path / tree / "splitcasimir",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "edited" / "splitcasimir" / "_kernels.py", "a") as f:
+        f.write("# edited\n")
+
+    def code_hash(tree):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from splitcasimir.cache import _code_hash; print(_code_hash())"],
+            env={**os.environ, "PYTHONPATH": str(tmp_path / tree)},
+            capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    same = code_hash("same")
+    assert same == _code_hash()
+    assert code_hash("edited") != same
 
 
 def test_suite_dependency_order():

@@ -441,30 +441,187 @@ def test_dimension_mismatch_raises():
         a.matvec(Vec.zeros(4))
 
 
-# --- kernels: jit and numpy paths agree ------------------------------------------
+# --- kernels: int64 and object operands share one path ----------------------------
+
+def _op_with_entry(rng, rows, cols, big):
+    # a lone entry of 2^70 + 1 keeps the gcd at 1 and the data in object dtype
+    op = random_exact_op(rng, rows, cols, 0.5)
+    if big:
+        op = op + SparseOp.from_triplets(rows, cols, [(0, cols - 1, 2 ** 70 + 1)])
+    assert (op.data.dtype == object) == big
+    return op
+
+
+def _core(op):
+    """Dense Fraction matrix of the integer core (data without the scale)."""
+    return op.to_dense_fractions() / op.scale
+
+
+@pytest.mark.parametrize("a_big,b_big", [(False, False), (True, False),
+                                         (False, True), (True, True)],
+                         ids=["int64", "object-left", "object-right", "object"])
+def test_kernels_match_dense_oracle(a_big, b_big):
+    rng = np.random.default_rng(53)
+    a = _op_with_entry(rng, 6, 7, a_big)
+    b = _op_with_entry(rng, 7, 5, b_big)
+    da = a.to_dense_fractions()
+    assert np.array_equal((a @ b).to_dense_fractions(),
+                          dense_matmul(da, b.to_dense_fractions()))
+    vals = [Fraction(int(x), 3) for x in rng.integers(-9, 10, size=7)]
+    if b_big:
+        vals[2] += 2 ** 70
+    v = Vec.from_fractions(vals)
+    assert (v.data.dtype == object) == b_big
+    want = [sum(da[i, j] * vals[j] for j in range(7)) for i in range(6)]
+    assert a.matvec(v).fractions() == want
+    m = rng.integers(-9, 10, size=(7, 3)).astype(np.int64)
+    if b_big:
+        m = m.astype(object)
+        m[4, 1] = -(2 ** 70)
+    got = a.apply_dense(m)
+    assert got.dtype == (object if a_big or b_big else np.int64)
+    assert np.array_equal(got, dense_matmul(_core(a), m.astype(object)))
+
 
 def test_kernel_paths_agree_int64():
+    # int64 data and the same data as Python ints give equal results
     rng = np.random.default_rng(53)
     a = random_exact_op(rng, 8, 8, 0.4)
+    obj = a.data.astype(object)
+    core = _core(a)
     v = rng.integers(-9, 10, size=8).astype(np.int64)
-    fast = _kernels.csr_matvec(a.indptr, a.row, a.col, a.data, v, 8)
-    slow = _kernels._csr_matvec_numpy(a.row, a.col, a.data, v, 8)
+    fast = _kernels.csr_matvec(a.row, a.col, a.data, v, 8)
+    slow = _kernels.csr_matvec(a.row, a.col, obj, v.astype(object), 8)
+    assert fast.dtype == np.int64 and slow.dtype == object
     assert np.array_equal(fast, slow)
+    assert np.array_equal(fast.astype(object),
+                          dense_matmul(core, v.astype(object)[:, None])[:, 0])
     b = rng.integers(-5, 6, size=(8, 3)).astype(np.int64)
-    fast2 = _kernels.csr_matmat_dense(a.indptr, a.row, a.col, a.data, b, 8)
-    slow2 = _kernels._csr_matmat_numpy(a.row, a.col, a.data, b, 8)
+    fast2 = _kernels.csr_matmat_dense(a.row, a.col, a.data, b, 8)
+    slow2 = _kernels.csr_matmat_dense(a.row, a.col, obj, b.astype(object), 8)
+    assert fast2.dtype == np.int64 and slow2.dtype == object
     assert np.array_equal(fast2, slow2)
+    assert np.array_equal(fast2.astype(object), dense_matmul(core, b.astype(object)))
 
 
 def test_spmm_paths_agree():
+    # the expanded products of A @ B, merged, equal @ for int64 and object data
     rng = np.random.default_rng(59)
     a = random_exact_op(rng, 6, 7, 0.5)
     b = random_exact_op(rng, 7, 5, 0.5)
     prod = a @ b
-    r, c, d = _kernels._spmm_expand_numpy(a.row, a.col, a.data,
-                                          b.indptr, b.col, b.data)
-    via_numpy = SparseOp(6, 5, r, c, d, a.scale * b.scale)
-    assert prod == via_numpy
+    for a_data, b_data in ((a.data, b.data), (a.data.astype(object), b.data.astype(object))):
+        r, c, d = _kernels.spmm(a.row, a.col, a_data, b.indptr, b.col, b_data)
+        assert d.dtype == a_data.dtype
+        assert SparseOp(6, 5, r, c, d, a.scale * b.scale) == prod
+    assert np.array_equal(prod.to_dense_fractions(),
+                          dense_matmul(a.to_dense_fractions(), b.to_dense_fractions()))
+
+
+# --- overflow guards at 2^62 against dense Fraction oracles ---------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 4), mult=st.integers(8, 4096), shift=st.integers(0, 2),
+       deltas=st.lists(st.integers(-64, 64), min_size=4, max_size=4))
+def test_matvec_across_int64_bound(count, mult, shift, deltas):
+    # row 0 of A holds `count` entries near 2^(62+shift) / (count * mult) and
+    # meets `mult` in v, so its row sum lands near 2^(62+shift)
+    base = 2 ** (62 + shift) // (count * mult)
+    vals = [base + d for d in deltas[:count]]
+    trips = [(0, j, x) for j, x in enumerate(vals)] + [(1, count, 1)]
+    a = SparseOp(2, count + 1, *(np.array(x, dtype=np.int64) for x in zip(*trips)))
+    v = Vec(np.array([mult] * count + [1], dtype=np.int64))
+    got = a.matvec(v)
+    total = mult * sum(vals)
+    assert got.fractions() == [total, 1]
+    assert (got.data.dtype == object) == (abs(total) >= 2 ** 62)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 4), mult=st.integers(8, 4096), shift=st.integers(0, 2),
+       width=st.integers(1, 3), deltas=st.lists(st.integers(-64, 64), min_size=4,
+                                                  max_size=4))
+def test_apply_dense_across_int64_bound(count, mult, shift, width, deltas):
+    base = 2 ** (62 + shift) // (count * mult)
+    vals = [base + d for d in deltas[:count]]
+    trips = [(0, j, x) for j, x in enumerate(vals)] + [(1, count, 1)]
+    a = SparseOp(2, count + 1, *(np.array(x, dtype=np.int64) for x in zip(*trips)))
+    b = np.arange(1, (count + 1) * width + 1, dtype=np.int64).reshape(count + 1, width)
+    b[:count, 0] = mult
+    got = a.apply_dense(b)
+    want = dense_matmul(_core(a), b.astype(object))
+    assert np.array_equal(got, want)
+    if max(abs(x) for x in want.ravel()) >= 2 ** 62:
+        assert got.dtype == object
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=st.integers(8, 4096), shift=st.integers(0, 2), delta=st.integers(-2, 2),
+       other=st.integers(-3, 3))
+def test_matmul_across_int64_bound(mult, shift, delta, other):
+    # A[0, 0] * B[0, 0] lands near 2^(62+shift); A[0, 1] * B[1, 0] is summed
+    # into the same entry
+    big = 2 ** (62 + shift) // mult + delta
+    a = SparseOp(2, 2, np.array([0, 0, 1]), np.array([0, 1, 1]),
+                 np.array([big, 1, 1], dtype=np.int64))
+    b = SparseOp(2, 3, np.array([0, 1, 1]), np.array([0, 0, 2]),
+                 np.array([mult, other, 1], dtype=np.int64))
+    got = a @ b
+    want = dense_matmul(a.to_dense_fractions(), b.to_dense_fractions())
+    assert np.array_equal(got.to_dense_fractions(), want)
+    assert (got.data.dtype == object) == (max(abs(x) for x in _stored(got))
+                                          >= 2 ** 62)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=st.integers(8, 4096), shift=st.integers(0, 2), delta=st.integers(-2, 2),
+       sign=st.sampled_from([1, -1]))
+def test_kron_across_int64_bound(mult, shift, delta, sign):
+    big = 2 ** (62 + shift) // mult + delta
+    a = SparseOp(2, 2, np.array([0, 1]), np.array([0, 1]),
+                 np.array([big, 1], dtype=np.int64))
+    b = SparseOp(2, 3, np.array([0, 1]), np.array([1, 2]),
+                 np.array([sign * mult, 1], dtype=np.int64))
+    got = kron(a, b)
+    assert np.array_equal(got.to_dense_fractions(),
+                          dense_kron(a.to_dense_fractions(), b.to_dense_fractions()))
+    assert (got.data.dtype == object) == (max(abs(x) for x in _stored(got))
+                                          >= 2 ** 62)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=st.integers(8, 4096), shift=st.integers(0, 2), delta=st.integers(-2, 2),
+       other=st.integers(-2 ** 61, 2 ** 61), sub=st.booleans())
+def test_vec_add_sub_across_int64_bound(mult, shift, delta, other, sub):
+    # scales 1 and 1/mult align on 1/mult, so x's data is multiplied by mult
+    big = 2 ** (62 + shift) // mult + delta
+    x = Vec(np.array([big, 1], dtype=np.int64))
+    y = Vec(np.array([other, 1], dtype=np.int64), Fraction(1, mult))
+    got = x - y if sub else x + y
+    sign = -1 if sub else 1
+    assert got.fractions() == [a + sign * b for a, b in zip(x.fractions(),
+                                                             y.fractions())]
+    # lifted iff the sum over the common scale 1/mult reaches 2^62 (the data
+    # is not shrunk again after its gcd is divided out)
+    unreduced = max(abs(f * mult) for f in got.fractions())
+    assert (got.data.dtype == object) == (unreduced >= 2 ** 62)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=st.integers(8, 4096), shift=st.integers(0, 2), delta=st.integers(-2, 2),
+       other=st.integers(-2 ** 61, 2 ** 61), overlap=st.booleans())
+def test_sparse_add_across_int64_bound(mult, shift, delta, other, overlap):
+    big = 2 ** (62 + shift) // mult + delta
+    a = SparseOp(2, 3, np.array([0, 1]), np.array([0, 2]),
+                 np.array([big, 1], dtype=np.int64))
+    pos = (0, 0) if overlap else (1, 1)
+    b = SparseOp(2, 3, np.array([pos[0], 1]), np.array([pos[1], 2]),
+                 np.array([other, 1], dtype=np.int64), Fraction(1, mult))
+    got = a + b
+    want = a.to_dense_fractions() + b.to_dense_fractions()
+    assert np.array_equal(got.to_dense_fractions(), want)
+    unreduced = max(abs(f * mult) for f in want.ravel())
+    assert (got.data.dtype == object) == (unreduced >= 2 ** 62)
 
 
 # --- serialization -----------------------------------------------------------------
