@@ -14,6 +14,13 @@ import numpy as np
 # benchmark child (perfbench/child.py) imports this module and records it.
 NUMBA_ENABLED = False
 
+# spmm expands about this many A_ik * B_kj products at a time (one row
+# with more is expanded alone), which bounds its transient memory
+BLOCK_PRODUCTS = 1 << 16
+# spmm sums a block into a dense accumulator when the block's row span times
+# the width of B is at most this many times its product count
+DENSE_AREA_FACTOR = 4
+
 
 def csr_matvec(row, col, data, v, n_rows):
     """out = A @ v for A given by row-sorted coo triplets."""
@@ -30,17 +37,74 @@ def csr_matmat_dense(row, col, data, b, n_rows):
 
 
 def spmm(a_row, a_col, a_data, b_indptr, b_col, b_data):
-    """Expand all A_ik * B_kj products of A @ B as an unreduced coo triple.
+    """A @ B as merged coo triplets: sorted by (row, col), duplicate positions
+    summed and zeros dropped.
 
-    Output rows come out in increasing order; duplicate (row, col) pairs are
-    not summed, so callers must merge them (SparseOp construction does).
+    A is row-sorted coo, B is csr.  A's rows are cut into blocks whose
+    A_ik * B_kj expansion stays near ``BLOCK_PRODUCTS`` (a single heavier
+    row is a block of its own), and each block is expanded and merged on its
+    own, so the transient is bounded by the block rather than by the whole
+    product (row-wise SpGEMM with a per-row accumulator, Gustavson 1978).
     """
     counts = b_indptr[a_col + 1] - b_indptr[a_col]
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=a_data.dtype))
-    reps = np.repeat(np.arange(len(a_row)), counts)
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    b_pos = b_indptr[a_col][reps] + offs
-    return a_row[reps], b_col[b_pos], a_data[reps] * b_data[b_pos]
+    width = int(b_col.max()) + 1
+    # product p of A entry e reads B entry shift[e] + p
+    shift = b_indptr[a_col] - (ends - counts)
+    if total <= BLOCK_PRODUCTS:
+        # one block, and most calls: skip cutting rows
+        return _merged_block(a_row, a_data, counts, shift, b_col, b_data,
+                             width, 0, len(a_row), 0, total)
+    # A entries that open a row, and the product offset at each of them
+    firsts = np.append(np.flatnonzero(np.diff(a_row, prepend=-1)), len(a_row))
+    offsets = np.append(0, ends)[firsts]
+    blocks = []
+    i = 0
+    while i < len(firsts) - 1:
+        j = int(np.searchsorted(offsets, offsets[i] + BLOCK_PRODUCTS, "right")) - 1
+        j = max(j, i + 1)
+        if offsets[i] < offsets[j]:
+            blocks.append(_merged_block(a_row, a_data, counts, shift, b_col,
+                                        b_data, width, firsts[i], firsts[j],
+                                        offsets[i], offsets[j]))
+        i = j
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _merged_block(a_row, a_data, counts, shift, b_col, b_data, width,
+                  lo, hi, p0, p1):
+    """Expand and merge the products p0..p1 of A entries lo..hi (whole rows).
+
+    When the block's row span times ``width`` is at most
+    ``DENSE_AREA_FACTOR`` times its product count, the products are summed
+    into a dense accumulator; otherwise a stable sort and a segment sum
+    merge them."""
+    reps = np.repeat(np.arange(lo, hi), counts[lo:hi])
+    b_pos = shift[reps] + np.arange(p0, p1)
+    key = a_row[reps] * width + b_col[b_pos]
+    prod = a_data[reps] * b_data[b_pos]
+    first_key = int(a_row[lo]) * width
+    area = (int(a_row[hi - 1]) + 1) * width - first_key
+    if area <= DENSE_AREA_FACTOR * (p1 - p0):
+        acc = np.zeros(area, dtype=prod.dtype)
+        np.add.at(acc, key - first_key, prod)
+        nz = np.flatnonzero(acc)
+        key, prod = nz + first_key, acc[nz]
+    else:
+        order = np.argsort(key, kind="stable")
+        key, prod = key[order], prod[order]
+        first = np.empty(len(key), dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            idx = np.flatnonzero(first)
+            key, prod = key[idx], np.add.reduceat(prod, idx)
+        keep = prod != 0
+        if not keep.all():
+            key, prod = key[keep], prod[keep]
+    row, col = np.divmod(key, width)
+    return row, col, prod

@@ -10,7 +10,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from .algebras import LieAlgebra, Representation
 from .casimir import (
@@ -109,6 +110,13 @@ def defining(name: str) -> Tuple[LieAlgebra, Representation]:
     # e8: the minimal fundamental representation is the adjoint
     alg, rep = build_chevalley_adjoint("E", 8)
     return alg, rep
+
+
+@lru_cache(maxsize=None)
+def invariants(name: str) -> Mapping[str, SparseOp]:
+    """The invariant operator set of the defining representation, built once
+    per process and shared read-only."""
+    return MappingProxyType(invariant_set(defining(name)[1]))
 
 
 @lru_cache(maxsize=None)

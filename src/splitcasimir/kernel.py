@@ -103,14 +103,16 @@ class Vec:
             self._canonicalize()
 
     def _canonicalize(self) -> None:
-        data = _shrink_if_safe(self.data)
+        # divide out the gcd before shrinking, so reduced object data that
+        # fits int64 becomes int64 again
+        data = self.data
         g = _gcd_reduce(data)
         if g > 1:
             data = data // g
         if self.scale < 0:
             data, g = -data, -g
         self.scale = self.scale * g if g else Fraction(1)
-        self.data = data
+        self.data = _shrink_if_safe(data)
 
     @staticmethod
     def from_fractions(values: Sequence[ScalarLike]) -> "Vec":
@@ -158,8 +160,11 @@ class Vec:
         s = fraction_gcd(self.scale, other.scale)
         ma, mb = int(self.scale / s), int(other.scale / s)
         a, b = self.data, other.data
+        # the max(1, .) terms keep a multiplier past int64 from reaching
+        # numpy even when its operand is all zero
         a, b = _lift(a.dtype != object and b.dtype != object
-                     and _max_abs(a) * abs(ma) + _max_abs(b) * abs(mb) >= _INT64_SAFE,
+                     and (max(1, _max_abs(a)) * abs(ma)
+                          + max(1, _max_abs(b)) * abs(mb) >= _INT64_SAFE),
                      a, b)
         return Vec(a * ma + b * (sign * mb), s)
 
@@ -226,14 +231,14 @@ class SparseOp:
                 data = np.add.reduceat(data, idx)
                 key = key[idx]
             row, col = np.divmod(key, self.cols)
-        data = _shrink_if_safe(np.asarray(data))
-        if data.dtype == object:
-            keep = np.array([int(x) != 0 for x in data], dtype=bool)
-        else:
-            data = data.astype(np.int64)
-            keep = data != 0
+        data = np.asarray(data)
+        if data.dtype != object:
+            data = data.astype(np.int64, copy=False)
+        keep = data != 0
         if not keep.all():
             row, col, data = row[keep], col[keep], data[keep]
+        # divide out the gcd before shrinking, so reduced object data that
+        # fits int64 becomes int64 again
         g = _gcd_reduce(data)
         if g > 1:
             data = data // g
@@ -243,7 +248,7 @@ class SparseOp:
             self.scale = -self.scale
         if len(data) == 0:
             self.scale = Fraction(1)
-        self.row, self.col, self.data = row, col, data
+        self.row, self.col, self.data = row, col, _shrink_if_safe(data)
 
     @staticmethod
     def from_triplets(rows: int, cols: int,
@@ -359,8 +364,8 @@ class SparseOp:
                 f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         s = fraction_gcd(self.scale, other.scale)
         ma, mb = int(self.scale / s), int(other.scale / s)
-        da, db = _lift(self.max_abs * ma >= _INT64_SAFE
-                       or other.max_abs * mb >= _INT64_SAFE,
+        da, db = _lift(max(1, self.max_abs) * ma >= _INT64_SAFE
+                       or max(1, other.max_abs) * mb >= _INT64_SAFE,
                        self.data, other.data)
         da = da * ma if ma != 1 else da
         db = db * mb if mb != 1 else db
@@ -392,9 +397,12 @@ class SparseOp:
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # an output entry, and each partial sum spmm forms of it, adds at most
+        # row_nnz_max products
         bound = (min(self.row_nnz_max, other.nnz or 1)
                  * max(self.max_abs, 1) * max(other.max_abs, 1))
         da, db = _lift(bound >= _INT64_SAFE, self.data, other.data)
+        # spmm returns merged triplets, so normalising skips its sort
         r, c, d = _kernels.spmm(self.row, self.col, da,
                                 other.indptr, other.col, db)
         return SparseOp(self.rows, other.cols, r, c, d,

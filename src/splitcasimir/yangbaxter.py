@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .catalog import defining, parse_name
-from .casimir import invariant_set, split_casimir, split_parts, swap_operator
+from .catalog import defining, invariants, parse_name
+from .casimir import split_casimir, split_parts, swap_operator
 from .identities import VerificationReport, defining_identity
 from .kernel import (
     SparseOp,
@@ -134,7 +134,7 @@ def _sosp_forms(n: int, eps: int):
     fam = "so" if eps == 1 else "sp"
     alg, rep = defining(f"{fam}({n})")
     d = rep.dim_module
-    inv = invariant_set(rep)
+    inv = invariants(f"{fam}({n})")
     ident, perm, kop = inv["I"], inv["P"], inv["K"]
     sc = split_casimir(rep, rep)
     d2 = Fraction(1, n - 2 * eps)
@@ -159,7 +159,7 @@ def _sosp_forms(n: int, eps: int):
 
 def _g2_forms():
     alg, rep = defining("g2")
-    inv = invariant_set(rep)
+    inv = invariants("g2")
     ident, perm, kop, fop = inv["I"], inv["P"], inv["K"], inv["F"]
     sc = split_casimir(rep, rep)
     cp, cm = split_parts(sc)
@@ -186,7 +186,7 @@ def _g2_forms():
 
 def _f4_forms(beta: Optional[Fraction]):
     alg, rep = defining("f4")
-    inv = invariant_set(rep)
+    inv = invariants("f4")
     ident, perm, kop = inv["I"], inv["P"], inv["K"]
     dop, fop = inv["D"], inv["F"]
     sc = split_casimir(rep, rep)
@@ -223,7 +223,7 @@ def _e6_forms():
     alg, rep = defining("e6")
     sc = split_casimir(rep, rep)
     cp, cm = split_parts(sc)
-    inv = invariant_set(rep)
+    inv = invariants("e6")
     ident, perm = inv["I"], inv["P"]
     half = Fraction(1, 2)
     p27 = (ident + perm).scaled(Fraction(1, 15)) - cp.scaled(Fraction(3, 5))
@@ -250,7 +250,7 @@ def _e7_forms(beta: Optional[Fraction]):
     alg, rep = defining("e7")
     sc = split_casimir(rep, rep)
     cp, cm = split_parts(sc)
-    inv = invariant_set(rep)
+    inv = invariants("e7")
     ident, perm, p1 = inv["I"], inv["P"], inv["P1"]
     half = Fraction(1, 2)
     p133 = (ident + perm).scaled(Fraction(1, 16)) - cp

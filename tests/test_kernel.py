@@ -518,6 +518,68 @@ def test_spmm_paths_agree():
                           dense_matmul(a.to_dense_fractions(), b.to_dense_fractions()))
 
 
+# --- spmm in row blocks ------------------------------------------------------------
+
+_ENTRY_BIG = {"int64": 4, "object": 2 ** 70, "cross": 2 ** 31}
+
+
+def _drawn_op(data, rows, cols, big):
+    # entries v * big + w with small v, w: gcd 1 is likely, so object data
+    # stays object, and 2^31-sized entries make sums of products pass 2^62
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
+    cells = data.draw(st.lists(st.tuples(small, st.sampled_from([0, 1, -1])),
+                               min_size=rows * cols, max_size=rows * cols))
+    trips = [(i // cols, i % cols, v * big + w)
+             for i, (v, w) in enumerate(cells) if v * big + w]
+    return SparseOp.from_triplets(rows, cols, trips)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), budget=st.integers(1, 24),
+       factor=st.sampled_from([0, 4, 10 ** 9]),
+       kind=st.sampled_from(sorted(_ENTRY_BIG)))
+def test_matmul_in_row_blocks_matches_dense_oracle(data, budget, factor, kind):
+    # a budget of a few products cuts every product into many row blocks;
+    # factor 0 forces the sort merge and 10^9 the dense accumulator
+    n, k, m = (data.draw(st.integers(1, 8)) for _ in range(3))
+    a = _drawn_op(data, n, k, _ENTRY_BIG[kind])
+    b = _drawn_op(data, k, m, _ENTRY_BIG[kind])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK_PRODUCTS", budget)
+        mp.setattr(_kernels, "DENSE_AREA_FACTOR", factor)
+        got = a @ b
+        da, db = a.data.astype(object), b.data.astype(object)
+        r, c, d = _kernels.spmm(a.row, a.col, da, b.indptr, b.col, db)
+    assert np.array_equal(got.to_dense_fractions(),
+                          dense_matmul(a.to_dense_fractions(), b.to_dense_fractions()))
+    assert (got.data.dtype == object) == (max(map(abs, _stored(got)), default=0)
+                                          >= 2 ** 62)
+    # spmm itself returns merged triplets: strictly increasing keys, no zeros
+    key = r * m + c
+    assert np.all(np.diff(key) > 0) and all(x != 0 for x in d)
+    assert d.dtype == object
+    assert SparseOp(n, m, r, c, d, a.scale * b.scale) == got
+
+
+def test_matmul_transient_is_bounded_by_block():
+    # the sp(6) adjoint C+ @ C+ expands about 1.29M products into 34458
+    # entries; expanding them all at once peaked near 86x the result's bytes
+    import tracemalloc
+
+    from splitcasimir.catalog import adjoint_context
+    cp, _ = adjoint_context("sp(6)").sc.parts()
+    cp @ cp  # fills the cached csr structure outside the measurement
+    tracemalloc.start()
+    try:
+        c2 = cp @ cp
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = c2.row.nbytes + c2.col.nbytes + c2.data.nbytes
+    assert c2.nnz == 34458
+    assert peak < 10 * result
+
+
 # --- overflow guards at 2^62 against dense Fraction oracles ---------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -601,10 +663,9 @@ def test_vec_add_sub_across_int64_bound(mult, shift, delta, other, sub):
     sign = -1 if sub else 1
     assert got.fractions() == [a + sign * b for a, b in zip(x.fractions(),
                                                              y.fractions())]
-    # lifted iff the sum over the common scale 1/mult reaches 2^62 (the data
-    # is not shrunk again after its gcd is divided out)
-    unreduced = max(abs(f * mult) for f in got.fractions())
-    assert (got.data.dtype == object) == (unreduced >= 2 ** 62)
+    # lifted iff an entry reaches 2^62 once the gcd is divided out
+    assert (got.data.dtype == object) == (max(abs(int(x)) for x in got.data)
+                                          >= 2 ** 62)
 
 
 @settings(max_examples=60, deadline=None)
@@ -620,8 +681,40 @@ def test_sparse_add_across_int64_bound(mult, shift, delta, other, overlap):
     got = a + b
     want = a.to_dense_fractions() + b.to_dense_fractions()
     assert np.array_equal(got.to_dense_fractions(), want)
-    unreduced = max(abs(f * mult) for f in want.ravel())
-    assert (got.data.dtype == object) == (unreduced >= 2 ** 62)
+    assert (got.data.dtype == object) == (max(abs(x) for x in _stored(got))
+                                          >= 2 ** 62)
+
+
+def test_zero_operand_with_multiplier_past_int64():
+    # aligning on the scale 1/2^70 multiplies the zero operand by 2^70
+    tiny = Fraction(1, 2 ** 70)
+    v = Vec(np.array([3, 1], dtype=np.int64), tiny)
+    assert Vec.zeros(2) + v == v
+    assert v + Vec.zeros(2) == v
+    assert Vec.zeros(2) - v == v.scaled(-1)
+    op = SparseOp(2, 2, np.array([0, 1]), np.array([1, 0]),
+                  np.array([3, 1], dtype=np.int64), tiny)
+    zero = SparseOp.zero(2, 2)
+    assert zero + op == op
+    assert op + zero == op
+    assert zero - op == -op
+    for got in (Vec.zeros(2) + v, zero + op):
+        assert got.data.dtype == np.int64
+
+
+def test_reduced_result_that_fits_int64_is_int64():
+    # over the common scale 1/2 the sum is [2^62 + 2, 3] (lifted); its gcd 3
+    # leaves (2^62 + 2) / 3 < 2^62
+    want = [2 ** 61 + 1, Fraction(3, 2)]
+    got = Vec(np.array([2 ** 61, 1])) + Vec(np.array([2, 1]), Fraction(1, 2))
+    assert got.fractions() == want
+    assert got.data.dtype == np.int64
+    a = SparseOp(1, 2, np.array([0, 0]), np.array([0, 1]), np.array([2 ** 61, 1]))
+    b = SparseOp(1, 2, np.array([0, 0]), np.array([0, 1]), np.array([2, 1]),
+                 Fraction(1, 2))
+    got = a + b
+    assert [v for _, _, v in got.entries()] == want
+    assert got.data.dtype == np.int64
 
 
 # --- serialization -----------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from splitcasimir import catalog
 from splitcasimir.kernel import SparseOp, Vec, apply_two_site
 from splitcasimir.yangbaxter import (
     DEFAULT_SAMPLES,
@@ -157,3 +158,20 @@ def test_rmatrix_commutes_with_diagonal_action():
     for t in rep.generators:
         delta = kron(t, ident) + kron(ident, t)
         assert (delta @ r - r @ delta).is_zero()
+
+
+def test_invariant_set_built_once_per_process(monkeypatch):
+    # every R-matrix build reads one shared, read-only invariant set; so(12)
+    # is built by no other test, so its set is not cached yet
+    calls = []
+    real = catalog.invariant_set
+    monkeypatch.setattr(catalog, "invariant_set",
+                        lambda rep: calls.append(rep) or real(rep))
+    for form in ("spectral", "casimir_rational", "spectral"):
+        build_rmatrix("so(12)", form).evaluate(Fraction(1, 3))
+    assert verify_form_equivalence("so(12)", samples=[Fraction(1, 3)]).passed
+    inv = catalog.invariants("so(12)")
+    assert len(calls) == 1
+    assert catalog.invariants("so(12)") is inv
+    with pytest.raises(TypeError):
+        inv["K"] = inv["I"]
