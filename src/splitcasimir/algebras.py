@@ -218,20 +218,15 @@ def expand_in_echelon_basis(vec_coords: Dict[int, Fraction],
     return coeffs, ok
 
 
-def sparse_nullspace(rows: List[Dict[int, Fraction]], n_unknowns: int,
-                     stall: int = 64) -> Tuple[List[Dict[int, Fraction]], List[int]]:
+def sparse_nullspace(rows: List[Dict[int, Fraction]], n_unknowns: int
+                     ) -> Tuple[List[Dict[int, Fraction]], List[int]]:
     """Exact nullspace of a sparse linear system as (basis, free_columns).
 
     The basis is reduced-echelon over the free columns: vector k has
     coordinate 1 at free_columns[k] and 0 at every other free column, so
     expanding a vector in this basis is reading its free coordinates.
-    Rows are dicts unknown-index -> coefficient.
-
-    Over-determined systems are handled in two phases: once ``stall``
-    consecutive rows reduce to zero, the remaining rows are only checked for
-    orthogonality against the current nullspace (over Q a row is implied by
-    the processed ones iff it annihilates their nullspace) and survivors are
-    fed back into the elimination.
+    Rows are dicts unknown-index -> coefficient.  Every row is reduced once
+    against the echelon; rows implied by earlier ones reduce to zero.
     """
     echelon: Dict[int, Dict[int, Fraction]] = {}  # pivot col -> row
 
@@ -252,46 +247,10 @@ def sparse_nullspace(rows: List[Dict[int, Fraction]], n_unknowns: int,
                     row[k] = nv
         return row
 
-    def current_basis():
-        pivset = set(echelon)
-        free_cols = [j for j in range(n_unknowns) if j not in pivset]
-        vecs = []
-        for j in free_cols:
-            vec = {j: Fraction(1)}
-            # resolve pivot coordinates from the largest pivot down
-            resolved: Dict[int, Fraction] = {}
-            for piv in sorted(echelon, reverse=True):
-                row = echelon[piv]
-                val = -row.get(j, Fraction(0))
-                val -= sum(row.get(k, Fraction(0)) * v
-                           for k, v in resolved.items() if k in row)
-                if val:
-                    resolved[piv] = val
-            vec.update({k: v for k, v in resolved.items() if v})
-            vecs.append(vec)
-        return vecs, free_cols
-
-    remaining = [r for r in rows if r]
-    while remaining:
-        streak = 0
-        cut = len(remaining)
-        for i, row in enumerate(remaining):
-            rr = reduce_row(row)
-            if rr:
-                echelon[min(rr)] = rr
-                streak = 0
-            else:
-                streak += 1
-                if streak >= stall:
-                    cut = i + 1
-                    break
-        remaining = remaining[cut:]
-        if remaining:
-            basis, _ = current_basis()
-            remaining = [
-                r for r in remaining
-                if any(_dict_dot(r, b) != 0 for b in basis)
-            ]
+    for row in rows:
+        rr = reduce_row(row)
+        if rr:
+            echelon[min(rr)] = rr
     # back substitution to fully reduced form
     for piv in sorted(echelon, reverse=True):
         row = echelon[piv]
@@ -314,12 +273,6 @@ def sparse_nullspace(rows: List[Dict[int, Fraction]], n_unknowns: int,
                 vec[piv] = -row[j]
         basis.append(vec)
     return basis, free
-
-
-def _dict_dot(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> Fraction:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(v * b[k] for k, v in a.items() if k in b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ orthonormal-basis component identities.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -26,6 +27,7 @@ from .algebras import (
     ConstructionError,
     LieAlgebra,
     Representation,
+    _is_rational_square,
     algebra_from_struct,
     expand_in_echelon_basis,
     sparse_nullspace,
@@ -84,6 +86,22 @@ def oct_mul(x: Sequence[Fraction], y: Sequence[Fraction]) -> List[Fraction]:
 
 def oct_conj(x: Sequence[Fraction]) -> List[Fraction]:
     return [x[0]] + [-v for v in x[1:]]
+
+
+def _commutator_coeffs(bracket):
+    """Wrap a matrix-commutator bracket (a, b) -> [(d, value), ...] so each
+    unordered pair is evaluated once: [T_b, T_a] = -[T_a, T_b] exactly, so
+    (b, a) reads the negation of (a, b), and (a, a) is zero."""
+    upper = lru_cache(maxsize=None)(bracket)
+
+    def coeffs(a: int, b: int):
+        if a == b:
+            return []
+        if a > b:
+            return [(d, -v) for d, v in upper(b, a)]
+        return upper(a, b)
+
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +163,7 @@ def build_g2_defining() -> Tuple[LieAlgebra, Representation]:
             raise ConstructionError("g2 bracket left the derivation span")
         return [(d, v) for d, v in enumerate(coeffs) if v]
 
-    struct = structure_constants_from_brackets(14, bracket)
+    struct = structure_constants_from_brackets(14, _commutator_coeffs(bracket))
     alg = algebra_from_struct("g2", "G", 2, 14, struct,
                               root_data=root_system("G", 2))
     rep = Representation(alg, 7, gens, "defining",
@@ -260,17 +278,23 @@ def j3_structure():
     return gram, d
 
 
+_J3_PAIRS = [(i, j) for i in range(26) for j in range(i + 1, 26)]
+_J3_PIDX = {p: k for k, p in enumerate(_J3_PAIRS)}
+
+
 @lru_cache(maxsize=1)
-def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
-    """Derivations of J3; the constraint system must have a 52-dim kernel."""
+def j3_derivations() -> Tuple[List[Dict[int, Fraction]], List[int]]:
+    """der(J3) as (basis, free) from `sparse_nullspace` over the unknowns
+    A_ij (i < j, pair index in `_J3_PAIRS`) of A = G D antisymmetric; the
+    constraint system must have a 52-dim kernel.  Basis vector k is the
+    strict upper triangle of G times f4 generator k, so f4 and e6 expand
+    G-lowered derivations in it by reading the free coordinates."""
     gram, d = j3_structure()
-    pairs = [(i, j) for i in range(26) for j in range(i + 1, 26)]
-    pidx = {p: k for k, p in enumerate(pairs)}
 
     def unknown(i, m):
         if i == m:
             return None
-        return (pidx[(i, m)], 1) if i < m else (pidx[(m, i)], -1)
+        return (_J3_PIDX[(i, m)], 1) if i < m else (_J3_PIDX[(m, i)], -1)
 
     by_pair: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
     for (i, j, k), v in d.items():
@@ -301,15 +325,23 @@ def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
                 row = {k2: v for k2, v in row.items() if v}
                 if row:
                     rows.append(row)
-    basis, free = sparse_nullspace(rows, len(pairs))
+    basis, free = sparse_nullspace(rows, len(_J3_PAIRS))
     if len(basis) != 52:
         raise ConstructionError(f"f4 derivation space has dim {len(basis)}")
+    return basis, free
+
+
+@lru_cache(maxsize=1)
+def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
+    """Derivations of J3 acting on its 26-dim traceless part."""
+    gram, _ = j3_structure()
+    basis, free = j3_derivations()
 
     def to_matrix(vec: Dict[int, Fraction]) -> SparseOp:
         # D = G^-1 A
         trips = []
         for idx, v in vec.items():
-            i, j = pairs[idx]
+            i, j = _J3_PAIRS[idx]
             trips.append((i, j, v / gram[i]))
             trips.append((j, i, -v / gram[j]))
         return SparseOp.from_triplets(26, 26, trips)
@@ -322,7 +354,7 @@ def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
         out = {}
         for r, c, v in (gram_op @ mat).entries():
             if r < c:
-                out[pidx[(r, c)]] = v
+                out[_J3_PIDX[(r, c)]] = v
         return out
 
     def bracket(a: int, b: int):
@@ -332,7 +364,7 @@ def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
             raise ConstructionError("f4 bracket left the derivation span")
         return [(dd, v) for dd, v in enumerate(coeffs) if v]
 
-    struct = structure_constants_from_brackets(52, bracket)
+    struct = structure_constants_from_brackets(52, _commutator_coeffs(bracket))
     alg = algebra_from_struct("f4", "F", 4, 52, struct,
                               root_data=root_system("F", 4))
     rep = Representation(alg, 26, gens, "defining", module_metric=gram_op)
@@ -369,11 +401,7 @@ def build_e6_defining() -> Tuple[LieAlgebra, Representation]:
     gens = d_gens + l_gens
     dim = 78
 
-    f4_pairs = [(i, j) for i in range(26) for j in range(i + 1, 26)]
-    f4_pidx = {p: k for k, p in enumerate(f4_pairs)}
-    gram_op = SparseOp.from_triplets(26, 26,
-                                     [(i, i, gram[i]) for i in range(26)])
-    f4_basis_vectors = _f4_echelon(f4_rep, gram_op, f4_pidx)
+    f4_basis, f4_free = j3_derivations()
 
     def decompose(mat: SparseOp):
         """Split an e6 element into derivation + L_z coefficients."""
@@ -395,9 +423,8 @@ def build_e6_defining() -> Tuple[LieAlgebra, Representation]:
                 raise ConstructionError("e6 derivation part is not traceless")
             w = gram[r] * v
             if r < c:
-                vec[f4_pidx[(r, c)]] = w
-        coeffs, ok = expand_in_echelon_basis(
-            vec, f4_basis_vectors[1], f4_basis_vectors[0])
+                vec[_J3_PIDX[(r, c)]] = w
+        coeffs, ok = expand_in_echelon_basis(vec, f4_free, f4_basis)
         if not ok:
             raise ConstructionError("e6 bracket left der(J3) + L(J3_0)")
         return coeffs, z[:26]
@@ -409,45 +436,11 @@ def build_e6_defining() -> Tuple[LieAlgebra, Representation]:
         out += [(52 + k, v) for k, v in enumerate(z) if v]
         return out
 
-    struct = structure_constants_from_brackets(dim, bracket)
+    struct = structure_constants_from_brackets(dim, _commutator_coeffs(bracket))
     alg = algebra_from_struct("e6", "E", 6, dim, struct,
                               root_data=root_system("E", 6))
     rep = Representation(alg, 27, gens, "defining")
     return alg, rep
-
-
-@lru_cache(maxsize=1)
-def _f4_echelon_cache():
-    return {}
-
-
-def _f4_echelon(f4_rep, gram_op, f4_pidx):
-    cache = _f4_echelon_cache()
-    if "val" not in cache:
-        vecs = []
-        for mat in f4_rep.generators:
-            out = {}
-            for r, c, v in (gram_op @ mat).entries():
-                if r < c:
-                    out[f4_pidx[(r, c)]] = v
-            vecs.append(out)
-        # the f4 generator list is already a reduced echelon basis over its
-        # free columns (it came out of sparse_nullspace); recover them
-        free = _recover_free_columns(vecs)
-        cache["val"] = (vecs, free)
-    return cache["val"]
-
-
-def _recover_free_columns(vecs: List[Dict[int, Fraction]]) -> List[int]:
-    free = []
-    for k, v in enumerate(vecs):
-        candidates = [c for c, val in v.items()
-                      if val == 1 and all(c not in w for i, w in enumerate(vecs)
-                                          if i != k)]
-        if not candidates:
-            raise ConstructionError("basis is not in reduced echelon form")
-        free.append(min(candidates))
-    return free
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +650,7 @@ def invariant_antisymmetric_form(rep: Representation) -> SparseOp:
         raise ConstructionError(
             f"antisymmetric invariant space has dim {len(basis)}")
     vec = basis[0]
-    den = 1
-    for v in vec.values():
-        den = den * v.denominator // __import__("math").gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for v in vec.values()))
     trips = []
     for idx, v in vec.items():
         i, j = pairs[idx]
@@ -672,7 +663,6 @@ def invariant_antisymmetric_form(rep: Representation) -> SparseOp:
     c = -next(iter(sq.entries()))[2]
     if sq != SparseOp.identity(n, scale=-c):
         raise ConstructionError("J^2 is not scalar")
-    from .algebras import _is_rational_square
     root = _is_rational_square(c)
     if root is None:
         raise ConstructionError("J^2 scalar is not a rational square")

@@ -110,6 +110,7 @@ class RootSystem:
         self.dual_coxeter = int(self.dual_coxeter)
         self._cartan_inv = _invert_fraction_matrix(
             [[Fraction(x) for x in row] for row in self.cartan])
+        self._length_sq: Dict[Coeffs, Fraction] = {}
 
     # -- roots -------------------------------------------------------------
 
@@ -164,7 +165,11 @@ class RootSystem:
         return total
 
     def root_length_sq(self, root: Coeffs) -> Fraction:
-        return self.bilinear_std(root, root)
+        """(root, root), computed once per root."""
+        sq = self._length_sq.get(root)
+        if sq is None:
+            sq = self._length_sq[root] = self.bilinear_std(root, root)
+        return sq
 
     def coroot_coeffs(self, root: Coeffs) -> Tuple[int, ...]:
         """root^vee = sum c_i alpha_i^vee; the c_i are integers."""

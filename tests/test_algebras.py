@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitcasimir.algebras import (
     _combine,
@@ -165,11 +167,75 @@ def test_sparse_nullspace_overdetermined_consistent():
         row = {k: v for k, v in row.items() if v}
         if row:
             rows.append(row)
-    basis, _ = sparse_nullspace(rows, 4, stall=8)
+    basis, _ = sparse_nullspace(rows, 4)
     assert len(basis) == 2
     for vec in basis:
         for r in base:
             assert sum(r.get(k, 0) * v for k, v in vec.items()) == 0
+
+
+def _dense_rref_nullspace(rows, n):
+    """Reduced-row-echelon nullspace of a dense Fraction matrix, as
+    (basis, free) in the layout `sparse_nullspace` promises."""
+    m = [[r.get(j, Fraction(0)) for j in range(n)] for r in rows]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+    free = [j for j in range(n) if j not in pivots]
+    basis = []
+    for j in free:
+        vec = {j: Fraction(1)}
+        for r, p in enumerate(pivots):
+            if m[r][j] != 0:
+                vec[p] = -m[r][j]
+        basis.append(vec)
+    return basis, free
+
+
+_nonzero_fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                               st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_nullspace_matches_dense_rref(data):
+    # over-determined systems: duplicates, zero rows and Fraction
+    # combinations of a few base rows, in a drawn order
+    n = data.draw(st.integers(1, 8), label="n")
+    base = data.draw(st.lists(
+        st.dictionaries(st.integers(0, n - 1), _nonzero_fractions,
+                        max_size=n), max_size=5), label="base")
+    rows = []
+    for _ in range(data.draw(st.integers(0, 3 * n + 6), label="n_rows")):
+        kind = data.draw(st.sampled_from(["base", "dup", "zero", "comb"]))
+        if kind == "base" and base:
+            rows.append(dict(data.draw(st.sampled_from(base))))
+        elif kind == "dup" and rows:
+            rows.append(dict(data.draw(st.sampled_from(rows))))
+        elif kind == "comb" and base:
+            row = {}
+            for r in base:
+                c = data.draw(st.sampled_from(
+                    [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 7)]))
+                for k, v in r.items():
+                    row[k] = row.get(k, Fraction(0)) + c * v
+            rows.append({k: v for k, v in row.items() if v})
+        else:
+            rows.append({})
+    want_basis, want_free = _dense_rref_nullspace(rows, n)
+    basis, free = sparse_nullspace(rows, n)
+    assert free == want_free
+    assert basis == want_basis
 
 
 def test_symmetric_block_inverse():

@@ -23,7 +23,7 @@ from splitcasimir.exceptional import (
     octonion_f,
     oct_mul,
 )
-from splitcasimir.kernel import SparseOp
+from splitcasimir.kernel import SparseOp, combine
 
 
 def test_octonion_f_identities():
@@ -147,6 +147,25 @@ def test_f4_construction():
     for t in rep.generators[:8]:
         gd = g_op @ t
         assert (gd + gd.transpose()).is_zero()
+
+
+@pytest.mark.parametrize("build", [build_g2_defining, build_f4_defining])
+def test_lower_bracket_entries_expand_fresh_commutators(build):
+    # the build evaluates each commutator once per pair a < b; every entry
+    # at (b, a) must still expand [T_b, T_a], computed here anew
+    alg, rep = build()
+    gens, dim = rep.generators, alg.dim
+    coeffs = {}
+    for r, d, v in alg.struct.entries():
+        coeffs.setdefault(r, []).append((v, gens[d]))
+    for b in range(dim):
+        for a in range(b):
+            comm = gens[b] @ gens[a] - gens[a] @ gens[b]
+            terms = coeffs.get(b * dim + a)
+            if terms is None:
+                assert comm.is_zero()
+            else:
+                assert combine(terms) == comm
 
 
 def test_e6_construction():

@@ -70,3 +70,29 @@ def test_root_strings_give_all_roots():
     rs = root_system("B", 2)
     # B2 positive roots: e2, e1-e2, e1, e1+e2
     assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1), (1, 2)}
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("C", 4), ("D", 4),
+    ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+])
+def test_root_lengths_and_coroots_match_fraction_form(series, rank):
+    # oracle: (x, y) = sum_ij x_i y_j d_j A_ij over Fraction, and
+    # root^vee = sum_i 2 k_i d_i / (root, root) alpha_i^vee
+    rs = root_system(series, rank)
+
+    def form(x, y):
+        return sum((Fraction(xi * yj) * rs.d[j] * rs.cartan[i][j]
+                    for i, xi in enumerate(x) for j, yj in enumerate(y)),
+                   Fraction(0))
+
+    roots = rs.positive_roots + [tuple(-k for k in r)
+                                 for r in rs.positive_roots]
+    for root in roots:
+        sq = form(root, root)
+        assert sq == rs.bilinear_std(root, root)
+        assert rs.root_length_sq(root) == sq
+        assert rs.root_length_sq(root) == sq  # the cached value
+        coroot = tuple(2 * k * d / sq for k, d in zip(root, rs.d))
+        assert all(c.denominator == 1 for c in coroot)
+        assert rs.coroot_coeffs(root) == tuple(int(c) for c in coroot)
