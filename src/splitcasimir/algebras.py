@@ -14,8 +14,8 @@ import numpy as np
 from .kernel import (
     SparseOp,
     Vec,
-    _pair_trace,
     combine,
+    vec_columns,
 )
 from .rootdata import RootSystem
 
@@ -101,28 +101,21 @@ def structure_constants_from_brackets(dim: int, coeff_fn) -> SparseOp:
 
 
 def trace_form(generators: Sequence[SparseOp]) -> SparseOp:
-    """B_ab = Tr(T_a T_b)."""
-    dim = len(generators)
-    trips = []
-    for a in range(dim):
-        for b in range(a, dim):
-            t = _pair_trace(generators[a], generators[b])
-            if t != 0:
-                trips.append((a, b, t))
-                if b != a:
-                    trips.append((b, a, t))
-    return SparseOp.from_triplets(dim, dim, trips)
+    """B_ab = Tr(T_a T_b) = sum_rc (T_a)_cr (T_b)_rc, that is X^T Y with
+    the columns vec(T_a^t) of X and vec(T_b) of Y."""
+    x = vec_columns([t.transpose() for t in generators])
+    return x.transpose() @ vec_columns(generators)
 
 
 def killing_from_struct(struct: SparseOp, dim: int) -> SparseOp:
-    ads = []
-    a_of = struct.row // dim
-    b_of = struct.row % dim
-    for a in range(dim):
-        mask = a_of == a
-        ads.append(SparseOp(dim, dim, struct.col[mask], b_of[mask],
-                            struct.data[mask], struct.scale))
-    return trace_form(ads)
+    """kappa_ab = Tr(ad_a ad_b) with ad(X_a)^d_b = C^d_{ab}: vec(ad_a) has
+    C^d_{ab} at row d*dim + b and vec(ad_a^t) at row b*dim + d."""
+    a_of, b_of = np.divmod(struct.row, dim)
+    x_t = SparseOp(dim, dim * dim, a_of, b_of * dim + struct.col,
+                   struct.data, struct.scale)
+    y = SparseOp(dim * dim, dim, struct.col * dim + b_of, a_of, struct.data,
+                 struct.scale)
+    return x_t @ y
 
 
 def symmetric_block_inverse(m: SparseOp) -> SparseOp:

@@ -12,10 +12,11 @@ unit, which keeps the Kronecker structure of P_13, K_23 etc.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .kernel import (
     _lift,
     kron,
     trace_word,
+    vec_columns,
 )
 from .rootdata import RootSystem
 
@@ -46,8 +48,6 @@ class SplitCasimir:
     convention: str  # killing | d2_normalized
     unit: SparseOp
     swap: Optional[SparseOp] = None
-    ambient: str = "tensor_square"  # tensor_square | tensor_fourth
-    site_dim: int = 0
     _parts: Optional[Tuple[SparseOp, SparseOp]] = field(default=None, repr=False)
 
     @property
@@ -111,9 +111,10 @@ def _flush(rows, cols, buf_r, buf_c, buf_d, den) -> SparseOp:
 
 
 def swap_operator(d: int) -> SparseOp:
-    return SparseOp.from_triplets(
-        d * d, d * d, [(i * d + j, j * d + i, 1)
-                       for i in range(d) for j in range(d)])
+    row = np.arange(d * d, dtype=np.int64)
+    i, j = np.divmod(row, d)
+    return SparseOp(d * d, d * d, row, j * d + i, np.ones(d * d, dtype=np.int64),
+                    _canonical=True)
 
 
 _EXCEPTIONAL_SERIES = ("G", "F", "E")
@@ -148,8 +149,7 @@ def split_casimir(rep1: Representation, rep2: Representation,
     d1, d2m = rep1.dim_module, rep2.dim_module
     unit = SparseOp.identity(d1 * d2m)
     swap = swap_operator(d1) if d1 == d2m else None
-    return SplitCasimir(op, (rep1, rep2), convention, unit, swap,
-                        site_dim=d1)
+    return SplitCasimir(op, (rep1, rep2), convention, unit, swap)
 
 
 def split_parts(c: SplitCasimir) -> Tuple[SparseOp, SparseOp]:
@@ -169,25 +169,19 @@ def adjoint_split_casimir(alg: LieAlgebra) -> SplitCasimir:
 def two_site(op2: SparseOp, a: int, b: int, n_sites: int, d: int) -> SparseOp:
     """Embed a two-site operator so it acts on factors (a, b) of V^(x n)."""
     strides = [d ** (n_sites - 1 - k) for k in range(n_sites)]
-    rest = [k for k in range(n_sites) if k not in (a, b)]
-    rest_indices = [[]]
-    for _ in rest:
-        rest_indices = [ri + [x] for ri in rest_indices for x in range(d)]
-    trips_r, trips_c, trips_d = [], [], []
-    for r2, c2, v in zip(op2.row, op2.col, op2.data):
-        i1, i2 = divmod(int(r2), d)
-        j1, j2 = divmod(int(c2), d)
-        base_r = i1 * strides[a] + i2 * strides[b]
-        base_c = j1 * strides[a] + j2 * strides[b]
-        for ri in rest_indices:
-            extra = sum(x * strides[k] for x, k in zip(ri, rest))
-            trips_r.append(base_r + extra)
-            trips_c.append(base_c + extra)
-            trips_d.append(v)
-    data = np.array(trips_d, dtype=op2.data.dtype)
+    # offset of every index of the other sites
+    extra = np.zeros(1, dtype=np.int64)
+    for k in range(n_sites):
+        if k not in (a, b):
+            extra = (extra[:, None] + np.arange(d) * strides[k]).ravel()
+    i1, i2 = np.divmod(op2.row, d)
+    j1, j2 = np.divmod(op2.col, d)
+    base_r = i1 * strides[a] + i2 * strides[b]
+    base_c = j1 * strides[a] + j2 * strides[b]
     return SparseOp(d ** n_sites, d ** n_sites,
-                    np.array(trips_r, dtype=np.int64),
-                    np.array(trips_c, dtype=np.int64), data, op2.scale)
+                    (base_r[:, None] + extra[None, :]).ravel(),
+                    (base_c[:, None] + extra[None, :]).ravel(),
+                    np.repeat(op2.data, len(extra)), op2.scale)
 
 
 def perm_two_site(a: int, b: int, n_sites: int, d: int) -> SparseOp:
@@ -198,16 +192,11 @@ def k_two_site(a: int, b: int, n_sites: int, d: int,
                metric: Optional[SparseOp] = None) -> SparseOp:
     """K_ab with components cbar^{i_a i_b} c_{j_a j_b} (delta metric default)."""
     if metric is None:
-        k2 = SparseOp.from_triplets(
-            d * d, d * d, [(i * d + i, j * d + j, 1)
-                           for i in range(d) for j in range(d)])
+        ident = SparseOp.identity(d)
+        k2 = _outer_vec(ident, ident)
     else:
         from .algebras import symmetric_block_inverse
-        minv = symmetric_block_inverse(metric)
-        up = [(r * d + c, v) for r, c, v in minv.entries()]
-        lo = [(r * d + c, v) for r, c, v in metric.entries()]
-        k2 = SparseOp.from_triplets(
-            d * d, d * d, [(i, j, vu * vl) for i, vu in up for j, vl in lo])
+        k2 = _outer_vec(symmetric_block_inverse(metric), metric)
     return two_site(k2, a, b, n_sites, d)
 
 
@@ -221,8 +210,6 @@ class TensorAdjoint:
 
     casimir: SplitCasimir
     ops: Dict[str, SparseOp]  # unit, swap, K, plus building blocks
-    n: int
-    eps: Optional[int] = None  # so/sp only
 
 
 def sl_adjoint_tensor(n: int) -> TensorAdjoint:
@@ -253,12 +240,11 @@ def sl_adjoint_tensor(n: int) -> TensorAdjoint:
     from .classical import build_classical
     _, rep = build_classical("A", n - 1)
     adj = rep.algebra.adjoint_rep()
-    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p,
-                      ambient="tensor_fourth", site_dim=d)
+    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p)
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
            "K12": k12, "K13": k13, "K14": k14, "K23": k23, "K24": k24,
            "K34": k34}
-    return TensorAdjoint(sc, ops, n)
+    return TensorAdjoint(sc, ops)
 
 
 def sosp_adjoint_tensor(n: int, eps: int) -> TensorAdjoint:
@@ -283,11 +269,10 @@ def sosp_adjoint_tensor(n: int, eps: int) -> TensorAdjoint:
     from .classical import build_so_sp
     _, rep = build_so_sp(n, eps)
     adj = rep.algebra.adjoint_rep()
-    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p,
-                      ambient="tensor_fourth", site_dim=d)
+    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p)
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
            "K13": k13, "K24": k24}
-    return TensorAdjoint(sc, ops, n, eps)
+    return TensorAdjoint(sc, ops)
 
 
 def q_minus(n: int) -> SparseOp:
@@ -307,47 +292,30 @@ def q_minus(n: int) -> SparseOp:
 
 def antisymmetrizer_4(d: int) -> SparseOp:
     """Rank-4 antisymmetrizer A_4 on V_d^(x4)."""
-    import itertools
-    trips = []
-    strides = [d ** 3, d ** 2, d, 1]
-    for perm in itertools.permutations(range(4)):
-        sign = _perm_sign(perm)
-        for idx in itertools.product(range(d), repeat=4):
-            row = sum(idx[perm[k]] * strides[k] for k in range(4))
-            col = sum(idx[k] * strides[k] for k in range(4))
-            trips.append((row, col, Fraction(sign, 24)))
-    return SparseOp.from_triplets(d ** 4, d ** 4, trips)
+    perms = np.array(list(itertools.permutations(range(4))), dtype=np.int64)
+    strides = np.array([d ** 3, d ** 2, d, 1], dtype=np.int64)
+    # digits[k] is index k of every column, in column order
+    digits = np.indices((d,) * 4, dtype=np.int64).reshape(4, -1)
+    rows = np.einsum("k,pkc->pc", strides, digits[perms])
+    cols = np.broadcast_to(np.arange(d ** 4, dtype=np.int64), rows.shape)
+    return SparseOp(d ** 4, d ** 4, rows.ravel(), cols.ravel(),
+                    np.repeat(_perm_sign(perms), d ** 4), Fraction(1, 24))
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        length = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = perm[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _perm_sign(perms: np.ndarray) -> np.ndarray:
+    """Signs of the permutations in the rows of ``perms``, by the parity of
+    their inversions."""
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1)
+    return 1 - 2 * (inversions.sum(axis=(1, 2)) % 2)
 
 
 def e4_operator() -> SparseOp:
     """so(8) self-duality operator: (E_4)^{i1..i4}_{j1..j4} =
     (1/4!) eps^{i1..i4 j1..j4} on V_8^(x4)."""
-    import itertools
-    trips = []
-    strides = [8 ** 3, 8 ** 2, 8, 1]
-    for perm in itertools.permutations(range(8)):
-        sign = _perm_sign(perm)
-        row = sum(perm[k] * strides[k] for k in range(4))
-        col = sum(perm[4 + k] * strides[k] for k in range(4))
-        trips.append((row, col, Fraction(sign, 24)))
-    return SparseOp.from_triplets(8 ** 4, 8 ** 4, trips)
+    perms = np.array(list(itertools.permutations(range(8))), dtype=np.int64)
+    strides = np.array([8 ** 3, 8 ** 2, 8, 1], dtype=np.int64)
+    return SparseOp(8 ** 4, 8 ** 4, perms[:, :4] @ strides,
+                    perms[:, 4:] @ strides, _perm_sign(perms), Fraction(1, 24))
 
 
 # ---------------------------------------------------------------------------
@@ -372,84 +340,58 @@ def invariant_set(rep: Representation) -> Dict[str, SparseOp]:
         out["K"] = _outer_vec(symmetric_block_inverse(rep.module_metric),
                               rep.module_metric)
     if alg.name == "g2":
+        # F = f f^T with f_ijk as a 49 x 7 operator (f is fully antisymmetric,
+        # so f_klm = f_lmk)
         from .exceptional import octonion_f
         f = octonion_f()
-        trips = []
-        for (i, j, k), v in f.items():
-            for (l, m), w in (((l2, m2), f.get((k, l2, m2)))
-                              for l2 in range(1, 8) for m2 in range(1, 8)):
-                if w:
-                    trips.append(((i - 1) * 7 + (j - 1),
-                                  (l - 1) * 7 + (m - 1), v * w))
-        out["F"] = SparseOp.from_triplets(49, 49, trips)
+        ijk = np.array(list(f), dtype=np.int64) - 1
+        f_op = SparseOp(49, 7, ijk[:, 0] * 7 + ijk[:, 1], ijk[:, 2],
+                        np.array(list(f.values()), dtype=np.int64))
+        out["F"] = f_op @ f_op.transpose()
     if alg.name == "f4":
         out["D"] = _f4_d_operator()
         out["F"] = _t_squared_operator(rep)
     if alg.name == "e7":
+        # J @ J = -1, so J^-1 = -J and P1 = (1/56) vec(J) vec(J)^T
         from .exceptional import invariant_antisymmetric_form
         j = invariant_antisymmetric_form(rep)
-        from .algebras import _invert_dense
-        j_dense = j.to_dense_fractions()
-        j_inv = SparseOp.from_dense(_invert_dense([list(r) for r in j_dense]))
         out["J"] = j
-        out["P1"] = _outer_vec(j_inv, j).scaled(Fraction(-1, 56))
+        out["P1"] = _outer_vec(j, j).scaled(Fraction(1, 56))
     return out
 
 
 def _outer_vec(m_up: SparseOp, m_down: SparseOp) -> SparseOp:
-    d = m_up.rows
-    up = [(int(r) * d + int(c), int(v) * m_up.scale)
-          for r, c, v in zip(m_up.row, m_up.col, m_up.data)]
-    lo = [(int(r) * d + int(c), int(v) * m_down.scale)
-          for r, c, v in zip(m_down.row, m_down.col, m_down.data)]
-    return SparseOp.from_triplets(
-        d * d, d * d, [(i, j, vu * vl) for i, vu in up for j, vl in lo])
+    """vec(m_up) vec(m_down)^T."""
+    return vec_columns([m_up]) @ vec_columns([m_down]).transpose()
 
 
 def _f4_d_operator() -> SparseOp:
     """(D)^{i1i2}_{j1j2} = dhat^{i1i2m} dhat_{j1j2m} in the rational basis:
-    sum_m (8/(g_i1 g_i2 g_m)) d_{i1i2m} d_{j1j2m}."""
+    sum_m (8/(g_i1 g_i2 g_m)) d_{i1i2m} d_{j1j2m}, that is
+    diag(8/(g_i g_j)) A diag(1/g_m) A^T with A = d_ijm as a 676 x 26
+    operator."""
     from .exceptional import j3_structure
     gram, dten = j3_structure()
-    by_m: Dict[int, List[Tuple[int, int, Fraction]]] = {}
-    for (i, j, k), v in dten.items():
-        by_m.setdefault(k, []).append((i, j, v))
-    trips: Dict[Tuple[int, int], Fraction] = {}
-    for m, entries in by_m.items():
-        for i1, i2, v1 in entries:
-            lead = 8 * v1 / (gram[i1] * gram[i2] * gram[m])
-            for j1, j2, v2 in entries:
-                key = (i1 * 26 + i2, j1 * 26 + j2)
-                trips[key] = trips.get(key, Fraction(0)) + lead * v2
-    return SparseOp.from_triplets(
-        676, 676, [(r, c, v) for (r, c), v in trips.items() if v])
+    ginv = SparseOp.from_triplets(26, 26, [(i, i, 1 / g)
+                                           for i, g in enumerate(gram)])
+    ijm = np.array(list(dten), dtype=np.int64)
+    a = SparseOp.from_triplets(676, 26, zip(ijm[:, 0] * 26 + ijm[:, 1],
+                                            ijm[:, 2], dten.values()))
+    return (kron(ginv, ginv) @ a @ ginv @ a.transpose()).scaled(8)
 
 
 def _t_squared_operator(rep: Representation) -> SparseOp:
     """(F)^{i1i2}_{j1j2} = T_a^{i1i2} T_{a j1j2} in invariant form:
-    -(1/d2) kappa^{ab} (T_a gbar)^{i1i2} (g T_b)_{j1j2}."""
+    -(1/d2) kappa^{ab} (T_a gbar)^{i1i2} (g T_b)_{j1j2}, that is
+    -(1/d2) R kappa^-1 L^T with the columns vec(T_a gbar) of R and
+    vec(g T_b) of L."""
     from .algebras import symmetric_block_inverse
-    alg = rep.algebra
     g = rep.module_metric
     ginv = symmetric_block_inverse(g)
-    d = rep.dim_module
-    raised = [t @ ginv for t in rep.generators]
-    lowered = [g @ t for t in rep.generators]
-    pairs = []
-    for a, b, v in alg.killing_inv.entries():
-        pairs.append((-v / rep.d2(), raised[a], lowered[b]))
-    acc: Dict[Tuple[int, int], Fraction] = {}
-    for coef, up, lo in pairs:
-        ups = [(int(r) * d + int(c), int(x) * up.scale)
-               for r, c, x in zip(up.row, up.col, up.data)]
-        los = [(int(r) * d + int(c), int(x) * lo.scale)
-               for r, c, x in zip(lo.row, lo.col, lo.data)]
-        for i, vu in ups:
-            w = coef * vu
-            for j, vl in los:
-                acc[(i, j)] = acc.get((i, j), Fraction(0)) + w * vl
-    return SparseOp.from_triplets(
-        d * d, d * d, [(r, c, v) for (r, c), v in acc.items() if v])
+    raised = vec_columns([t @ ginv for t in rep.generators])
+    lowered = vec_columns([g @ t for t in rep.generators])
+    return (raised @ rep.algebra.killing_inv @ lowered.transpose()).scaled(
+        Fraction(-1) / rep.d2())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .algebras import LieAlgebra, Representation
 from .casimir import (
@@ -134,16 +134,10 @@ class AdjointContext:
     sc: SplitCasimir
     big_k: SparseOp
     ops: Dict[str, SparseOp]
-    realization: str  # struct | tensor4
-    eps: Optional[int] = None
 
     @property
     def dim_g(self) -> int:
         return self.algebra.dim
-
-    @property
-    def space_dim(self) -> int:
-        return self.sc.operator.rows
 
 
 @lru_cache(maxsize=None)
@@ -154,14 +148,13 @@ def adjoint_context(name: str) -> AdjointContext:
     if an.family == "sl":
         ta = sl_adjoint_tensor(an.n)
         return AdjointContext(str(an), ta.casimir.algebra, ta.casimir,
-                              ta.ops["K"], ta.ops, "tensor4")
+                              ta.ops["K"], ta.ops)
     if an.family in ("so", "sp"):
-        eps = +1 if an.family == "so" else -1
-        ta = sosp_adjoint_tensor(an.n, eps)
+        ta = sosp_adjoint_tensor(an.n, +1 if an.family == "so" else -1)
         return AdjointContext(str(an), ta.casimir.algebra, ta.casimir,
-                              ta.ops["K"], ta.ops, "tensor4", eps=eps)
+                              ta.ops["K"], ta.ops)
     alg, rep = chevalley(str(an))
     sc = adjoint_split_casimir(alg)
     inv = invariant_set(rep)
     ops = {"I": sc.unit, "P": sc.swap, "K": inv["K"]}
-    return AdjointContext(str(an), alg, sc, inv["K"], ops, "struct")
+    return AdjointContext(str(an), alg, sc, inv["K"], ops)

@@ -452,15 +452,12 @@ def build_e7_defining() -> Tuple[LieAlgebra, Representation]:
     alg, _ = build_chevalley_adjoint("E", 7)
     rs = alg.root_data
     cc = chevalley_constants("E", 7)
-    minuscule = None
-    for node in range(rs.rank):
-        labels = tuple(int(i == node) for i in range(rs.rank))
-        orbit = rs.weyl_orbit(labels)
-        if len(orbit) == 56:
-            minuscule = orbit
-            break
-    if minuscule is None:
-        raise ConstructionError("no 56-element fundamental Weyl orbit")
+    # a minuscule weight of a simply-laced type sits at a node of mark 1 in
+    # the highest root
+    node = rs.highest_root.index(1)
+    minuscule = rs.weyl_orbit(tuple(int(i == node) for i in range(rs.rank)))
+    if len(minuscule) != 56:
+        raise ConstructionError("the minuscule Weyl orbit is not 56 weights")
     widx = {w: k for k, w in enumerate(minuscule)}
     highest = next(w for w in minuscule if all(x >= 0 for x in w))
 

@@ -461,6 +461,19 @@ def combine(terms: Iterable[Tuple[ScalarLike, SparseOp]]) -> SparseOp:
                     np.concatenate(data), s)
 
 
+def vec_columns(ops: Sequence[SparseOp]) -> SparseOp:
+    """The operators as the columns of one operator: entry (r, c) of
+    ``ops[a]`` sits at row r * cols + c of column a, which is vec(ops[a])."""
+    rows, cols = ops[0].rows, ops[0].cols
+    if any((op.rows, op.cols) != (rows, cols) for op in ops):
+        raise DimensionMismatchError("vec_columns operators differ in shape")
+    # each column keeps its operator's sorted, reduced triplets
+    return combine((1, SparseOp(rows * cols, len(ops), op.row * cols + op.col,
+                                np.full(op.nnz, a, dtype=np.int64), op.data,
+                                op.scale, _canonical=True))
+                   for a, op in enumerate(ops))
+
+
 def apply_poly_factors(op: SparseOp, roots: Sequence[ScalarLike], v: Vec,
                        unit: Optional[SparseOp] = None) -> Vec:
     """Apply prod_i (op - r_i * unit) to v, left to right, factor by factor.
@@ -615,11 +628,16 @@ def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],
                       unit: Optional[SparseOp] = None) -> SparseOp:
     """Materialize prod_i (op - r_i * unit) * unit (unit defaults to the
     identity).  The first root acts first, as in ``apply_poly_factors``, so
-    column j is that function's image of ``unit`` e_j."""
-    acc = unit if unit is not None else SparseOp.identity(op.rows)
+    column j is that function's image of ``unit`` e_j.
+
+    ``unit`` must be idempotent and commute with ``op``; then every partial
+    product is a polynomial in op times unit, so unit @ acc == acc and a
+    shift needs no product."""
+    if unit is None:
+        unit = SparseOp.identity(op.rows)
+    elif unit @ unit != unit or op @ unit != unit @ op:
+        raise KernelError("unit must be idempotent and commute with op")
+    acc = unit
     for r in roots:
-        terms = [(1, op @ acc)]
-        if r != 0:
-            terms.append((-r, acc if unit is None else unit @ acc))
-        acc = combine(terms)
+        acc = combine([(1, op @ acc), (-r, acc)])
     return acc

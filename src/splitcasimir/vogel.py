@@ -115,32 +115,6 @@ def vogel_point(name: str) -> VogelPoint:
 # universal dimension formulas
 # ---------------------------------------------------------------------------
 
-class _Poly:
-    """Dense polynomial in one deformation variable over Q."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        self.c = [Fraction(x) for x in coeffs]
-        while len(self.c) > 1 and self.c[-1] == 0:
-            self.c.pop()
-
-    def __mul__(self, other):
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in enumerate(other.c):
-                    if y:
-                        out[i + j] += x * y
-        return _Poly(out)
-
-    def order(self) -> int:
-        for k, x in enumerate(self.c):
-            if x:
-                return k
-        return len(self.c)
-
-
 def universal_dim_g(p: VogelPoint) -> Fraction:
     """(alpha-2t)(beta-2t)(gamma-2t)/(alpha beta gamma)."""
     a, b, c = p.params()
@@ -157,10 +131,10 @@ def universal_dim_y2(p: VogelPoint, which: str) -> Fraction:
     """dim Y2 for the chosen parameter:
     -(3a-2t)(b-2t)(c-2t) t (b+t)(c+t) / (a^2 (a-b) b (a-c) c).
 
-    Removable 0/0 cases (equal parameters, e.g. so(8)) are evaluated by an
-    exact one-parameter deformation that keeps t fixed: the two equal
-    parameters move by +s and -s, the factors become polynomials in s, and
-    the common vanishing order cancels symbolically before evaluation.
+    A zero denominator (the chosen parameter equals a partner, e.g. so(8))
+    is removable only on the locus 3a = 2t: there the vanishing factors
+    cancel to 3, and the chosen slot reports a third of the merged
+    eigenspace.  Any other zero denominator raises.
     """
     head = _WHICH[which]
     rest = [k for k in range(3) if k != head]

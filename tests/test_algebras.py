@@ -14,9 +14,11 @@ from splitcasimir.algebras import (
     check_jacobi,
     check_killing,
     check_representation,
+    killing_from_struct,
     normalize,
     sparse_nullspace,
     symmetric_block_inverse,
+    trace_form,
 )
 from splitcasimir.classical import (
     build_classical,
@@ -24,7 +26,8 @@ from splitcasimir.classical import (
     sl_pair_metric_inv,
     sosp_pair_metric,
 )
-from splitcasimir.kernel import SparseOp
+from splitcasimir.catalog import defining
+from splitcasimir.kernel import SparseOp, _pair_trace
 
 
 @pytest.mark.parametrize("series,rank,dim,module", [
@@ -236,6 +239,64 @@ def test_sparse_nullspace_matches_dense_rref(data):
     basis, free = sparse_nullspace(rows, n)
     assert free == want_free
     assert basis == want_basis
+
+
+def _pair_trace_form(gens):
+    """Oracle: B_ab = Tr(T_a T_b), one sorted triplet join per pair."""
+    n = len(gens)
+    return SparseOp.from_triplets(n, n, [
+        (a, b, _pair_trace(gens[a], gens[b]))
+        for a in range(n) for b in range(n)])
+
+
+def _ad_by_mask(struct, dim):
+    """Oracle: ad(X_a)^d_b = C^d_{ab}, one row mask per a."""
+    a_of, b_of = struct.row // dim, struct.row % dim
+    return [SparseOp(dim, dim, struct.col[a_of == a], b_of[a_of == a],
+                     struct.data[a_of == a], struct.scale)
+            for a in range(dim)]
+
+
+# small values and values whose products pass 2^62 (object data)
+_entry_values = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    st.integers(-2 ** 40, 2 ** 40))
+
+
+def _sparse_ops(data, count, rows, cols, label):
+    out = []
+    for k in range(count):
+        trips = data.draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, cols - 1),
+            _entry_values), max_size=2 * rows * cols), label=f"{label}{k}")
+        out.append(SparseOp.from_triplets(rows, cols, trips))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trace_form_matches_pair_traces(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    d = data.draw(st.integers(1, 5), label="d")
+    gens = _sparse_ops(data, n, d, d, "gen")
+    assert trace_form(gens) == _pair_trace_form(gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_killing_from_struct_matches_pair_traces(data):
+    dim = data.draw(st.integers(1, 4), label="dim")
+    (struct,) = _sparse_ops(data, 1, dim * dim, dim, "struct")
+    assert killing_from_struct(struct, dim) == \
+        _pair_trace_form(_ad_by_mask(struct, dim))
+
+
+@pytest.mark.parametrize("name", ["so(7)", "g2"])
+def test_trace_forms_of_builds_match_pair_traces(name):
+    alg, rep = defining(name)
+    assert trace_form(rep.generators) == _pair_trace_form(rep.generators)
+    assert killing_from_struct(alg.struct, alg.dim) == \
+        _pair_trace_form(_ad_by_mask(alg.struct, alg.dim)) == alg.killing
 
 
 def test_symmetric_block_inverse():

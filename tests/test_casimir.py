@@ -1,6 +1,8 @@
 """Split Casimir assembly, invariant operators, parts, traces, eigenvalue
 predictions and the tensor-space adjoint realizations."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -290,6 +292,57 @@ def test_two_site_embedding_matches_kron():
     got = apply_two_site(op2, v, (0, 2), 3, d)
     want = two_site(op2, 0, 2, 3, d).matvec(v)
     assert got == want
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_two_site_matches_kron_then_permuted_axes(n, big):
+    d = 3
+    rng = np.random.default_rng(n)
+    base = 2 ** 70 if big else 1
+    op2 = SparseOp.from_triplets(d * d, d * d, [
+        (int(rng.integers(0, d * d)), int(rng.integers(0, d * d)),
+         Fraction(base * int(rng.integers(-5, 6)) + int(rng.integers(1, 4)), 3))
+        for _ in range(2 * d * d)])
+    assert (op2.data.dtype == object) == big
+    # op2 on sites (0, 1) of the axis order (a, b, other sites ascending)
+    full = np.kron(op2.to_dense_fractions(),
+                   np.eye(d ** (n - 2), dtype=np.int64).astype(object))
+    for a, b in itertools.permutations(range(n), 2):
+        order = [a, b] + [k for k in range(n) if k not in (a, b)]
+        axis_of_site = [int(x) for x in np.argsort(order)]
+        want = full.reshape((d,) * (2 * n)).transpose(
+            axis_of_site + [n + x for x in axis_of_site]).reshape(d ** n, d ** n)
+        got = two_site(op2, a, b, n, d)
+        assert got.data.dtype == op2.data.dtype
+        assert np.array_equal(got.to_dense_fractions(), want), (a, b)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_antisymmetrizer_4_matches_determinant_formula(d):
+    # (A_4)^{i1..i4}_{j1..j4} = (1/4!) det[delta(i_k, j_l)]_{k,l}
+    digits = np.array(list(itertools.product(range(d), repeat=4)))
+    delta = digits[:, None, :, None] == digits[None, :, None, :]
+    dets = np.rint(np.linalg.det(delta.astype(float))).astype(np.int64)
+    want = {(int(r), int(c)): Fraction(int(dets[r, c]), 24)
+            for r, c in zip(*np.nonzero(dets))}
+    got = antisymmetrizer_4(d)
+    assert {(r, c): v for r, c, v in got.entries()} == want
+
+
+def test_e4_operator_matches_levi_civita():
+    # (E_4)^{i1..i4}_{j1..j4} = (1/4!) eps^{i1..i4 j1..j4}: nonzero exactly
+    # when the eight digits are 0..7 in some order (8! entries), with the
+    # sign the determinant of that permutation's matrix
+    e4 = e4_operator()
+    assert e4.nnz == math.factorial(8)
+    word = np.concatenate([
+        np.stack(np.unravel_index(idx, (8,) * 4), axis=1)
+        for idx in (e4.row, e4.col)], axis=1)
+    assert (np.sort(word, axis=1) == np.arange(8)).all()
+    perm_matrix = (word[:, :, None] == np.arange(8)).astype(float)
+    eps = np.rint(np.linalg.det(perm_matrix)).astype(np.int64)
+    assert [v for _, _, v in e4.entries()] == [Fraction(int(x), 24) for x in eps]
 
 
 def test_exceptional_defining_convention_is_d2_normalized():

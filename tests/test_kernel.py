@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from splitcasimir import _kernels
 from splitcasimir.kernel import (
     DimensionMismatchError,
+    KernelError,
     SparseOp,
     Vec,
     apply_poly_factors,
@@ -417,16 +418,27 @@ def test_product_of_shifts_with_unit_pins_factor_order():
     assert np.array_equal(dense_matmul(du, du), du)
     assert not np.array_equal(dense_matmul(da, du), dense_matmul(du, da))
     r1, r2 = Fraction(2, 3), Fraction(-5, 2)
-    want = dense_matmul(dense_matmul(da - r2 * du, da - r1 * du), du)
-    swapped = dense_matmul(dense_matmul(da - r1 * du, da - r2 * du), du)
-    assert not np.array_equal(want, swapped)
-    got = product_of_shifts(a, [r1, r2], unit=unit)
+    # a unit that does not commute with the operator is refused
+    with pytest.raises(KernelError):
+        product_of_shifts(a, [r1, r2], unit=unit)
+    # so is one that commutes but is not idempotent
+    with pytest.raises(KernelError):
+        product_of_shifts(a, [r1, r2], unit=a)
+    # U X U + (1 - U) Y (1 - U) commutes with U
+    ident = SparseOp.identity(n)
+    co = unit @ a @ unit + (ident - unit) @ random_exact_op(
+        rng, n, n, 0.6) @ (ident - unit)
+    dc = co.to_dense_fractions()
+    assert np.array_equal(dense_matmul(dc, du), dense_matmul(du, dc))
+    want = dense_matmul(dense_matmul(dc - r2 * du, dc - r1 * du), du)
+    got = product_of_shifts(co, [r1, r2], unit=unit)
     assert np.array_equal(got.to_dense_fractions(), want)
+    assert not got.is_zero()
     # column j is the factor-by-factor image of unit e_j
     for j in range(n):
         e = Vec.zeros(n)
         e.data[j] = 1
-        col = apply_poly_factors(a, [r1, r2], unit.matvec(e), unit=unit)
+        col = apply_poly_factors(co, [r1, r2], unit.matvec(e), unit=unit)
         assert col.fractions() == list(want[:, j])
 
 
