@@ -7,19 +7,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import (
-    SparseOp,
-    Vec,
-    combine,
-    vec_columns,
-)
+from .kernel import SparseOp, combine, kron, vec_columns
 from .rootdata import RootSystem
 
-JACOBI_EXHAUSTIVE_DIM = 150
+# generators per block of the all-pairs commutator products
+BRACKET_BLOCK = 16
 
 
 class ConstructionError(Exception):
@@ -56,14 +52,6 @@ class LieAlgebra:
                                      b_of[mask], t.data[mask], t.scale))
             self._ad = mats
         return self._ad
-
-    def bracket_in_basis(self, a: int, b: int) -> List[Tuple[int, Fraction]]:
-        t = self.struct
-        key = a * self.dim + b
-        lo = np.searchsorted(t.row, key)
-        hi = np.searchsorted(t.row, key + 1)
-        return [(int(t.col[k]), int(t.data[k]) * t.scale)
-                for k in range(lo, hi)]
 
     def adjoint_rep(self) -> "Representation":
         return Representation(self, self.dim, self.ad_matrices(), "adjoint")
@@ -105,6 +93,70 @@ def trace_form(generators: Sequence[SparseOp]) -> SparseOp:
     the columns vec(T_a^t) of X and vec(T_b) of Y."""
     x = vec_columns([t.transpose() for t in generators])
     return x.transpose() @ vec_columns(generators)
+
+
+def _commutator_block(x_t: SparseOp, block: Sequence[SparseOp]) -> SparseOp:
+    """[T_a, T_b] for the n x n operators T_a of ``block`` and every T_b, as
+    one product: entry (b, a * n^2 + r * n + c) is [T_a, T_b]_rc, with a
+    counted within the block and x_t = vec_columns(all T_b)^T.
+
+    vec([T_a, M]) = (T_a (x) 1 - 1 (x) T_a^t) vec(M); the transposes of these
+    maps, side by side, come straight from the triplets of the T_a."""
+    n = block[0].rows
+    nn = n * n
+    x = vec_columns(block)
+    r, c = np.divmod(x.row, n)
+    r, c, shift = r[:, None], c[:, None], (x.col * nn)[:, None]
+    j = np.arange(n)
+    # (T_a^t (x) 1)[(c, j), (a, r, j)] = T_a[r, c] and
+    # (1 (x) T_a)[(j, r), (a, j, c)] = T_a[r, c]
+    rows = np.concatenate([(c * n + j).ravel(), (j * n + r).ravel()])
+    cols = np.concatenate([(shift + r * n + j).ravel(),
+                           (shift + j * n + c).ravel()])
+    data = np.repeat(x.data, n)
+    maps = SparseOp(nn, len(block) * nn, rows, cols,
+                    np.concatenate([data, -data]), x.scale)
+    return x_t @ maps
+
+
+def _bracket_blocks(gens: Sequence[SparseOp], x: SparseOp
+                    ) -> Iterator[Tuple[int, SparseOp, SparseOp]]:
+    """(lo, comm, spread) for each block of BRACKET_BLOCK generators from
+    lo: comm from `_commutator_block`, and spread = 1_k (x) X^T with
+    X = vec_columns(gens) = x.  Coefficients C with C[b, (a - lo) dim + d]
+    = C^d_ab satisfy C @ spread == comm exactly when every
+    [T_a, T_b] = C^d_ab T_d in the block."""
+    x_t = x.transpose()
+    for lo in range(0, len(gens), BRACKET_BLOCK):
+        block = gens[lo:lo + BRACKET_BLOCK]
+        yield (lo, _commutator_block(x_t, block),
+               kron(SparseOp.identity(len(block)), x_t))
+
+
+def structure_from_generators(gens: Sequence[SparseOp], readout: SparseOp
+                              ) -> SparseOp:
+    """C^d_{ab} of the matrix Lie algebra spanned by ``gens``.
+
+    ``readout`` (dim x n^2) reads basis coefficients off vec(M); it must
+    satisfy readout @ vec_columns(gens) == 1.  The coefficients of all
+    commutators come from one product per block, and reconstructing the
+    commutators from them is the exact check that each bracket stays in the
+    span."""
+    dim = len(gens)
+    x = vec_columns(gens)
+    if readout @ x != SparseOp.identity(dim):
+        raise ConstructionError("the readout does not invert the generators")
+    blocks = []
+    for lo, comm, spread in _bracket_blocks(gens, x):
+        width = spread.rows // dim
+        coeffs = comm @ kron(SparseOp.identity(width), readout.transpose())
+        if coeffs @ spread != comm:
+            raise ConstructionError("a bracket left the span of the "
+                                    "generators")
+        a, d = np.divmod(coeffs.col, dim)
+        blocks.append((1, SparseOp(dim * dim, dim, (a + lo) * dim + coeffs.row,
+                                   d, coeffs.data, coeffs.scale)))
+    return combine(blocks)
 
 
 def killing_from_struct(struct: SparseOp, dim: int) -> SparseOp:
@@ -194,23 +246,6 @@ def algebra_from_struct(name: str, series: str, rank: int, dim: int,
                       root_data, labels)
 
 
-def expand_in_echelon_basis(vec_coords: Dict[int, Fraction],
-                            pivots: Sequence[int],
-                            basis_rows: Sequence[Dict[int, Fraction]]
-                            ) -> Tuple[List[Fraction], bool]:
-    """Expand a vector over a reduced-echelon basis by reading its pivot
-    coordinates; returns (coefficients, exact) with exact=False when the
-    residual is nonzero (vector outside the span)."""
-    coeffs = [vec_coords.get(p, Fraction(0)) for p in pivots]
-    residual = dict(vec_coords)
-    for c, row in zip(coeffs, basis_rows):
-        if c:
-            for k, v in row.items():
-                residual[k] = residual.get(k, Fraction(0)) - c * v
-    ok = all(v == 0 for v in residual.values())
-    return coeffs, ok
-
-
 def sparse_nullspace(rows: List[Dict[int, Fraction]], n_unknowns: int
                      ) -> Tuple[List[Dict[int, Fraction]], List[int]]:
     """Exact nullspace of a sparse linear system as (basis, free_columns).
@@ -281,64 +316,26 @@ def check_antisymmetry(alg: LieAlgebra) -> bool:
     return (t + swapped).is_zero()
 
 
-def check_jacobi(alg: LieAlgebra, rng: Optional[np.random.Generator] = None,
-                 trials: int = 8) -> bool:
+def check_jacobi(alg: LieAlgebra) -> bool:
     """Jacobi identity as ad([a,b]) = [ad a, ad b]."""
-    return _check_brackets(alg, alg.ad_matrices(), rng, trials)
+    return _check_brackets(alg, alg.ad_matrices())
 
 
-def _check_brackets(alg: LieAlgebra, gens: Sequence[SparseOp],
-                    rng: Optional[np.random.Generator], trials: int) -> bool:
-    """[T_a, T_b] = C^d_{ab} T_d for the operators T = gens.
-
-    Exhaustive over basis pairs up to JACOBI_EXHAUSTIVE_DIM, randomized-exact
-    beyond: the bilinear identity [T(x), T(y)] = T([x, y]) is checked on
-    random integer combinations x, y applied to a random vector, so every
-    trial probes all basis pairs at once.
-    """
-    if alg.dim <= JACOBI_EXHAUSTIVE_DIM:
-        for a in range(alg.dim):
-            for b in range(a + 1, alg.dim):
-                comm = gens[a] @ gens[b] - gens[b] @ gens[a]
-                for d, v in alg.bracket_in_basis(a, b):
-                    comm = comm - gens[d].scaled(v)
-                if not comm.is_zero():
-                    return False
-        return True
-    rng = rng or np.random.default_rng(0)
-    for _ in range(trials):
-        xa = rng.integers(-3, 4, size=alg.dim)
-        xb = rng.integers(-3, 4, size=alg.dim)
-        t_x = _combine(gens, xa)
-        t_y = _combine(gens, xb)
-        # [x, y] in the basis via the structure tensor
-        coeffs = _bracket_coeffs_dense(alg, xa, xb)
-        t_xy = _combine(gens, None, fractions=coeffs)
-        v = Vec.random_exact(t_x.cols, rng)
-        image = (t_x.matvec(t_y.matvec(v)) - t_y.matvec(t_x.matvec(v))
-                 - t_xy.matvec(v))
-        if not image.is_zero():
+def _check_brackets(alg: LieAlgebra, gens: Sequence[SparseOp]) -> bool:
+    """[T_a, T_b] = C^d_{ab} T_d for the operators T = gens, exactly, for
+    every ordered pair (a, b): per block of BRACKET_BLOCK generators, the
+    rows a*dim + b of ``struct`` re-indexed as C[b, (a - lo) dim + d] times
+    1_k (x) X^T must equal the commutators of `_commutator_block`."""
+    dim, t = alg.dim, alg.struct
+    for lo, comm, spread in _bracket_blocks(gens, vec_columns(gens)):
+        hi = lo + spread.rows // dim
+        sel = slice(*np.searchsorted(t.row, [lo * dim, hi * dim]))
+        a, b = np.divmod(t.row[sel], dim)
+        coeffs = SparseOp(dim, spread.rows, b, (a - lo) * dim + t.col[sel],
+                          t.data[sel], t.scale)
+        if coeffs @ spread != comm:
             return False
     return True
-
-
-def _combine(ops: Sequence[SparseOp], ints, fractions=None) -> SparseOp:
-    if fractions is None:
-        fractions = [int(x) for x in ints]
-    return combine(zip(fractions, ops))
-
-
-def _bracket_coeffs_dense(alg: LieAlgebra, xa, xb) -> List[Fraction]:
-    out = [Fraction(0)] * alg.dim
-    t = alg.struct
-    a_of = t.row // alg.dim
-    b_of = t.row % alg.dim
-    for k in range(t.nnz):
-        ca = int(xa[a_of[k]])
-        cb = int(xb[b_of[k]])
-        if ca and cb:
-            out[int(t.col[k])] += ca * cb * int(t.data[k]) * t.scale
-    return out
 
 
 def check_killing(alg: LieAlgebra) -> bool:
@@ -350,20 +347,21 @@ def check_killing(alg: LieAlgebra) -> bool:
 
 
 def check_adjoint_casimir_is_identity(alg: LieAlgebra) -> bool:
-    """kappa^{ab} ad_a ad_b = 1, equivalent to c2(adjoint) = 1."""
-    ads = alg.ad_matrices()
-    ki = alg.killing_inv
-    acc = SparseOp.zero(alg.dim, alg.dim)
-    for r, c, v in ki.entries():
-        acc = acc + (ads[r] @ ads[c]).scaled(v)
-    return acc == SparseOp.identity(alg.dim)
+    """kappa^{ab} ad_a ad_b = 1, equivalent to c2(adjoint) = 1, as one
+    product: with ad_a[d, b] = C^d_{ab}, the ad matrices side by side are
+    struct^T (column a*dim + b), and stacked they are V[b*dim + s, c] =
+    C^s_{bc}, so the sum is struct^T (kappa^-1 (x) 1) V."""
+    dim, t = alg.dim, alg.struct
+    b, c = np.divmod(t.row, dim)
+    stacked = SparseOp(dim * dim, dim, b * dim + t.col, c, t.data, t.scale)
+    total = (t.transpose() @ kron(alg.killing_inv, SparseOp.identity(dim))
+             @ stacked)
+    return total == SparseOp.identity(dim)
 
 
-def check_representation(rep: Representation,
-                         rng: Optional[np.random.Generator] = None,
-                         trials: int = 8) -> bool:
+def check_representation(rep: Representation) -> bool:
     """[T_a, T_b] = C^d_{ab} T_d for the representation's generators."""
-    return _check_brackets(rep.algebra, rep.generators, rng, trials)
+    return _check_brackets(rep.algebra, rep.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -342,11 +342,8 @@ def invariant_set(rep: Representation) -> Dict[str, SparseOp]:
     if alg.name == "g2":
         # F = f f^T with f_ijk as a 49 x 7 operator (f is fully antisymmetric,
         # so f_klm = f_lmk)
-        from .exceptional import octonion_f
-        f = octonion_f()
-        ijk = np.array(list(f), dtype=np.int64) - 1
-        f_op = SparseOp(49, 7, ijk[:, 0] * 7 + ijk[:, 1], ijk[:, 2],
-                        np.array(list(f.values()), dtype=np.int64))
+        from .exceptional import octonion_f_tensor
+        f_op = octonion_f_tensor()
         out["F"] = f_op @ f_op.transpose()
     if alg.name == "f4":
         out["D"] = _f4_d_operator()
@@ -371,12 +368,9 @@ def _f4_d_operator() -> SparseOp:
     diag(8/(g_i g_j)) A diag(1/g_m) A^T with A = d_ijm as a 676 x 26
     operator."""
     from .exceptional import j3_structure
-    gram, dten = j3_structure()
-    ginv = SparseOp.from_triplets(26, 26, [(i, i, 1 / g)
+    gram, a = j3_structure()
+    ginv = SparseOp.from_triplets(26, 26, [(i, i, Fraction(1, g))
                                            for i, g in enumerate(gram)])
-    ijm = np.array(list(dten), dtype=np.int64)
-    a = SparseOp.from_triplets(676, 26, zip(ijm[:, 0] * 26 + ijm[:, 1],
-                                            ijm[:, 2], dten.values()))
     return (kron(ginv, ginv) @ a @ ginv @ a.transpose()).scaled(8)
 
 

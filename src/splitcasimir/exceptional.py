@@ -6,6 +6,15 @@ Jordan multiplications (27-dim), e7 from the minuscule weight construction
 over its Chevalley basis (56-dim).  e8's minimal fundamental representation
 is the adjoint and lives in `chevalley`.
 
+Everything up to e6 starts from the integer octonion table.  The Jordan
+product of J3 is an integer bilinear map on 3x3 octonion matrices, halved
+once and read in the J3 basis (`j3_tensor`); the trace-form metric, d_ijk
+and the e6 multiplications L_z are index arithmetic on that tensor.  The
+derivations of f_ijk (g2) and of d_ijk (f4) are the nullspace of one sparse
+constraint operator each, and the structure constants of g2, f4 and e6 come
+from all generator commutators at once through a readout map
+(`algebras.structure_from_generators`).
+
 The J3 basis keeps the second diagonal element unnormalized
 (diag(1, 1, -2) instead of the orthonormal 1/sqrt(3) version) so every
 entry stays rational; the diagonal trace-form metric is threaded through
@@ -29,13 +38,12 @@ from .algebras import (
     Representation,
     _is_rational_square,
     algebra_from_struct,
-    expand_in_echelon_basis,
     sparse_nullspace,
-    structure_constants_from_brackets,
+    structure_from_generators,
 )
 from .chevalley import build_chevalley_adjoint, chevalley_constants
-from .kernel import SparseOp
-from .rootdata import root_system, _neg
+from .kernel import SparseOp, combine, kron, vec_columns
+from .rootdata import root_system
 
 
 # ---------------------------------------------------------------------------
@@ -58,50 +66,106 @@ def octonion_f() -> Dict[Tuple[int, int, int], int]:
     return f
 
 
-def oct_mul(x: Sequence[Fraction], y: Sequence[Fraction]) -> List[Fraction]:
-    """Octonion product; index 0 is the real unit, 1..7 the imaginary units."""
+def octonion_f_tensor() -> SparseOp:
+    """f_ijk as a 49 x 7 operator on 0-based imaginary units: entry
+    (i * 7 + j, k)."""
     f = octonion_f()
-    out = [Fraction(0)] * 8
-    for i in range(8):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(8):
-            yj = y[j]
-            if not yj:
-                continue
-            if i == 0:
-                out[j] += xi * yj
-            elif j == 0:
-                out[i] += xi * yj
-            elif i == j:
-                out[0] -= xi * yj
-            else:
-                for k in range(1, 8):
-                    s = f.get((i, j, k))
-                    if s:
-                        out[k] += s * xi * yj
-    return out
+    ijk = np.array(list(f), dtype=np.int64) - 1
+    return SparseOp(49, 7, ijk[:, 0] * 7 + ijk[:, 1], ijk[:, 2],
+                    np.array(list(f.values()), dtype=np.int64))
 
 
-def oct_conj(x: Sequence[Fraction]) -> List[Fraction]:
-    return [x[0]] + [-v for v in x[1:]]
+@lru_cache(maxsize=1)
+def octonion_table() -> np.ndarray:
+    """Integer M with e_i e_j = sum_k M[i, j, k] e_k; index 0 is the real
+    unit, 1..7 the imaginary units (read-only)."""
+    m = np.zeros((8, 8, 8), dtype=np.int64)
+    units = np.arange(8)
+    m[0, units, units] = 1
+    m[units, 0, units] = 1
+    m[units[1:], units[1:], 0] = -1
+    for (i, j, k), s in octonion_f().items():
+        m[i, j, k] = s
+    m.flags.writeable = False
+    return m
 
 
-def _commutator_coeffs(bracket):
-    """Wrap a matrix-commutator bracket (a, b) -> [(d, value), ...] so each
-    unordered pair is evaluated once: [T_b, T_a] = -[T_a, T_b] exactly, so
-    (b, a) reads the negation of (a, b), and (a, a) is zero."""
-    upper = lru_cache(maxsize=None)(bracket)
+# ---------------------------------------------------------------------------
+# derivations of a trilinear invariant
+# ---------------------------------------------------------------------------
 
-    def coeffs(a: int, b: int):
-        if a == b:
-            return []
-        if a > b:
-            return [(d, -v) for d, v in upper(b, a)]
-        return upper(a, b)
+def _distinct_rows(op: SparseOp) -> List[Dict[int, int]]:
+    """The nonzero rows of an integer system op x = 0 as {column: value},
+    each divided by the gcd of its entries with its first entry made
+    positive, repeats dropped (the scale of op plays no part)."""
+    counts = np.diff(op.indptr)
+    starts = op.indptr[:-1][counts > 0]
+    counts = counts[counts > 0]
+    data = op.data.astype(np.int64)
+    norm = np.gcd.reduceat(np.abs(data), starts) * np.sign(data[starts])
+    data = data // np.repeat(norm, counts)
+    keyed = np.stack([op.col, data], axis=1)
+    rows: Dict[bytes, Dict[int, int]] = {}
+    for s, e in zip(starts.tolist(), (starts + counts).tolist()):
+        key = keyed[s:e].tobytes()
+        if key not in rows:
+            rows[key] = dict(zip(op.col[s:e].tolist(), data[s:e].tolist()))
+    return list(rows.values())
 
-    return coeffs
+
+def _derivations(t: SparseOp, gram: Sequence[int], dim: int, name: str
+                 ) -> Tuple[List[SparseOp], SparseOp]:
+    """Derivations D of a trilinear form t that keep the diagonal metric
+    G = diag(gram), as (generators, readout).
+
+    t is n^2 x n with t_ijk at (i * n + j, k), every permutation of a
+    nonzero triple stored.  The unknowns are A_pq, p < q, of the
+    antisymmetric A = G D in lexicographic order (D_pq = A_pq / g_p), and
+    the equations
+        sum_m D_mi t_mjk + D_mj t_imk + D_mk t_ijm = 0   (all i, j, k)
+    are one sparse operator built from the triplets of t (scaled by
+    lcm(gram) to integers), whose distinct rows go to `sparse_nullspace`.
+    The readout holds g_p at vec position p * n + q for free unknown
+    k = (p, q): it reads the coefficient of generator k off a derivation,
+    which is its G-lowered free coordinate."""
+    n = t.cols
+    iu, ju = np.triu_indices(n, 1)
+    unknown = np.zeros((n, n), dtype=np.int64)
+    unknown[iu, ju] = unknown[ju, iu] = np.arange(len(iu))
+    idx = np.arange(n)
+    sign = np.sign(idx[None, :] - idx[:, None])  # A_qp = -A_pq, A_pp = 0
+    g = np.array(gram, dtype=np.int64)
+    lowered = math.lcm(*gram) // g
+    triple = (*np.divmod(t.row, n), t.col)
+    other = idx[:, None]
+    eqs, unknowns, values = [], [], []
+    # a nonzero t_xyz enters equation (i, y, z) through D_xi, (x, j, z)
+    # through D_yj and (x, y, k) through D_zk
+    for slot in range(3):
+        m = triple[slot]
+        ijk = [np.broadcast_to(x, (n, t.nnz)) for x in triple]
+        ijk[slot] = np.broadcast_to(other, (n, t.nnz))
+        eqs.append(((ijk[0] * n + ijk[1]) * n + ijk[2]).ravel())
+        unknowns.append(unknown[m, other].ravel())
+        values.append((t.data * lowered[m] * sign[m, other]).ravel())
+    system = SparseOp(n ** 3, len(iu), np.concatenate(eqs),
+                      np.concatenate(unknowns), np.concatenate(values))
+    basis, free = sparse_nullspace(_distinct_rows(system), len(iu))
+    if len(basis) != dim:
+        raise ConstructionError(
+            f"{name} derivation space has dim {len(basis)}")
+    gens = []
+    for vec in basis:
+        trips = []
+        for k, v in vec.items():
+            p, q = int(iu[k]), int(ju[k])
+            trips.append((p, q, v / gram[p]))
+            trips.append((q, p, -v / gram[q]))
+        gens.append(SparseOp.from_triplets(n, n, trips))
+    free = np.array(free, dtype=np.int64)
+    readout = SparseOp(dim, n * n, np.arange(dim), iu[free] * n + ju[free],
+                       g[iu[free]])
+    return gens, readout
 
 
 # ---------------------------------------------------------------------------
@@ -111,59 +175,8 @@ def _commutator_coeffs(bracket):
 @lru_cache(maxsize=1)
 def build_g2_defining() -> Tuple[LieAlgebra, Representation]:
     """Antisymmetric 7x7 matrices preserving f_ijk; must come out 14-dim."""
-    f = octonion_f()
-    pairs = [(i, j) for i in range(1, 8) for j in range(i + 1, 8)]
-    pidx = {p: k for k, p in enumerate(pairs)}
-
-    def unknown(i, m):
-        if i == m:
-            return None
-        return (pidx[(i, m)], 1) if i < m else (pidx[(m, i)], -1)
-
-    rows = []
-    for i, j, k in itertools.product(range(1, 8), repeat=3):
-        row: Dict[int, Fraction] = {}
-        for m in range(1, 8):
-            for (a, b, coef) in ((i, m, f.get((m, j, k), 0)),
-                                 (j, m, f.get((i, m, k), 0)),
-                                 (k, m, f.get((i, j, m), 0))):
-                if coef:
-                    u = unknown(a, b)
-                    if u:
-                        idx, sgn = u
-                        row[idx] = row.get(idx, Fraction(0)) + sgn * coef
-        row = {k2: v for k2, v in row.items() if v}
-        if row:
-            rows.append(row)
-    basis, free = sparse_nullspace(rows, len(pairs))
-    if len(basis) != 14:
-        raise ConstructionError(f"g2 derivation space has dim {len(basis)}")
-
-    def to_matrix(vec: Dict[int, Fraction]) -> SparseOp:
-        trips = []
-        for idx, v in vec.items():
-            i, j = pairs[idx]
-            trips.append((i - 1, j - 1, v))
-            trips.append((j - 1, i - 1, -v))
-        return SparseOp.from_triplets(7, 7, trips)
-
-    gens = [to_matrix(vec) for vec in basis]
-
-    def vec_of(mat: SparseOp) -> Dict[int, Fraction]:
-        out = {}
-        for r, c, v in mat.entries():
-            if r < c:
-                out[pidx[(r + 1, c + 1)]] = v
-        return out
-
-    def bracket(a: int, b: int):
-        comm = gens[a] @ gens[b] - gens[b] @ gens[a]
-        coeffs, ok = expand_in_echelon_basis(vec_of(comm), free, basis)
-        if not ok:
-            raise ConstructionError("g2 bracket left the derivation span")
-        return [(d, v) for d, v in enumerate(coeffs) if v]
-
-    struct = structure_constants_from_brackets(14, _commutator_coeffs(bracket))
+    gens, readout = _derivations(octonion_f_tensor(), [1] * 7, 14, "g2")
+    struct = structure_from_generators(gens, readout)
     alg = algebra_from_struct("g2", "G", 2, 14, struct,
                               root_data=root_system("G", 2))
     rep = Representation(alg, 7, gens, "defining",
@@ -175,198 +188,102 @@ def build_g2_defining() -> Tuple[LieAlgebra, Representation]:
 # the Jordan algebra J3 and f4 = der(J3)
 # ---------------------------------------------------------------------------
 
-def _oct_unit(a: int) -> List[Fraction]:
-    # slot basis u_1..u_7 imaginary, u_8 the real unit
-    v = [Fraction(0)] * 8
-    v[a % 8] = Fraction(1)
-    return v
+# paper offsets of the octonion slots (p, q), p < q: basis index
+# offset + u - 1 holds the unit u = 1..7 in slot (p, q) (its conjugate in
+# (q, p)), and offset + 7 the real unit
+_J3_SLOTS = {1: (0, 1), 9: (0, 2), 18: (1, 2)}
 
 
-class _J3:
-    """Hermitian 3x3 octonion matrix as a 3x3 grid of 8-vectors."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m=None):
-        self.m = m or [[[Fraction(0)] * 8 for _ in range(3)] for _ in range(3)]
-
-    @staticmethod
-    def diag(x1, x2, x3) -> "_J3":
-        out = _J3()
-        for a, x in zip(range(3), (x1, x2, x3)):
-            out.m[a][a][0] = Fraction(x)
-        return out
-
-    @staticmethod
-    def off(slot: Tuple[int, int], o: Sequence[Fraction]) -> "_J3":
-        a, b = slot
-        out = _J3()
-        out.m[a][b] = list(o)
-        out.m[b][a] = oct_conj(o)
-        return out
-
-    def jordan(self, other: "_J3") -> "_J3":
-        out = _J3()
-        for a in range(3):
-            for b in range(3):
-                acc = [Fraction(0)] * 8
-                for c in range(3):
-                    p = oct_mul(self.m[a][c], other.m[c][b])
-                    q = oct_mul(other.m[a][c], self.m[c][b])
-                    for k in range(8):
-                        acc[k] += (p[k] + q[k]) / 2
-                out.m[a][b] = acc
-        return out
-
-    def trace(self) -> Fraction:
-        return self.m[0][0][0] + self.m[1][1][0] + self.m[2][2][0]
+def _grid(a: int, b: int, u: int) -> int:
+    """Index of octonion component u of entry (a, b) in the 72-dim grid of
+    3x3 octonion matrices."""
+    return (a * 3 + b) * 8 + u
 
 
-_J3_SLOTS = {1: (0, 1), 9: (0, 2), 18: (1, 2)}  # paper offsets for octonion slots
+def _j3_embedding() -> Tuple[SparseOp, SparseOp]:
+    """(embed, readout): the basis [b_0..b_25, I3] as columns in the grid
+    (72 x 27), and the coordinates of a Hermitian grid matrix (27 x 72),
+    so that readout @ embed = 1."""
+    x = [_grid(a, a, 0) for a in range(3)]
+    embed = [(x[0], 0, 1), (x[1], 0, -1),
+             (x[0], 17, 1), (x[1], 17, 1), (x[2], 17, -2)]
+    embed += [(x[a], 26, 1) for a in range(3)]
+    half, sixth, third = Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)
+    readout = [(0, x[0], half), (0, x[1], -half),
+               (17, x[0], sixth), (17, x[1], sixth), (17, x[2], -2 * sixth)]
+    readout += [(26, x[a], third) for a in range(3)]
+    for offset, (p, q) in _J3_SLOTS.items():
+        for k in range(8):
+            unit = (k + 1) % 8
+            embed.append((_grid(p, q, unit), offset + k, 1))
+            embed.append((_grid(q, p, unit), offset + k, -1 if unit else 1))
+            readout.append((offset + k, _grid(p, q, unit), 1))
+    return (SparseOp.from_triplets(72, 27, embed),
+            SparseOp.from_triplets(27, 72, readout))
 
 
 @lru_cache(maxsize=1)
-def j3_basis() -> List[_J3]:
-    """Traceless J3 basis in the paper's index order (0-based); index 17 is
-    the rescaled diag(1, 1, -2)."""
-    basis: List[_J3] = [None] * 26
-    basis[0] = _J3.diag(1, -1, 0)
-    basis[17] = _J3.diag(1, 1, -2)
-    for offset, slot in _J3_SLOTS.items():
-        for a in range(1, 9):
-            basis[offset + a - 1] = _J3.off(slot, _oct_unit(a))
-    return basis
+def j3_tensor() -> SparseOp:
+    """The Jordan product x o y = (xy + yx) / 2 of J3 over the basis
+    [b_0..b_25, I3] (b_0 = diag(1, -1, 0), b_17 = diag(1, 1, -2), index 26
+    the identity) as a 27^2 x 27 operator: row i * 27 + j holds the
+    coordinates of b_i o b_j.
 
-
-def j3_vectorize(x: _J3, with_identity: bool = True) -> List[Fraction]:
-    """Coordinates over [b_0..b_25, I3]; exact structural readout."""
-    out = [Fraction(0)] * (27 if with_identity else 26)
-    x0, x1, x2 = x.m[0][0][0], x.m[1][1][0], x.m[2][2][0]
-    ci = (x0 + x1 + x2) / 3
-    y0, y1 = x0 - ci, x1 - ci
-    out[0] = (y0 - y1) / 2
-    out[17] = (y0 + y1) / 2
-    if with_identity:
-        out[26] = ci
-    elif ci != 0:
-        raise ConstructionError("tried to project a non-traceless element")
-    for offset, (a, b) in _J3_SLOTS.items():
-        o = x.m[a][b]
-        for u in range(1, 8):
-            out[offset + u - 1] = o[u]
-        out[offset + 7] = o[0]
-    return out
+    The grid product (xy)_ab = sum_c x_ac y_cb is the integer octonion
+    table; xy + yx is symmetrised on the grid, halved once, and read in the
+    basis."""
+    table = octonion_table()
+    u, v, w = np.nonzero(table)
+    a, c, b = (x.ravel()[:, None] for x in np.indices((3, 3, 3)))
+    left = (a * 3 + c) * 8 + u
+    right = (c * 3 + b) * 8 + v
+    out = np.broadcast_to((a * 3 + b) * 8 + w, left.shape).ravel()
+    coef = np.broadcast_to(table[u, v, w], left.shape).ravel()
+    left, right = left.ravel(), right.ravel()
+    sym = SparseOp(72 * 72, 72,
+                   np.concatenate([left * 72 + right, right * 72 + left]),
+                   np.concatenate([out, out]), np.concatenate([coef, coef]))
+    embed, readout = _j3_embedding()
+    pairs = kron(embed, embed).transpose()
+    return (pairs @ sym @ readout.transpose()).scaled(Fraction(1, 2))
 
 
 @lru_cache(maxsize=1)
-def j3_structure():
-    """(gram diag, fully-lowered symmetric d_ijk dict over the 26 basis)."""
-    basis = j3_basis()
-    prods = {}
-    for i in range(26):
-        for j in range(i, 26):
-            prods[(i, j)] = basis[i].jordan(basis[j])
-    gram = [prods[(i, i)].trace() for i in range(26)]
-    d: Dict[Tuple[int, int, int], Fraction] = {}
-    for (i, j), p in prods.items():
-        vec = j3_vectorize(p, with_identity=True)
-        for k in range(26):
-            if vec[k]:
-                val = -vec[k] * gram[k]  # d_ijk = -Tr((b_i o b_j) o b_k)
-                for key in set(itertools.permutations((i, j, k))):
-                    d[key] = val
+def j3_structure() -> Tuple[List[int], SparseOp]:
+    """(gram, d) on the traceless basis b_0..b_25, read off `j3_tensor`:
+    gram[i] = Tr(b_i o b_i) and d_ijk = -Tr((b_i o b_j) o b_k) as a
+    676 x 26 operator with d_ijk at (i * 26 + j, k).  Only I3 has a trace
+    (3), and the basis is orthogonal for the trace form, so the trace of a
+    product is three times its I3 coordinate and d_ijk = -T^k_ij g_k."""
+    t = j3_tensor()
+    i, j = np.divmod(t.row, 27)
+    square = (i == j) & (i < 26) & (t.col == 26)
+    gram = [int(x) for x in t.data[square] * (3 * t.scale)]
+    keep = (i < 26) & (j < 26) & (t.col < 26)
+    col = t.col[keep]
+    d = SparseOp(676, 26, i[keep] * 26 + j[keep], col,
+                 -t.data[keep] * np.array(gram, dtype=np.int64)[col], t.scale)
     return gram, d
 
 
-_J3_PAIRS = [(i, j) for i in range(26) for j in range(i + 1, 26)]
-_J3_PIDX = {p: k for k, p in enumerate(_J3_PAIRS)}
-
-
 @lru_cache(maxsize=1)
-def j3_derivations() -> Tuple[List[Dict[int, Fraction]], List[int]]:
-    """der(J3) as (basis, free) from `sparse_nullspace` over the unknowns
-    A_ij (i < j, pair index in `_J3_PAIRS`) of A = G D antisymmetric; the
-    constraint system must have a 52-dim kernel.  Basis vector k is the
-    strict upper triangle of G times f4 generator k, so f4 and e6 expand
-    G-lowered derivations in it by reading the free coordinates."""
+def j3_derivations() -> Tuple[List[SparseOp], SparseOp]:
+    """der(J3) on the traceless part: the 52 f4 generators and their
+    readout (`_derivations` of d_ijk with the trace-form metric)."""
     gram, d = j3_structure()
-
-    def unknown(i, m):
-        if i == m:
-            return None
-        return (_J3_PIDX[(i, m)], 1) if i < m else (_J3_PIDX[(m, i)], -1)
-
-    by_pair: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
-    for (i, j, k), v in d.items():
-        by_pair.setdefault((j, k), []).append((i, v))
-
-    rows = []
-    # sum_m A_mi d_mjk / g_m + sum_m A_mj d_imk / g_m
-    #   - sum_m d_ijm A_km / g_m = 0   (A = G D antisymmetric)
-    for i in range(26):
-        for j in range(i, 26):
-            for k in range(26):
-                row: Dict[int, Fraction] = {}
-                for m, v in by_pair.get((j, k), ()):
-                    u = unknown(m, i)
-                    if u:
-                        row[u[0]] = row.get(u[0], Fraction(0)) \
-                            + u[1] * v / gram[m]
-                for m, v in by_pair.get((i, k), ()):
-                    u = unknown(m, j)
-                    if u:
-                        row[u[0]] = row.get(u[0], Fraction(0)) \
-                            + u[1] * v / gram[m]
-                for m, v in by_pair.get((i, j), ()):
-                    u = unknown(k, m)
-                    if u:
-                        row[u[0]] = row.get(u[0], Fraction(0)) \
-                            - u[1] * v / gram[m]
-                row = {k2: v for k2, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    basis, free = sparse_nullspace(rows, len(_J3_PAIRS))
-    if len(basis) != 52:
-        raise ConstructionError(f"f4 derivation space has dim {len(basis)}")
-    return basis, free
+    return _derivations(d, gram, 52, "f4")
 
 
 @lru_cache(maxsize=1)
 def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
     """Derivations of J3 acting on its 26-dim traceless part."""
     gram, _ = j3_structure()
-    basis, free = j3_derivations()
-
-    def to_matrix(vec: Dict[int, Fraction]) -> SparseOp:
-        # D = G^-1 A
-        trips = []
-        for idx, v in vec.items():
-            i, j = _J3_PAIRS[idx]
-            trips.append((i, j, v / gram[i]))
-            trips.append((j, i, -v / gram[j]))
-        return SparseOp.from_triplets(26, 26, trips)
-
-    gens = [to_matrix(vec) for vec in basis]
-    gram_op = SparseOp.from_triplets(26, 26,
-                                     [(i, i, gram[i]) for i in range(26)])
-
-    def vec_of(mat: SparseOp) -> Dict[int, Fraction]:
-        out = {}
-        for r, c, v in (gram_op @ mat).entries():
-            if r < c:
-                out[_J3_PIDX[(r, c)]] = v
-        return out
-
-    def bracket(a: int, b: int):
-        comm = gens[a] @ gens[b] - gens[b] @ gens[a]
-        coeffs, ok = expand_in_echelon_basis(vec_of(comm), free, basis)
-        if not ok:
-            raise ConstructionError("f4 bracket left the derivation span")
-        return [(dd, v) for dd, v in enumerate(coeffs) if v]
-
-    struct = structure_constants_from_brackets(52, _commutator_coeffs(bracket))
+    gens, readout = j3_derivations()
+    struct = structure_from_generators(gens, readout)
     alg = algebra_from_struct("f4", "F", 4, 52, struct,
                               root_data=root_system("F", 4))
+    idx = np.arange(26)
+    gram_op = SparseOp(26, 26, idx, idx, np.array(gram, dtype=np.int64))
     rep = Representation(alg, 26, gens, "defining", module_metric=gram_op)
     return alg, rep
 
@@ -377,67 +294,36 @@ def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
 
 @lru_cache(maxsize=1)
 def build_e6_defining() -> Tuple[LieAlgebra, Representation]:
-    f4_alg, f4_rep = build_f4_defining()
-    basis = j3_basis()
-    gram, _ = j3_structure()
-    # 27-dim module coordinates: [b_0..b_25, I3]
-    ident = _J3.diag(1, 1, 1)
+    """der(J3) + L(J3_0) on J3 in coordinates [b_0..b_25, I3]: the f4
+    generators with a zero identity row and column, then L_i = b_i o (.),
+    whose column j is row i * 27 + j of `j3_tensor`.
 
-    def embed_derivation(mat26: SparseOp) -> SparseOp:
-        return SparseOp.from_triplets(
-            27, 27, [(r, c, v) for r, c, v in mat26.entries()])
-
-    def l_operator(i: int) -> SparseOp:
-        cols = []
-        for j in range(26):
-            cols.append(j3_vectorize(basis[i].jordan(basis[j])))
-        cols.append(j3_vectorize(basis[i].jordan(ident)))
-        trips = [(r, c, col[r]) for c, col in enumerate(cols)
-                 for r in range(27) if col[r]]
-        return SparseOp.from_triplets(27, 27, trips)
-
-    d_gens = [embed_derivation(m) for m in f4_rep.generators]
-    l_gens = [l_operator(i) for i in range(26)]
+    The readout takes the L_i coefficient of M from M[i, 26] (L_i I3 = b_i
+    and derivations kill I3), and the f4 coefficients from
+    M - sum_i M[i, 26] L_i through the f4 readout."""
+    f4_gens, f4_readout = j3_derivations()
+    t = j3_tensor()
+    i, j = np.divmod(t.row, 27)
+    l_gens = []
+    for z in range(26):
+        own = i == z
+        l_gens.append(SparseOp(27, 27, t.col[own], j[own], t.data[own],
+                               t.scale))
+    d_gens = [SparseOp(27, 27, g.row, g.col, g.data, g.scale)
+              for g in f4_gens]
     gens = d_gens + l_gens
-    dim = 78
-
-    f4_basis, f4_free = j3_derivations()
-
-    def decompose(mat: SparseOp):
-        """Split an e6 element into derivation + L_z coefficients."""
-        # z = action on the identity coordinate; derivations kill it
-        z = [Fraction(0)] * 27
-        for r, c, v in mat.entries():
-            if c == 26:
-                z[r] = v
-        if z[26] != 0:
-            raise ConstructionError("e6 bracket hit the identity trace part")
-        l_part = SparseOp.zero(27, 27)
-        for i in range(26):
-            if z[i]:
-                l_part = l_part + l_gens[i].scaled(z[i])
-        d_part = mat - l_part
-        vec = {}
-        for r, c, v in d_part.entries():
-            if r == 26 or c == 26:
-                raise ConstructionError("e6 derivation part is not traceless")
-            w = gram[r] * v
-            if r < c:
-                vec[_J3_PIDX[(r, c)]] = w
-        coeffs, ok = expand_in_echelon_basis(vec, f4_free, f4_basis)
-        if not ok:
-            raise ConstructionError("e6 bracket left der(J3) + L(J3_0)")
-        return coeffs, z[:26]
-
-    def bracket(a: int, b: int):
-        comm = gens[a] @ gens[b] - gens[b] @ gens[a]
-        d_coeffs, z = decompose(comm)
-        out = [(k, v) for k, v in enumerate(d_coeffs) if v]
-        out += [(52 + k, v) for k, v in enumerate(z) if v]
-        return out
-
-    struct = structure_constants_from_brackets(dim, _commutator_coeffs(bracket))
-    alg = algebra_from_struct("e6", "E", 6, dim, struct,
+    idx = np.arange(26)
+    column = SparseOp(26, 729, idx, idx * 27 + 26, np.ones(26, np.int64))
+    r, c = np.divmod(f4_readout.col, 26)
+    lowered = SparseOp(52, 729, f4_readout.row, r * 27 + c,
+                       f4_readout.data, f4_readout.scale)
+    derivs = lowered - lowered @ vec_columns(l_gens) @ column
+    readout = combine([
+        (1, SparseOp(78, 729, derivs.row, derivs.col, derivs.data,
+                     derivs.scale)),
+        (1, SparseOp(78, 729, column.row + 52, column.col, column.data))])
+    struct = structure_from_generators(gens, readout)
+    alg = algebra_from_struct("e6", "E", 6, 78, struct,
                               root_data=root_system("E", 6))
     rep = Representation(alg, 27, gens, "defining")
     return alg, rep

@@ -1,14 +1,19 @@
 """Classical constructions, metric closed forms, nullspace and normalize."""
 
+import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitcasimir import algebras
 from splitcasimir.algebras import (
-    _combine,
+    Representation,
+    _check_brackets,
     check_adjoint_casimir_is_identity,
     check_antisymmetry,
     check_jacobi,
@@ -27,7 +32,7 @@ from splitcasimir.classical import (
     sosp_pair_metric,
 )
 from splitcasimir.catalog import defining
-from splitcasimir.kernel import SparseOp, _pair_trace
+from splitcasimir.kernel import SparseOp, _pair_trace, combine
 
 
 @pytest.mark.parametrize("series,rank,dim,module", [
@@ -45,12 +50,9 @@ def test_classical_invariants(series, rank, dim, module):
     assert check_representation(rep)
 
 
-def test_randomized_representation_check_probes_every_pair(monkeypatch):
+def test_randomized_representation_check_probes_every_pair():
     # generator 3 of sl(4) occurs in none of the 8 basis pairs (nor their
     # brackets) that a pair-sampling check with the default seed would draw
-    from splitcasimir import algebras
-    from splitcasimir.algebras import Representation
-    monkeypatch.setattr(algebras, "JACOBI_EXHAUSTIVE_DIM", 0)
     alg, rep = build_classical("A", 3)
     assert check_representation(rep)
     gens = list(rep.generators)
@@ -68,13 +70,93 @@ def test_combine_equals_termwise_sum(name):
         ints = rng.integers(-3, 4, size=alg.dim)
         fracs = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
                  for _ in range(alg.dim)]
-        for got, coeffs in ((_combine(gens, ints), ints),
-                            (_combine(gens, None, fractions=fracs), fracs)):
+        for coeffs in (ints, fracs):
+            got = combine(zip(coeffs, gens))
             acc = SparseOp.zero(gens[0].rows, gens[0].cols)
             for op, c in zip(gens, coeffs):
                 if c != 0:
                     acc = acc + op.scaled(Fraction(c))
             assert got == acc
+
+
+def _brackets_pairwise(struct, gens):
+    """Oracle: [T_a, T_b] = C^d_ab T_d, one ordered pair at a time."""
+    dim = len(gens)
+    terms = {}
+    for r, d, v in struct.entries():
+        terms.setdefault(r, []).append((v, gens[d]))
+    for a in range(dim):
+        for b in range(dim):
+            comm = gens[a] @ gens[b] - gens[b] @ gens[a]
+            if a * dim + b in terms:
+                comm = comm - combine(terms[a * dim + b])
+            if not comm.is_zero():
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bracket_product_check_matches_pairwise_oracle(data):
+    # random operators and tensors, and small true algebras with or without
+    # a perturbed structure entry or generator, in blocks of 1 to 3
+    if data.draw(st.booleans(), label="random"):
+        dim = data.draw(st.integers(1, 4), label="dim")
+        n = data.draw(st.integers(1, 3), label="n")
+        gens = _sparse_ops(data, dim, n, n, "gen")
+        (struct,) = _sparse_ops(data, 1, dim * dim, dim, "struct")
+    else:
+        alg, rep = build_classical(*data.draw(st.sampled_from(
+            [("A", 1), ("A", 2), ("B", 1)]), label="algebra"))
+        dim, struct = alg.dim, alg.struct
+        gens = list(data.draw(st.sampled_from(
+            [rep.generators, alg.ad_matrices()]), label="operators"))
+        kind = data.draw(st.sampled_from(["exact", "struct", "gen"]))
+        if kind == "struct":
+            (bump,) = _sparse_ops(data, 1, dim * dim, dim, "bump")
+            struct = struct + bump
+        elif kind == "gen":
+            k = data.draw(st.integers(0, dim - 1), label="which")
+            (bump,) = _sparse_ops(data, 1, gens[k].rows, gens[k].cols, "bump")
+            gens[k] = gens[k] + bump
+    block = data.draw(st.integers(1, 3), label="block")
+    with mock.patch.object(algebras, "BRACKET_BLOCK", block):
+        got = _check_brackets(SimpleNamespace(dim=dim, struct=struct), gens)
+    assert got == _brackets_pairwise(struct, gens)
+
+
+@pytest.mark.parametrize("name", ["sp(6)", "so(7)", "g2", "f4", "e6", "e7",
+                                  "e8"])
+def test_struct_off_by_one_fails_bracket_check(name):
+    # +1 on a stored entry, and on the zero entry C^0_{00}
+    alg, rep = defining(name)
+    t = alg.struct
+    k = t.nnz // 2
+    for row, col in ((int(t.row[k]), int(t.col[k])), (0, 0)):
+        bump = SparseOp.from_triplets(t.rows, t.cols, [(row, col, 1)])
+        bad = dataclasses.replace(alg, struct=t + bump, _ad=None)
+        assert not check_representation(
+            Representation(bad, rep.dim_module, rep.generators, rep.kind))
+
+
+def _adjoint_casimir_by_loop(alg):
+    """Oracle: sum over kappa^{ab} of kappa^{ab} ad_a ad_b, term by term."""
+    ads = alg.ad_matrices()
+    acc = SparseOp.zero(alg.dim, alg.dim)
+    for a, b, v in alg.killing_inv.entries():
+        acc = acc + (ads[a] @ ads[b]).scaled(v)
+    return acc == SparseOp.identity(alg.dim)
+
+
+@pytest.mark.parametrize("name", ["sl(3)", "so(5)", "g2"])
+def test_adjoint_casimir_product_matches_loop(name):
+    alg, _ = defining(name)
+    ki = alg.killing_inv
+    off = SparseOp.from_triplets(ki.rows, ki.cols, [(0, ki.cols - 1, 1)])
+    for inv in (ki, ki.scaled(2), ki + off):
+        probe = dataclasses.replace(alg, killing_inv=inv)
+        assert check_adjoint_casimir_is_identity(probe) == \
+            _adjoint_casimir_by_loop(probe) == (inv is ki)
 
 
 def test_sl_killing_pair_formula():

@@ -1,16 +1,20 @@
 """Octonion, Jordan-algebra and minuscule constructions."""
 
-import itertools
+import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from splitcasimir import casimir
 from splitcasimir.algebras import (
+    ConstructionError,
     check_adjoint_casimir_is_identity,
     check_antisymmetry,
     check_jacobi,
     check_killing,
     check_representation,
+    structure_from_generators,
 )
 from splitcasimir.exceptional import (
     build_e6_defining,
@@ -18,12 +22,14 @@ from splitcasimir.exceptional import (
     build_f4_defining,
     build_g2_defining,
     invariant_antisymmetric_form,
-    j3_basis,
+    j3_derivations,
     j3_structure,
+    j3_tensor,
     octonion_f,
-    oct_mul,
+    octonion_table,
 )
-from splitcasimir.kernel import SparseOp, combine
+from splitcasimir.kernel import SparseOp, combine, vec_columns
+from splitcasimir.serialize import dumps
 
 
 def test_octonion_f_identities():
@@ -48,17 +54,101 @@ def test_octonion_f_identities():
 
 def test_octonion_multiplication_is_alternative_on_basis():
     # x(xy) = (xx)y for basis units: a consequence of alternativity
-    units = []
-    for a in range(8):
-        v = [Fraction(0)] * 8
-        v[a] = Fraction(1)
-        units.append(v)
+    table = octonion_table()
+
+    def mul(x, y):
+        return np.einsum("i,j,ijk->k", x, y, table)
+
+    units = np.eye(8, dtype=np.int64)
     for x in units:
         for y in units:
-            lhs = oct_mul(x, oct_mul(x, y))
-            xx = oct_mul(x, x)
-            rhs = oct_mul(xx, y)
-            assert lhs == rhs
+            assert np.array_equal(mul(x, mul(x, y)), mul(mul(x, x), y))
+
+
+# Fraction oracle: octonion products and J3 Jordan products on 3x3 grids
+# of octonion 8-vectors, read in the basis [b_0..b_25, I3]
+
+def _oct_mul(x, y):
+    f = octonion_f()
+    out = [Fraction(0)] * 8
+    for i in range(8):
+        if not x[i]:
+            continue
+        for j in range(8):
+            if not y[j]:
+                continue
+            p = x[i] * y[j]
+            if i == 0:
+                out[j] += p
+            elif j == 0:
+                out[i] += p
+            elif i == j:
+                out[0] -= p
+            else:
+                for k in range(1, 8):
+                    out[k] += f.get((i, j, k), 0) * p
+    return out
+
+
+def _j3_diag(*xs):
+    m = [[[Fraction(0)] * 8 for _ in range(3)] for _ in range(3)]
+    for a, x in enumerate(xs):
+        m[a][a][0] = Fraction(x)
+    return m
+
+
+def _j3_basis():
+    basis = [None] * 27
+    basis[0] = _j3_diag(1, -1, 0)
+    basis[17] = _j3_diag(1, 1, -2)
+    basis[26] = _j3_diag(1, 1, 1)
+    for offset, (a, b) in {1: (0, 1), 9: (0, 2), 18: (1, 2)}.items():
+        for k in range(8):
+            m = _j3_diag(0, 0, 0)
+            unit = (k + 1) % 8
+            m[a][b][unit] = Fraction(1)
+            m[b][a][unit] = Fraction(1 if unit == 0 else -1)
+            basis[offset + k] = m
+    return basis
+
+
+def _jordan(x, y):
+    out = _j3_diag(0, 0, 0)
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                p = _oct_mul(x[a][c], y[c][b])
+                q = _oct_mul(y[a][c], x[c][b])
+                for k in range(8):
+                    out[a][b][k] += (p[k] + q[k]) / 2
+    return out
+
+
+def _j3_coords(x):
+    x0, x1, x2 = (x[a][a][0] for a in range(3))
+    out = [Fraction(0)] * 27
+    out[0] = (x0 - x1) / 2
+    out[17] = (x0 + x1 - 2 * x2) / 6
+    out[26] = (x0 + x1 + x2) / 3
+    for offset, (a, b) in {1: (0, 1), 9: (0, 2), 18: (1, 2)}.items():
+        for k in range(8):
+            out[offset + k] = x[a][b][(k + 1) % 8]
+    return out
+
+
+def test_integer_tables_match_fraction_oracle():
+    table = octonion_table()
+    units = [[Fraction(int(i == a)) for i in range(8)] for a in range(8)]
+    for a in range(8):
+        for b in range(8):
+            assert _oct_mul(units[a], units[b]) == list(table[a, b])
+    basis = _j3_basis()
+    dense = j3_tensor().to_dense_fractions()
+    for i in range(27):
+        for j in range(i, 27):
+            want = _j3_coords(_jordan(basis[i], basis[j]))
+            assert list(dense[i * 27 + j]) == want
+            assert list(dense[j * 27 + i]) == want
 
 
 def test_g2_construction():
@@ -85,14 +175,11 @@ def test_d_tensor_identities_metric_raised():
     """Hat-basis (orthonormal) component identities d.d = 56/3 and
     d.d.d = -8 d, contracted with the rational metric (2/g per raised
     index)."""
-    gram, d = j3_structure()
+    gram, d_op = j3_structure()
+    d = {(r // 26, r % 26, k): v for r, k, v in d_op.entries()}
 
     def dv(i, j, k):
         return d.get((i, j, k), Fraction(0))
-
-    by_pair = {}
-    for (i, j, k), v in d.items():
-        by_pair.setdefault((i, j), []).append((k, v))
 
     # d^{i1i2,m} d_{i1i2,l} = (56/3) * (g_mm/2) delta_ml  (two raisings)
     for m in range(26):
@@ -196,3 +283,59 @@ def test_e7_construction_and_symplectic_form():
     assert (j.scaled(-1)) @ j == SparseOp.identity(56)
     for t in rep.generators[:10]:
         assert ((t.transpose() @ j) + (j @ t)).is_zero()
+
+
+def test_perturbed_generator_leaves_the_span():
+    # a diagonal entry is invisible to the f4 readout (it reads strict upper
+    # triangles), so only the span check can reject it
+    gens, readout = j3_derivations()
+    bad = list(gens)
+    bad[5] = gens[5] + SparseOp.from_triplets(26, 26, [(0, 0, 1)])
+    assert readout @ vec_columns(bad) == SparseOp.identity(52)
+    with pytest.raises(ConstructionError, match="left the span"):
+        structure_from_generators(bad, readout)
+    assert structure_from_generators(gens, readout) == \
+        build_f4_defining()[0].struct
+
+
+def _digest(ops):
+    h = hashlib.sha256()
+    for op in ops:
+        h.update(dumps(op))
+    return h.hexdigest()
+
+
+# sha256 of `serialize.dumps` of each construction output, as built by the
+# per-pair Fraction constructions these builds replaced
+_PINNED = {
+    "g2.struct": "a8e8cafa938faf34f9a6516e7db921b0b28c3a53c7a53db0f371fd4dd2077112",
+    "g2.killing": "fe45340b65919adfa04937aa128ceb3059de2d2f5579d886c8251f503c5d4285",
+    "g2.generators": "08e0a59a8a2f08c4efeca307965739ed5724ed27461e346d68119b69bbda91cf",
+    "f4.struct": "dcf6389bf6a9a896512a0eaaeb8055c0a98e2893ad3c31d88fb9bdba4c0e49bc",
+    "f4.killing": "ed11e75ea07de488edfe436a7af28f2ff71606b4b43ff4270b3c4c93cd141483",
+    "f4.generators": "c1e6abdbebef1f2b702eff9b70e215d6c589cc6dc8e6bd0a6e5d1cdd9f4b7fdd",
+    "e6.struct": "7de4788f6abe56c5c61ee91fc86ad197116285ca188924795249e61c0758f059",
+    "e6.killing": "2fd53046f47b947c4e762e21dcd36dc5ab61dbd9b3e4ea46ec7c949d53eee045",
+    "e6.generators": "c876c616c8546c9de5101e530436f3bb56d04335c015608d1cb69809d419f6b2",
+    "f4.gram": "d8e132cbf95fee7c7e1dbb5682bcfda3ab09e9dfbb1ece7b5d0756104ba262e3",
+    "f4.d": "0b2f47b2ac4358faa89f31529f40d1334a6b68ae70e1a73d7a020aa59e932c80",
+    "f4.D": "f620b0831f99932cc4010ae7bb4154a81e2a6aae95b290577d45e8d442d9bceb",
+    "e6.L": "767b08e43921051137ca9bf0cdb1856b978dc793a7b230b68d0ce13b0af7cb01",
+}
+
+
+def test_construction_outputs_are_pinned():
+    got = {}
+    for name, build in (("g2", build_g2_defining), ("f4", build_f4_defining),
+                        ("e6", build_e6_defining)):
+        alg, rep = build()
+        got[f"{name}.struct"] = _digest([alg.struct])
+        got[f"{name}.killing"] = _digest([alg.killing])
+        got[f"{name}.generators"] = _digest(rep.generators)
+    gram, d = j3_structure()
+    got["f4.gram"] = _digest([SparseOp.from_triplets(
+        26, 26, [(i, i, g) for i, g in enumerate(gram)])])
+    got["f4.d"] = _digest([d])
+    got["f4.D"] = _digest([casimir._f4_d_operator()])
+    got["e6.L"] = _digest(build_e6_defining()[1].generators[52:])
+    assert got == _PINNED
