@@ -32,6 +32,10 @@ from .kernel import SparseOp, Vec, combine
 # below it the products are also materialized sparsely as a cross-check
 MATERIALIZED_PRODUCT_MAX_DIM = 1500
 PRODUCT_TRIALS = 32
+# probes v, lambda, mu of the weighted product check are uniform in
+# [-PRODUCT_PROBE_RANGE, PRODUCT_PROBE_RANGE]: a trial's false-pass bound is
+# 3/2049 <= 1/19, so PRODUCT_TRIALS trials stay within 19^-32
+PRODUCT_PROBE_RANGE = 2 ** 10
 
 
 class ProjectorError(Exception):
@@ -59,8 +63,22 @@ class ProjectorFamily:
 
     def verify(self, seed: int = 0, trials: int = PRODUCT_TRIALS) -> dict:
         """Idempotency, mutual orthogonality, completeness and integer
-        traces; products are materialized on small spaces and checked by
-        randomized exact application above MATERIALIZED_PRODUCT_MAX_DIM."""
+        traces: all k^2 relations P_i P_j = delta_ij P_j.
+
+        Up to MATERIALIZED_PRODUCT_MAX_DIM every product is materialized
+        (``method`` "exact_full", ``false_pass_bound`` 0).  Above it each
+        trial is one weighted Freivalds check: with v, lambda and mu uniform
+        in [-PRODUCT_PROBE_RANGE, PRODUCT_PROBE_RANGE], y_j = P_j v and
+        w = sum_j mu_j y_j, it tests sum_i lambda_i P_i w ==
+        sum_j lambda_j mu_j y_j in 2k matvecs (``method``
+        "randomized_exact").  For a wrong family the residual
+        sum_ij lambda_i mu_j (P_i P_j - delta_ij P_j) v is a nonzero
+        polynomial of degree 1 in each of v, lambda and mu, so by
+        Schwartz-Zippel a trial passes it with probability at most
+        1/|V| + 2/|Lambda|; ``false_pass_bound`` is that to the power of
+        ``trials``, the number of trials run.  A failing trial reruns the
+        per-pair products P_i y_j on its v to name the wrong pairs.
+        """
         report = {"traces": True, "idempotent": True, "orthogonal": True,
                   "complete": True, "failures": []}
         for m in self.members:
@@ -74,39 +92,59 @@ class ProjectorFamily:
             report["complete"] = False
             report["failures"].append("sum of members != completeness target")
         dim = self.completeness_target.rows
+        ops = [m.operator for m in self.members]
         if dim <= MATERIALIZED_PRODUCT_MAX_DIM:
-            for i, mi in enumerate(self.members):
-                for j, mj in enumerate(self.members):
-                    prod = mi.operator @ mj.operator
-                    want = mi.operator if i == j else None
-                    ok = (prod == want) if want is not None else prod.is_zero()
+            report.update(method="exact_full", trials=0,
+                          false_pass_bound=Fraction(0))
+            for i, pi in enumerate(ops):
+                for j, pj in enumerate(ops):
+                    prod = pi @ pj
+                    ok = prod == pj if i == j else prod.is_zero()
                     if not ok:
-                        key = "idempotent" if i == j else "orthogonal"
-                        report[key] = False
-                        report["failures"].append(
-                            f"P[{mi.label}] P[{mj.label}] wrong")
+                        self._product_failure(report, i, j, "")
         else:
             rng = np.random.default_rng(seed)
+            r = PRODUCT_PROBE_RANGE
+            run = trials
             for t in range(trials):
-                v = Vec.random_exact(dim, rng)
-                images = [m.operator.matvec(v) for m in self.members]
-                for i, mi in enumerate(self.members):
-                    for j in range(len(self.members)):
-                        got = mi.operator.matvec(images[j])
-                        want = images[j] if i == j else None
-                        ok = (got == want) if want is not None \
-                            else got.is_zero()
-                        if not ok:
-                            key = "idempotent" if i == j else "orthogonal"
-                            report[key] = False
-                            report["failures"].append(
-                                f"P[{mi.label}] P[{self.members[j].label}] "
-                                f"wrong (trial {t})")
-                if report["failures"]:
+                v = Vec(rng.integers(-r, r + 1, size=dim))
+                lam = [int(x) for x in rng.integers(-r, r + 1, size=len(ops))]
+                mu = [int(x) for x in rng.integers(-r, r + 1, size=len(ops))]
+                images = [p.matvec(v) for p in ops]
+                w = _weighted_sum(mu, images)
+                want = _weighted_sum([a * b for a, b in zip(lam, mu)], images)
+                got = _weighted_sum(lam, (p.matvec(w) for p in ops))
+                if got != want:
+                    for i, pi in enumerate(ops):
+                        for j, y in enumerate(images):
+                            image = pi.matvec(y)
+                            if not (image == y if i == j else image.is_zero()):
+                                self._product_failure(report, i, j,
+                                                      f" (trial {t})")
+                    run = t + 1
                     break
+            sides = 2 * r + 1  # |V| = |Lambda|
+            report.update(method="randomized_exact", trials=run,
+                          false_pass_bound=(Fraction(1, sides)
+                                            + Fraction(2, sides)) ** run)
         report["all_pass"] = not report["failures"]
         self.verification = report
         return report
+
+    def _product_failure(self, report: dict, i: int, j: int,
+                         where: str) -> None:
+        report["idempotent" if i == j else "orthogonal"] = False
+        report["failures"].append(f"P[{self.members[i].label}] "
+                                  f"P[{self.members[j].label}] wrong{where}")
+
+
+def _weighted_sum(weights: Sequence[int], vecs) -> Vec:
+    """sum_j weights[j] * vecs[j], summed as the vectors arrive."""
+    acc = None
+    for c, x in zip(weights, vecs):
+        term = x.scaled(c)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 # ---------------------------------------------------------------------------

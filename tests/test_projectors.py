@@ -14,7 +14,12 @@ from splitcasimir.identities import (
 )
 from splitcasimir.kernel import SparseOp, Vec, kron
 from splitcasimir.projectors import (
+    MATERIALIZED_PRODUCT_MAX_DIM,
+    PRODUCT_PROBE_RANGE,
+    PRODUCT_TRIALS,
+    FamilyMember,
     ProjectorError,
+    ProjectorFamily,
     cross_check_against_lagrange,
     defining_family,
     exceptional_adjoint_family,
@@ -239,3 +244,95 @@ def test_projector_images_are_invariant_subspaces():
 def test_family_trace_sum_is_ambient_dimension():
     fam = defining_family("f4")
     assert sum(int(t) for t in fam.traces()) == 26 * 26
+
+
+# ---------------------------------------------------------------------------
+# the weighted product check above MATERIALIZED_PRODUCT_MAX_DIM
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def so7_adjoint():
+    fam = sosp_adjoint_family(7, 1)  # six members on the 2401-dim V^(x4)
+    assert fam.completeness_target.rows > MATERIALIZED_PRODUCT_MAX_DIM
+    return fam
+
+
+def _variant(fam, ops=None, dims=None):
+    """The family with some member operators / expected dims replaced."""
+    ops, dims = ops or {}, dims or {}
+    return ProjectorFamily(
+        [FamilyMember(m.label, ops.get(i, m.operator),
+                      dims.get(i, m.expected_dim))
+         for i, m in enumerate(fam.members)], fam.completeness_target)
+
+
+def _unit_op(n, r, c):
+    return SparseOp.from_triplets(n, n, [(r, c, 1)])
+
+
+def test_weighted_check_states_its_bound(so7_adjoint):
+    rep = so7_adjoint.verify()
+    assert rep["all_pass"]
+    assert rep["method"] == "randomized_exact"
+    assert rep["trials"] == PRODUCT_TRIALS == 32
+    assert rep["false_pass_bound"] == Fraction(3, 2 * PRODUCT_PROBE_RANGE
+                                               + 1) ** 32
+    assert rep["false_pass_bound"] <= Fraction(1, 19 ** 32)
+    small = defining_family("so(7)").verify()
+    assert small["method"] == "exact_full"
+    assert small["trials"] == 0 and small["false_pass_bound"] == 0
+
+
+def test_weighted_check_costs_2k_matvecs_per_trial(so7_adjoint, monkeypatch):
+    calls = []
+    matvec = SparseOp.matvec
+
+    def counted(op, v):
+        calls.append(op.rows)
+        return matvec(op, v)
+
+    monkeypatch.setattr(SparseOp, "matvec", counted)
+    assert so7_adjoint.verify()["all_pass"]
+    assert len(calls) == 2 * len(so7_adjoint.members) * PRODUCT_TRIALS
+
+
+def test_weighted_check_fails_doubled_member(so7_adjoint):
+    p0 = so7_adjoint.members[0].operator
+    rep = _variant(so7_adjoint, ops={0: p0.scaled(2)}).verify()
+    assert not rep["all_pass"]
+    assert not rep["idempotent"]
+    assert rep["trials"] < PRODUCT_TRIALS
+
+
+def test_weighted_check_fails_balanced_perturbation(so7_adjoint):
+    # +E_rc on one member and -E_rc on another (r != c): traces and the sum
+    # are unchanged, so only the products can fail
+    p0, p1 = (m.operator for m in so7_adjoint.members[:2])
+    e = _unit_op(p0.rows, int(p0.row[0]), int(p0.col[p0.nnz // 2]))
+    assert e.trace() == 0
+    rep = _variant(so7_adjoint, ops={0: p0 + e, 1: p1 - e}).verify()
+    assert rep["traces"] and rep["complete"]
+    assert not rep["all_pass"]
+    assert not (rep["idempotent"] and rep["orthogonal"])
+
+
+def test_weighted_failure_names_the_wrong_pair(so7_adjoint):
+    # P0' = P0 + P0 E P1 keeps P0'^2 = P0', P1 P0' = 0 and P0' Pj = Pj P0' = 0
+    # for j > 1; only P0' P1 = P0 E P1 is nonzero
+    m0, m1 = so7_adjoint.members[:2]
+    p0, p1 = m0.operator, m1.operator
+    x = p0 @ _unit_op(p0.rows, int(p0.col[0]), int(p1.row[0])) @ p1
+    assert not x.is_zero()
+    rep = _variant(so7_adjoint, ops={0: p0 + x}).verify()
+    assert rep["idempotent"] and rep["traces"]
+    assert not rep["orthogonal"]
+    pairs = [f for f in rep["failures"] if f.startswith("P[")]
+    assert pairs == [f"P[{m0.label}] P[{m1.label}] wrong (trial 0)"]
+
+
+def test_trace_failure_does_not_stop_the_product_trials(so7_adjoint):
+    m0 = so7_adjoint.members[0]
+    rep = _variant(so7_adjoint, dims={0: m0.expected_dim + 1}).verify()
+    assert not rep["all_pass"] and not rep["traces"]
+    assert rep["trials"] == PRODUCT_TRIALS
+    assert rep["idempotent"] and rep["orthogonal"]
