@@ -75,9 +75,12 @@ class ProjectorFamily:
         sum_ij lambda_i mu_j (P_i P_j - delta_ij P_j) v is a nonzero
         polynomial of degree 1 in each of v, lambda and mu, so by
         Schwartz-Zippel a trial passes it with probability at most
-        1/|V| + 2/|Lambda|; ``false_pass_bound`` is that to the power of
-        ``trials``, the number of trials run.  A failing trial reruns the
-        per-pair products P_i y_j on its v to name the wrong pairs.
+        1/|V| + 2/|Lambda| = 3/2049, with |V| = |Lambda| =
+        2 PRODUCT_PROBE_RANGE + 1 the values a probe entry takes.
+        ``false_pass_bound`` is that to the power of ``trials``, the number
+        of trials run (at most 19^-32 for the default 32).  A failing trial
+        reruns the per-pair products P_i y_j on its v to name the wrong
+        pairs.
         """
         report = {"traces": True, "idempotent": True, "orthogonal": True,
                   "complete": True, "failures": []}
