@@ -22,7 +22,7 @@ from .algebras import (
     structure_constants_from_brackets,
 )
 from .kernel import SparseOp
-from .rootdata import root_system
+from .rootdata import RootDataError, root_system
 
 
 def _sl_basis_index(n: int):
@@ -171,7 +171,7 @@ def build_so_sp(n_total: int, eps: int) -> Tuple[LieAlgebra, Representation]:
     rd = None
     try:
         rd = root_system(series, rank)
-    except Exception:
+    except RootDataError:
         pass  # so(3), so(4): outside the B/D rank range; metrics still fine
     labels = [f"M{i + 1}{j + 1}" for i, j in pairs]
     alg = algebra_from_struct(name, series, rank, dim, struct,

@@ -37,7 +37,6 @@ class SuiteConfig:
     suites: List[str]
     method: str = "auto"
     fmt: str = "json"
-    cache_dir: Optional[str] = None
     seed: int = 0
     timings: bool = False
     samples: Optional[List[Fraction]] = None
@@ -47,8 +46,7 @@ class SuiteConfig:
             [str(x) for x in self.samples]
         return {"algebras": self.algebras, "suites": self.suites,
                 "method": self.method, "format": self.fmt,
-                "cache_dir": self.cache_dir, "seed": self.seed,
-                "samples": samples}
+                "seed": self.seed, "samples": samples}
 
 
 class _Recorder:
@@ -90,13 +88,9 @@ class _Recorder:
 
 def _suite_construct(rec: _Recorder, name: str, config: SuiteConfig) -> None:
     from . import algebras as alg_mod
-    from .cache import load_or_build
-    from .catalog import adjoint_context, parse_name
+    from .catalog import defining
 
-    (alg, rep), warning = load_or_build(
-        name, Path(config.cache_dir) if config.cache_dir else None)
-    if warning:
-        rec.add(f"{name} cache", "SKIP", observed=warning)
+    alg, rep = defining(name)
     rec.add(f"{name} dim", "PASS", observed=alg.dim)
     rec.run(f"{name} antisymmetry", lambda: alg_mod.check_antisymmetry(alg))
     rec.run(f"{name} Jacobi", lambda: alg_mod.check_jacobi(alg))
@@ -323,7 +317,6 @@ def _common_flags(p: argparse.ArgumentParser, method: bool = False) -> None:
     p.add_argument("--format", default="json",
                    choices=["json", "csv", "markdown"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--timings", action="store_true")
 
@@ -386,7 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = SuiteConfig(
         algebras=_algebra_args(args), suites=suites,
         method=getattr(args, "method", "auto"),
-        fmt=args.format, cache_dir=args.cache_dir, seed=args.seed,
+        fmt=args.format, seed=args.seed,
         timings=args.timings, samples=samples)
     report = run_suite(config)
     _write_out(emit(report, config.fmt), args.out)

@@ -10,9 +10,10 @@ Everything up to e6 starts from the integer octonion table.  The Jordan
 product of J3 is an integer bilinear map on 3x3 octonion matrices, halved
 once and read in the J3 basis (`j3_tensor`); the trace-form metric, d_ijk
 and the e6 multiplications L_z are index arithmetic on that tensor.  The
-derivations of f_ijk (g2) and of d_ijk (f4) are the nullspace of one sparse
-constraint operator each, and the structure constants of g2, f4 and e6 come
-from all generator commutators at once through a readout map
+derivations of f_ijk (g2) and of d_ijk (f4), and the invariant symplectic
+form of the e7 module, are the nullspace of one sparse constraint operator
+each, and the structure constants of g2, f4 and e6 come from all generator
+commutators at once through a readout map
 (`algebras.structure_from_generators`).
 
 The J3 basis keeps the second diagonal element unnormalized
@@ -113,6 +114,20 @@ def _distinct_rows(op: SparseOp) -> List[Dict[int, int]]:
     return list(rows.values())
 
 
+def _antisymmetric_unknowns(n: int) -> Tuple[np.ndarray, np.ndarray,
+                                              np.ndarray, np.ndarray]:
+    """Layout of the unknowns A_pq, p < q, of an antisymmetric n x n matrix
+    in lexicographic order, as (iu, ju, unknown, sign): unknown k sits at
+    (iu[k], ju[k]), and for every p, q the entry A_pq is sign[p, q] times
+    unknown number unknown[p, q] (sign is 0 on the diagonal)."""
+    iu, ju = np.triu_indices(n, 1)
+    unknown = np.zeros((n, n), dtype=np.int64)
+    unknown[iu, ju] = unknown[ju, iu] = np.arange(len(iu))
+    idx = np.arange(n)
+    sign = np.sign(idx[None, :] - idx[:, None])  # A_qp = -A_pq, A_pp = 0
+    return iu, ju, unknown, sign
+
+
 def _derivations(t: SparseOp, gram: Sequence[int], dim: int, name: str
                  ) -> Tuple[List[SparseOp], SparseOp]:
     """Derivations D of a trilinear form t that keep the diagonal metric
@@ -129,15 +144,11 @@ def _derivations(t: SparseOp, gram: Sequence[int], dim: int, name: str
     k = (p, q): it reads the coefficient of generator k off a derivation,
     which is its G-lowered free coordinate."""
     n = t.cols
-    iu, ju = np.triu_indices(n, 1)
-    unknown = np.zeros((n, n), dtype=np.int64)
-    unknown[iu, ju] = unknown[ju, iu] = np.arange(len(iu))
-    idx = np.arange(n)
-    sign = np.sign(idx[None, :] - idx[:, None])  # A_qp = -A_pq, A_pp = 0
+    iu, ju, unknown, sign = _antisymmetric_unknowns(n)
     g = np.array(gram, dtype=np.int64)
     lowered = math.lcm(*gram) // g
     triple = (*np.divmod(t.row, n), t.col)
-    other = idx[:, None]
+    other = np.arange(n)[:, None]
     eqs, unknowns, values = [], [], []
     # a nonzero t_xyz enters equation (i, y, z) through D_xi, (x, j, z)
     # through D_yj and (x, y, k) through D_zk
@@ -497,48 +508,38 @@ def _solve_gf2(n_vars: int, pinned: Dict[int, int],
 
 def invariant_antisymmetric_form(rep: Representation) -> SparseOp:
     """The unique invariant antisymmetric bilinear form J (T^t J + J T = 0),
-    normalized so that J @ J = -1."""
+    normalized so that J @ J = -1.
+
+    The unknowns are J_ab, a < b, in lexicographic order
+    (`_antisymmetric_unknowns`), and the equations
+        (T^t J + J T)_kl = sum_m T_mk J_ml + J_km T_ml = 0   (all T, k, l)
+    are one integer sparse operator, row (t * n + k) * n + l for generator
+    t, built from the triplets of the generators (each generator's integer
+    data; its scale plays no part), whose distinct rows go to
+    `sparse_nullspace`.  The solution space must be one-dimensional, J^2 a
+    scalar -c and c a rational square."""
     n = rep.dim_module
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pidx = {p: k for k, p in enumerate(pairs)}
-    row_list = []
-    for t in rep.generators:
-        # equations M_{kl} = 0 (k < l) for M = T^t J + J T, which is
-        # antisymmetric whenever J is, so k < l is exhaustive
-        eq: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-
-        def add(k, l, a, b, coef):
-            # M_{kl} += coef * J_{ab}
-            if k == l or a == b or coef == 0:
-                return
-            sgn = 1
-            if k > l:
-                k, l, sgn = l, k, -1
-            if a > b:
-                a, b, sgn = b, a, -sgn
-            row = eq.setdefault((k, l), {})
-            u = pidx[(a, b)]
-            row[u] = row.get(u, Fraction(0)) + sgn * coef
-
-        for m, c, v in t.entries():
-            for l in range(n):
-                add(c, l, m, l, v)   # (T^t J)_{c,l} += T_mc J_ml
-                add(l, c, l, m, v)   # (J T)_{l,c}  += J_lm T_mc
-        for row in eq.values():
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                row_list.append(row)
-    basis, _ = sparse_nullspace(row_list, len(pairs))
+    iu, ju, unknown, sign = _antisymmetric_unknowns(n)
+    gens = rep.generators
+    first = np.repeat(np.arange(len(gens)) * n * n, [t.nnz for t in gens])
+    m, c, v = (np.concatenate(x) for x in
+               zip(*((t.row, t.col, t.data) for t in gens)))
+    other = np.arange(n)[:, None]
+    # T_mc enters (T^t J)_cl through J_ml and (J T)_lc through J_lm
+    system = SparseOp(
+        len(gens) * n * n, len(iu),
+        np.concatenate([(first + c * n + other).ravel(),
+                        (first + other * n + c).ravel()]),
+        np.concatenate([unknown[m, other].ravel(), unknown[other, m].ravel()]),
+        np.concatenate([(v * sign[m, other]).ravel(),
+                        (v * sign[other, m]).ravel()]))
+    basis, _ = sparse_nullspace(_distinct_rows(system), len(iu))
     if len(basis) != 1:
         raise ConstructionError(
             f"antisymmetric invariant space has dim {len(basis)}")
-    vec = basis[0]
-    den = math.lcm(*(v.denominator for v in vec.values()))
     trips = []
-    for idx, v in vec.items():
-        i, j = pairs[idx]
-        trips.append((i, j, v * den))
-        trips.append((j, i, -v * den))
+    for k, x in basis[0].items():
+        trips += [(iu[k], ju[k], x), (ju[k], iu[k], -x)]
     j_op = SparseOp.from_triplets(n, n, trips)
     sq = j_op @ j_op
     if sq.nnz != n or not np.array_equal(sq.row, sq.col):

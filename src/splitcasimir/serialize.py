@@ -3,7 +3,8 @@
 Layout (all integers little-endian): magic ``SCSO``, format version (u16),
 rows (u64), cols (u64), nnz (u64); then per triplet row (u64), col (u64),
 numerator and denominator each as a signed big-integer byte string prefixed
-by its i32 length.  Used by the CLI cache.
+by its i32 length.  The tests pin construction outputs by the sha256 of
+these bytes.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitcasimir import algebras
+from splitcasimir import algebras, classical
 from splitcasimir.algebras import (
     Representation,
     _check_brackets,
@@ -27,6 +27,7 @@ from splitcasimir.algebras import (
 )
 from splitcasimir.classical import (
     build_classical,
+    build_so_sp,
     sl_pair_metric,
     sl_pair_metric_inv,
     sosp_pair_metric,
@@ -48,6 +49,21 @@ def test_classical_invariants(series, rank, dim, module):
     assert check_killing(alg)
     assert check_adjoint_casimir_is_identity(alg)
     assert check_representation(rep)
+
+
+def test_so_sp_skips_only_root_data_errors(monkeypatch):
+    # so(3) and so(4) lie outside the B/D rank ranges of `root_system`
+    assert build_so_sp(3, +1)[0].root_data is None
+    assert build_so_sp(4, +1)[0].root_data is None
+    assert build_so_sp(5, +1)[0].root_data is not None
+
+    def broken(series, rank):
+        raise ValueError("broken root data")
+
+    monkeypatch.setattr(classical, "root_system", broken)
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="broken root data"):
+            build_so_sp(n, +1)
 
 
 def test_randomized_representation_check_probes_every_pair():

@@ -1,23 +1,9 @@
-"""CLI orchestration, report emission, determinism, caching."""
+"""CLI orchestration, report emission, determinism."""
 
 import json
-import os
-import shutil
-import subprocess
-import sys
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from splitcasimir.cache import (
-    CacheError,
-    _code_hash,
-    cache_path,
-    load_or_build,
-    read_bundle,
-    write_bundle,
-)
 from splitcasimir.cli import SuiteConfig, main, run_suite
 from splitcasimir.report import CheckRecord, Report, emit, parse_json
 
@@ -120,58 +106,12 @@ def test_cli_rejects_unpaired_ybe_samples(argv, capsys):
     ["ybe", "--case", "sl(2)", "--form", "spectral"],
     ["verify", "--algebra", "sl(2)", "--method", "approx"],
     ["ybe", "--case", "sl(2)", "--method", "exact_full"],
+    ["construct", "--algebra", "sl(2)", "--cache-dir", "x"],
 ])
 def test_cli_rejects_removed_options(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", "/dev/null"])
     assert exc.value.code == 2
-
-
-def test_cache_round_trip_and_corruption(tmp_path):
-    (alg_rep, warning) = load_or_build("sl(2)", tmp_path)[0], None
-    alg, rep = load_or_build("sl(2)", tmp_path)[0]
-    path = cache_path(tmp_path, "sl(2)", "defining")
-    assert path.exists()
-    alg2, rep2 = read_bundle(path)
-    assert alg2.struct == alg.struct
-    assert alg2.killing == alg.killing
-    assert [g for g in rep2.generators] == [g for g in rep.generators]
-    # corrupt the file: loader must rebuild with a warning
-    path.write_bytes(b"junk")
-    with pytest.raises(CacheError):
-        read_bundle(path)
-    (alg3, rep3), warning = load_or_build("sl(2)", tmp_path)
-    assert warning is not None
-    assert alg3.struct == alg.struct
-
-
-def test_cache_key_includes_version_and_code_hash(tmp_path):
-    p = cache_path(tmp_path, "so(5)", "defining")
-    assert "-v1-" in p.name
-    assert len(p.name.split("-")[-1].split(".")[0]) == 16
-
-
-def test_cache_code_hash_covers_kernels(tmp_path):
-    # the hash of a package tree changes when its _kernels.py does
-    import splitcasimir
-    package = Path(splitcasimir.__file__).parent
-    for tree in ("same", "edited"):
-        shutil.copytree(package, tmp_path / tree / "splitcasimir",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "edited" / "splitcasimir" / "_kernels.py", "a") as f:
-        f.write("# edited\n")
-
-    def code_hash(tree):
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from splitcasimir.cache import _code_hash; print(_code_hash())"],
-            env={**os.environ, "PYTHONPATH": str(tmp_path / tree)},
-            capture_output=True, text=True, check=True)
-        return out.stdout.strip()
-
-    same = code_hash("same")
-    assert same == _code_hash()
-    assert code_hash("edited") != same
 
 
 def test_suite_dependency_order():

@@ -9,6 +9,7 @@ import pytest
 from splitcasimir import casimir
 from splitcasimir.algebras import (
     ConstructionError,
+    Representation,
     check_adjoint_casimir_is_identity,
     check_antisymmetry,
     check_jacobi,
@@ -28,7 +29,8 @@ from splitcasimir.exceptional import (
     octonion_f,
     octonion_table,
 )
-from splitcasimir.kernel import SparseOp, combine, vec_columns
+from splitcasimir.classical import build_classical
+from splitcasimir.kernel import SparseOp, combine, kron, vec_columns
 from splitcasimir.serialize import dumps
 
 
@@ -281,8 +283,34 @@ def test_e7_construction_and_symplectic_form():
     assert j @ j == SparseOp.identity(56).scaled(-1)
     # J^{ik} J_{kj} = delta^i_j with J^ = J^{-1} = -J
     assert (j.scaled(-1)) @ j == SparseOp.identity(56)
-    for t in rep.generators[:10]:
+    for t in rep.generators:
         assert ((t.transpose() @ j) + (j @ t)).is_zero()
+
+
+def _sp_generators(j):
+    """The maps S J over the symmetric unit matrices S: they span sp(J),
+    and J is the only invariant antisymmetric form up to scale."""
+    n = len(j)
+    j_op = SparseOp.from_dense(j)
+    return [SparseOp.from_triplets(n, n, [(a, b, 1), (b, a, 1)]) @ j_op
+            for a in range(n) for b in range(a, n)]
+
+
+@pytest.mark.parametrize("gens, message", [
+    # two copies of the 2-dim module carry three invariant forms
+    ([kron(SparseOp.identity(2), x)
+      for x in _sp_generators([[0, 1], [-1, 0]])], "has dim 3"),
+    (_sp_generators([[0, 1, 0, 0], [-1, 0, 0, 0],
+                     [0, 0, 0, 2], [0, 0, -2, 0]]), "is not scalar"),
+    # J^2 = -2
+    (_sp_generators([[0, 1, 1, 0], [-1, 0, 0, 1],
+                     [-1, 0, 0, -1], [0, -1, 1, 0]]), "not a rational square"),
+])
+def test_symplectic_form_checks_raise(gens, message):
+    alg, _ = build_classical("C", 2)
+    rep = Representation(alg, 4, gens, "other")
+    with pytest.raises(ConstructionError, match=message):
+        invariant_antisymmetric_form(rep)
 
 
 def test_perturbed_generator_leaves_the_span():
@@ -321,6 +349,7 @@ _PINNED = {
     "f4.d": "0b2f47b2ac4358faa89f31529f40d1334a6b68ae70e1a73d7a020aa59e932c80",
     "f4.D": "f620b0831f99932cc4010ae7bb4154a81e2a6aae95b290577d45e8d442d9bceb",
     "e6.L": "767b08e43921051137ca9bf0cdb1856b978dc793a7b230b68d0ce13b0af7cb01",
+    "e7.J": "288dc7f9af49b9ec4eb5bd683672f8f2772821dc6c7663c31d8c0f4d2544ab0d",
 }
 
 
@@ -338,4 +367,5 @@ def test_construction_outputs_are_pinned():
     got["f4.d"] = _digest([d])
     got["f4.D"] = _digest([casimir._f4_d_operator()])
     got["e6.L"] = _digest(build_e6_defining()[1].generators[52:])
+    got["e7.J"] = _digest([invariant_antisymmetric_form(build_e7_defining()[1])])
     assert got == _PINNED
