@@ -6,6 +6,11 @@ cores only.  Each is one vectorized numpy function that serves ``int64``
 data and arbitrary-precision (Python int) data in object arrays alike.
 ``kernel`` picks the dtype by its overflow guards and passes all operands
 of a call in the same one.
+
+The triplets are sorted by (row, col), so A @ v and A @ B (B dense) are one
+``np.add.reduceat`` segment sum per non-empty row, over the row starts the
+operator caches (``SparseOp.segments``).  Only spmm's dense accumulator
+scatters with ``np.add.at``: its keys are not sorted within a row.
 """
 
 import numpy as np
@@ -22,17 +27,23 @@ BLOCK_PRODUCTS = 1 << 16
 DENSE_AREA_FACTOR = 4
 
 
-def csr_matvec(row, col, data, v, n_rows):
-    """out = A @ v for A given by row-sorted coo triplets."""
+def csr_matvec(rows, starts, col, data, v, n_rows):
+    """out = A @ v for A given by (row, col)-sorted coo triplets: non-empty
+    row ``rows[i]`` is one segment sum of the products from entry
+    ``starts[i]`` on."""
     out = np.zeros(n_rows, dtype=np.result_type(data.dtype, v.dtype))
-    np.add.at(out, row, data * v[col])
+    out[rows] = np.add.reduceat(data * v[col], starts)
     return out
 
 
-def csr_matmat_dense(row, col, data, b, n_rows):
-    """out = A @ B with B a dense 2-d array."""
+def csr_matmat_dense(rows, starts, col, data, b, n_rows):
+    """out = A @ B with B a dense 2-d array, by the same segment sums."""
     out = np.zeros((n_rows, b.shape[1]), dtype=np.result_type(data.dtype, b.dtype))
-    np.add.at(out, row, data[:, None] * b[col])
+    # the gather is already a fresh nnz x k array: scaling it in place saves
+    # a second one, which costs more than the multiply
+    prod = b[col].astype(out.dtype, copy=False)
+    prod *= data[:, None]
+    out[rows] = np.add.reduceat(prod, starts, axis=0)
     return out
 
 

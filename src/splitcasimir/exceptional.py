@@ -99,9 +99,8 @@ def _distinct_rows(op: SparseOp) -> List[Dict[int, int]]:
     """The nonzero rows of an integer system op x = 0 as {column: value},
     each divided by the gcd of its entries with its first entry made
     positive, repeats dropped (the scale of op plays no part)."""
-    counts = np.diff(op.indptr)
-    starts = op.indptr[:-1][counts > 0]
-    counts = counts[counts > 0]
+    _, starts = op.segments
+    counts = np.diff(starts, append=op.nnz)
     data = op.data.astype(np.int64)
     norm = np.gcd.reduceat(np.abs(data), starts) * np.sign(data[starts])
     data = data // np.repeat(norm, counts)

@@ -192,7 +192,7 @@ class SparseOp:
     """
 
     __slots__ = ("rows", "cols", "row", "col", "data", "scale",
-                 "_indptr", "_max_abs", "_row_nnz_max")
+                 "_indptr", "_segments", "_max_abs", "_row_nnz_max")
 
     def __init__(self, rows: int, cols: int, row: np.ndarray, col: np.ndarray,
                  data: np.ndarray, scale=Fraction(1), _canonical: bool = False):
@@ -203,6 +203,7 @@ class SparseOp:
         self.data = data
         self.scale = scale
         self._indptr = None
+        self._segments = None
         self._max_abs = None
         self._row_nnz_max = None
         if not _canonical:
@@ -297,6 +298,15 @@ class SparseOp:
         return self._indptr
 
     @property
+    def segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, starts): the non-empty rows and the index of each one's
+        first entry, the segments the matvec kernels sum over."""
+        if self._segments is None:
+            rows = np.flatnonzero(np.diff(self.indptr))
+            self._segments = (rows, self.indptr[rows])
+        return self._segments
+
+    @property
     def max_abs(self) -> int:
         if self._max_abs is None:
             self._max_abs = _max_abs(self.data)
@@ -382,7 +392,8 @@ class SparseOp:
             raise DimensionMismatchError("matvec length mismatch")
         bound = self.row_nnz_max * max(self.max_abs, 1) * max(_max_abs(v.data), 1)
         data, vdata = _lift(bound >= _INT64_SAFE, self.data, v.data)
-        out = _kernels.csr_matvec(self.row, self.col, data, vdata, self.rows)
+        out = _kernels.csr_matvec(*self.segments, self.col, data, vdata,
+                                  self.rows)
         return Vec(out, self.scale * v.scale)
 
     def apply_dense(self, b: np.ndarray) -> np.ndarray:
@@ -391,7 +402,8 @@ class SparseOp:
                  and self.row_nnz_max * max(self.max_abs, 1)
                  * max(1, int(np.abs(b).max()) if b.size else 1) >= _INT64_SAFE)
         data, b = _lift(trips, self.data, b)
-        return _kernels.csr_matmat_dense(self.row, self.col, data, b, self.rows)
+        return _kernels.csr_matmat_dense(*self.segments, self.col, data, b,
+                                        self.rows)
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         if self.cols != other.rows:

@@ -502,18 +502,54 @@ def test_kernel_paths_agree_int64():
     obj = a.data.astype(object)
     core = _core(a)
     v = rng.integers(-9, 10, size=8).astype(np.int64)
-    fast = _kernels.csr_matvec(a.row, a.col, a.data, v, 8)
-    slow = _kernels.csr_matvec(a.row, a.col, obj, v.astype(object), 8)
+    fast = _kernels.csr_matvec(*a.segments, a.col, a.data, v, 8)
+    slow = _kernels.csr_matvec(*a.segments, a.col, obj, v.astype(object), 8)
     assert fast.dtype == np.int64 and slow.dtype == object
     assert np.array_equal(fast, slow)
     assert np.array_equal(fast.astype(object),
                           dense_matmul(core, v.astype(object)[:, None])[:, 0])
     b = rng.integers(-5, 6, size=(8, 3)).astype(np.int64)
-    fast2 = _kernels.csr_matmat_dense(a.row, a.col, a.data, b, 8)
-    slow2 = _kernels.csr_matmat_dense(a.row, a.col, obj, b.astype(object), 8)
+    fast2 = _kernels.csr_matmat_dense(*a.segments, a.col, a.data, b, 8)
+    slow2 = _kernels.csr_matmat_dense(*a.segments, a.col, obj, b.astype(object), 8)
     assert fast2.dtype == np.int64 and slow2.dtype == object
     assert np.array_equal(fast2, slow2)
     assert np.array_equal(fast2.astype(object), dense_matmul(core, b.astype(object)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(["gaps", "zero", "one-row"]),
+       kind=st.sampled_from(["int64", "object"]), width=st.integers(1, 4))
+def test_segment_kernels_match_dense_oracle(data, shape, kind, width):
+    # each non-empty row is one segment sum written back at its own row; with
+    # the first, middle and last rows empty, a sum written to the wrong row
+    # shows
+    big = _ENTRY_BIG[kind]
+    cols = data.draw(st.integers(1, 6))
+    if shape == "zero":
+        a = SparseOp.zero(data.draw(st.integers(1, 6)), cols)
+    elif shape == "one-row":
+        a = _drawn_op(data, 1, cols, big)
+    else:
+        rows = data.draw(st.integers(3, 8))
+        full = _drawn_op(data, rows, cols, big)
+        keep = ~np.isin(full.row, [0, rows // 2, rows - 1])
+        a = SparseOp(rows, cols, full.row[keep], full.col[keep], full.data[keep],
+                     full.scale)
+    dense = a.to_dense_fractions()
+    seg_rows, starts = a.segments
+    assert seg_rows.tolist() == [i for i in range(a.rows) if any(dense[i])]
+    assert starts.tolist() == a.indptr[seg_rows].tolist()
+    small = st.sampled_from([0, 1, -1, 2, -3])
+    b = np.array(data.draw(st.lists(st.tuples(small, small), min_size=cols * width,
+                                    max_size=cols * width)), dtype=object)
+    b = (b[:, 0] * big + b[:, 1]).reshape(cols, width)
+    if kind == "int64":
+        b = b.astype(np.int64)
+    got = a.apply_dense(b)
+    assert np.array_equal(got, dense_matmul(_core(a), b.astype(object)))
+    v = Vec.from_fractions(b[:, 0])
+    want = dense_matmul(dense, np.array(v.fractions(), dtype=object)[:, None])
+    assert a.matvec(v).fractions() == want[:, 0].tolist()
 
 
 def test_spmm_paths_agree():
