@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernel import SparseOp, combine, kron, vec_columns
-from .rootdata import RootSystem
+from .rootdata import RootSystem, invert_fraction_matrix
 
 # generators per block of the all-pairs commutator products
 BRACKET_BLOCK = 16
@@ -194,7 +194,7 @@ def symmetric_block_inverse(m: SparseOp) -> SparseOp:
     for members in groups.values():
         k = len(members)
         block = [[dense[i][j] for j in members] for i in members]
-        inv = _invert_dense(block)
+        inv = invert_fraction_matrix(block)
         if inv is None:
             raise ConstructionError("metric block is singular")
         for x in range(k):
@@ -202,24 +202,6 @@ def symmetric_block_inverse(m: SparseOp) -> SparseOp:
                 if inv[x][y] != 0:
                     trips.append((members[x], members[y], inv[x][y]))
     return SparseOp.from_triplets(n, n, trips)
-
-
-def _invert_dense(block):
-    k = len(block)
-    aug = [list(row) + [Fraction(i == j) for j in range(k)]
-           for i, row in enumerate(block)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        s = Fraction(1) / aug[col][col]
-        aug[col] = [x * s for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
 
 
 def _trace_form_ratio(generators: Sequence[SparseOp], killing: SparseOp) -> Fraction:
@@ -391,27 +373,34 @@ def normalize(alg: LieAlgebra, rep: Representation, convention: str
     """
     if convention not in ("killing_unit", "minus_delta", "trace_unit"):
         raise ValueError(f"unknown convention {convention!r}")
+    n = alg.dim
     s = _congruence_diagonalize(alg.killing)
-    diag = _transform_metric_diag(alg.killing, s)
-    scale_targets = []
     d2 = rep.d2() if convention == "trace_unit" else Fraction(1)
-    for kaa in diag:
-        target = kaa if convention != "trace_unit" else kaa * d2
-        r = _is_rational_square(abs(target))
-        scale_targets.append(Fraction(1) / r if r is not None else Fraction(1))
     s_rows = []
-    for i, (row, c) in enumerate(zip(s, scale_targets)):
+    for row, kaa in zip(s, _transform_metric_diag(alg.killing, s)):
+        r = _is_rational_square(abs(kaa * d2))
+        c = Fraction(1) / r if r is not None else Fraction(1)
         s_rows.append({k: v * c for k, v in row.items()})
-    alg2 = _transform_algebra(alg, s_rows, convention)
-    gens2 = []
-    for i in range(alg.dim):
-        acc = SparseOp.zero(rep.dim_module, rep.dim_module)
-        for b, v in s_rows[i].items():
-            acc = acc + rep.generators[b].scaled(v)
-        gens2.append(acc)
+    s_op = _rows_op(n, s_rows)
+    s_inv = SparseOp.from_dense(
+        invert_fraction_matrix(s_op.to_dense_fractions()))
+    # C'^d_{ab} = S_a^p S_b^q C^r_{pq} (S^-1)_r^d
+    struct2 = kron(s_op, s_op) @ alg.struct @ s_inv
+    killing2 = killing_from_struct(struct2, n)
+    alg2 = LieAlgebra(alg.name, alg.series, alg.rank, n, struct2, killing2,
+                      symmetric_block_inverse(killing2), convention,
+                      alg.root_data, alg.labels)
+    gens2 = [combine((v, rep.generators[b]) for b, v in row.items())
+             for row in s_rows]
     rep2 = Representation(alg2, rep.dim_module, gens2, rep.kind,
                           rep.module_metric)
     return alg2, rep2
+
+
+def _rows_op(n: int, rows: Sequence[Dict[int, Fraction]]) -> SparseOp:
+    """The n x n operator with the given sparse rows."""
+    return SparseOp.from_triplets(n, n, [(i, k, v) for i, row in enumerate(rows)
+                                         for k, v in row.items()])
 
 
 def _congruence_diagonalize(killing: SparseOp) -> List[Dict[int, Fraction]]:
@@ -467,50 +456,11 @@ def _congruence_diagonalize(killing: SparseOp) -> List[Dict[int, Fraction]]:
 
 
 def _transform_metric_diag(killing: SparseOp, s_rows) -> List[Fraction]:
-    dense = killing.to_dense_fractions()
-    out = []
-    for row in s_rows:
-        total = Fraction(0)
-        for a, ua in row.items():
-            for b, ub in row.items():
-                x = dense[a][b]
-                if x:
-                    total += ua * ub * x
-        out.append(total)
+    """The diagonal of S kappa S^T for S with rows ``s_rows``."""
+    s = _rows_op(killing.rows, s_rows)
+    prod = s @ killing @ s.transpose()
+    out = [Fraction(0)] * len(s_rows)
+    for r, c, v in prod.entries():
+        if r == c:
+            out[r] = v
     return out
-
-
-def _transform_algebra(alg: LieAlgebra, s_rows, convention: str) -> LieAlgebra:
-    n = alg.dim
-    s_trips = [(i, k, v) for i, row in enumerate(s_rows)
-               for k, v in row.items()]
-    s_op = SparseOp.from_triplets(n, n, s_trips)
-    s_dense = s_op.to_dense_fractions()
-    s_inv = _invert_dense([list(r) for r in s_dense])
-    # C'^d_{ab} = S_a^p S_b^q C^r_{pq} (S^-1)_r^d
-    trips = []
-    t = alg.struct
-    by_pq: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
-    for k in range(t.nnz):
-        p, q = divmod(int(t.row[k]), n)
-        by_pq.setdefault((p, q), []).append(
-            (int(t.col[k]), int(t.data[k]) * t.scale))
-    for a in range(n):
-        for b in range(n):
-            acc: Dict[int, Fraction] = {}
-            for p, sap in s_rows[a].items():
-                for q, sbq in s_rows[b].items():
-                    for r, c in by_pq.get((p, q), ()):
-                        f = sap * sbq * c
-                        for d in range(n):
-                            w = s_inv[r][d]
-                            if w:
-                                acc[d] = acc.get(d, Fraction(0)) + f * w
-            for d, v in acc.items():
-                if v != 0:
-                    trips.append((a * n + b, d, v))
-    struct2 = SparseOp.from_triplets(n * n, n, trips)
-    killing2 = killing_from_struct(struct2, n)
-    return LieAlgebra(alg.name, alg.series, alg.rank, n, struct2, killing2,
-                      symmetric_block_inverse(killing2), convention,
-                      alg.root_data, alg.labels)

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebras import LieAlgebra, Representation
-from .classical import _metric_c
+from .classical import _metric_c, build_classical, so_sp_series_rank
 from .kernel import (
     _INT64_SAFE,
     SparseOp,
@@ -237,7 +237,6 @@ def sl_adjoint_tensor(n: int) -> TensorAdjoint:
              - (p24 @ k12 @ k34).scaled(Fraction(1, n))
              - (p13 @ k23 @ k14).scaled(Fraction(1, n))
              + (k12 @ k34).scaled(Fraction(1, n * n)))
-    from .classical import build_classical
     _, rep = build_classical("A", n - 1)
     adj = rep.algebra.adjoint_rep()
     sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p)
@@ -266,8 +265,7 @@ def sosp_adjoint_tensor(n: int, eps: int) -> TensorAdjoint:
         Fraction(2, n - 2 * eps))
     big_p = unit @ (p13 @ p24) @ unit
     big_k = unit @ (k13 @ k24) @ unit
-    from .classical import build_so_sp
-    _, rep = build_so_sp(n, eps)
+    _, rep = build_classical(*so_sp_series_rank(n, eps))
     adj = rep.algebra.adjoint_rep()
     sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p)
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,

@@ -24,7 +24,7 @@ from .casimir import (
     split_casimir,
 )
 from .chevalley import build_chevalley_adjoint
-from .classical import build_classical, build_so_sp
+from .classical import build_classical
 from .kernel import SparseOp
 
 
@@ -91,10 +91,8 @@ def parse_name(text: str) -> AlgebraName:
 def defining(name: str) -> Tuple[LieAlgebra, Representation]:
     """The minimal fundamental (defining) representation."""
     an = parse_name(name)
-    if an.family == "sl":
-        return build_classical("A", an.n - 1)
-    if an.family in ("so", "sp"):
-        return build_so_sp(an.n, +1 if an.family == "so" else -1)
+    if an.family in ("sl", "so", "sp"):
+        return build_classical(*an.series_rank)
     if an.family == "g2":
         from .exceptional import build_g2_defining
         return build_g2_defining()

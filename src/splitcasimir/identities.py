@@ -20,6 +20,7 @@ from .kernel import (
     combine,
     product_of_shifts,
 )
+from .vogel import mu_prime_of_dim, vogel_point
 
 EXACT_FULL_MAX_DIM = 78 * 78  # full-basis verification up to the e6 adjoint
 RANDOM_TRIALS = 32
@@ -426,19 +427,9 @@ def universal_mu(dim_g: int) -> Fraction:
     return Fraction(5, 6 * (2 + dim_g))
 
 
-def mu_prime(dim_g: int) -> Optional[Fraction]:
-    """sqrt((dim+242)/(dim+2)) when rational, else None."""
-    val = Fraction(dim_g + 242, dim_g + 2)
-    num, den = val.numerator, val.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def exceptional_alpha_beta(dim_g: int) -> Tuple[Fraction, Fraction]:
     """(alpha/2t, beta/2t) = ((1 -+ mu')/12) on the exceptional line."""
-    mp = mu_prime(dim_g)
+    mp = mu_prime_of_dim(dim_g)
     if mp is None:
         raise ValueError(f"mu' irrational at dim {dim_g}")
     return (1 - mp) / 12, (1 + mp) / 12
@@ -494,7 +485,6 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
     """C+^3 + (1/2) C+^2 = mu1 C+ + mu2 (I + P - 2K) with mu1, mu2 from the
     Vogel parameters, plus the dimension relation dim g = (2mu2-mu1+1/2)/(2mu2).
     """
-    from .vogel import vogel_point
     pt = vogel_point(name)
     mu1 = -(pt.alpha * pt.beta + pt.alpha * pt.gamma + pt.beta * pt.gamma) \
         / (4 * pt.t ** 2)

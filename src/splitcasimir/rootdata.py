@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
 
@@ -108,7 +108,7 @@ class RootSystem:
             k * d for k, d in zip(self.highest_root, self.d))
         assert self.dual_coxeter.denominator == 1
         self.dual_coxeter = int(self.dual_coxeter)
-        self._cartan_inv = _invert_fraction_matrix(
+        self._cartan_inv = invert_fraction_matrix(
             [[Fraction(x) for x in row] for row in self.cartan])
         self._length_sq: Dict[Coeffs, Fraction] = {}
 
@@ -249,12 +249,16 @@ def _neg(beta: Coeffs) -> Coeffs:
     return tuple(-b for b in beta)
 
 
-def _invert_fraction_matrix(m: List[List[Fraction]]) -> List[List[Fraction]]:
+def invert_fraction_matrix(m: Sequence[Sequence[Fraction]]
+                           ) -> Optional[List[List[Fraction]]]:
+    """Exact inverse by Gauss-Jordan elimination; None when m is singular."""
     n = len(m)
     aug = [list(row) + [Fraction(i == j) for j in range(n)]
            for i, row in enumerate(m)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]

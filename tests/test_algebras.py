@@ -1,6 +1,7 @@
 """Classical constructions, metric closed forms, nullspace and normalize."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -34,6 +35,7 @@ from splitcasimir.classical import (
 )
 from splitcasimir.catalog import defining
 from splitcasimir.kernel import SparseOp, _pair_trace, combine
+from splitcasimir.serialize import dumps
 
 
 @pytest.mark.parametrize("series,rank,dim,module", [
@@ -64,6 +66,95 @@ def test_so_sp_skips_only_root_data_errors(monkeypatch):
     for n in (3, 5):
         with pytest.raises(ValueError, match="broken root data"):
             build_so_sp(n, +1)
+
+
+def _digest(ops):
+    h = hashlib.sha256()
+    for op in ops:
+        h.update(dumps(op))
+    return h.hexdigest()
+
+
+# sha256 of `serialize.dumps` of each output, as built by the per-pair
+# Fraction bracket tables and basis change these constructions replaced
+_PINNED = {
+    "sl(2).struct":
+        "bf2820bad3a601461273756c23053760f01cf52a2aaf5be461658e8e5a08c3d9",
+    "sl(2).killing":
+        "ea8f1ce126eb6f9199201f9bf6776a3cddde7f273e4be2efefb3c1a295b7c865",
+    "sl(2).generators":
+        "bc15f6b897a5ee4e67f41266c88e9d755276df03d6ad8f4fff2a9bf6c263bf11",
+    "sl(4).struct":
+        "5e000449d85331163736dd20e27e1f04506354c4de71aee37c7538d6acb7ab5b",
+    "sl(4).killing":
+        "b296710e7ded1bc16fa74b2fb805d664729944ceb2b845e3795cf8da240d3166",
+    "sl(4).generators":
+        "af357167a750d10fa134011eaedada1869cc9d9128ccfff72a4d7ce513892507",
+    "so(3).struct":
+        "38349a249bdaecf18e947ef99a49869d6c91f9e3e35ff341262b0d8da1e691ec",
+    "so(3).killing":
+        "b60f338bfa127766b273501ec5d58fa8b5597f64d7ff7a82429d101d77842543",
+    "so(3).generators":
+        "eafe5a7545f0ad33560ce8dec04560aafd129c429cbfaa286e48ff7ea2a70ae1",
+    "so(4).struct":
+        "bba29dee466eabd20d672b338f66c52f957be080d8b60adf1b1aa1f39f55c857",
+    "so(4).killing":
+        "fb01cde53b11a2ccf9627d3361150d2b5f16707ac304cf76ec0595e1952c7094",
+    "so(4).generators":
+        "7f59724fdf93ea7da71076a2abe3740ac19edb2b8c9adbb227342c5585d66b4a",
+    "so(7).struct":
+        "8c5f16162219a318b6178c6bfdd7f8b0c4dbbcdebb878b30913b573015df80a6",
+    "so(7).killing":
+        "97dbc5d5e3cecee25363a0fa6bb4e5c4e9760d7cb06843c7bbdb80bcf3fe19a4",
+    "so(7).generators":
+        "869da9819d7adaa1f7680fd8a3f64f068ed1d51a424d6fbec03090f0a31dc939",
+    "so(8).struct":
+        "4cea1536e57c3154ae661b8fc7eb0eb44161817bb490fd281bd4ed9ef1711f5f",
+    "so(8).killing":
+        "34e69536d5ae1a2bf6177a1c54219004dbabd2d6cb7be7edb03b128bf7cadd68",
+    "so(8).generators":
+        "1768e81e83bd9c8e341fd014ac9a7424c3febf9ecfca4abd1c76b143e42f6a5b",
+    "sp(2).struct":
+        "a3ae1f680488fb19110330a4ef516ecddd0f00b72e0571f3658938d953d7ecb2",
+    "sp(2).killing":
+        "584386600dcdcfe5de3fa640388fd403e0da219a81cd94a0c7ac4773667f2c84",
+    "sp(2).generators":
+        "170108fa3bcf8a96e7a29815b01931ab852b7f9e843ec6338f0dcd264d4d8340",
+    "sp(6).struct":
+        "400cf523daacaa99f2cbea4b2d628cdd101f1627a8b8c7ceee4e70dbacea2567",
+    "sp(6).killing":
+        "7529df91d532fea51b1fea584ede49ffcb57099c8815c04c067db67977e78f87",
+    "sp(6).generators":
+        "028e26b8eb08a9ef875748a5936231d4d69aa478f67ebeb84af2a7deb2263905",
+    "normalize(sl(3)).killing_unit.struct":
+        "61c30a6b04e9d4137345b29c29d800b5698c85bb67266ab4530e06d02e994645",
+    "normalize(sl(3)).killing_unit.generators":
+        "d8cdc4cfa470c73f2cb0fe215d3b7b740b1dadf9ef2a088b82fe32dccf768b63",
+    "normalize(sl(3)).minus_delta.struct":
+        "61c30a6b04e9d4137345b29c29d800b5698c85bb67266ab4530e06d02e994645",
+    "normalize(sl(3)).minus_delta.generators":
+        "d8cdc4cfa470c73f2cb0fe215d3b7b740b1dadf9ef2a088b82fe32dccf768b63",
+    "normalize(sl(3)).trace_unit.struct":
+        "4d2bfdfd64d4b1403b1c182af0137c998adac110ee179b81a946d17af29ab1b1",
+    "normalize(sl(3)).trace_unit.generators":
+        "4cd590157ea35c6b20c42494283059a3d6f806b1fbdb9cf4bb7ddfaff9325c2e",
+}
+
+
+def test_classical_and_normalize_outputs_are_pinned():
+    got = {}
+    for name in ("sl(2)", "sl(4)", "so(3)", "so(4)", "so(7)", "so(8)",
+                 "sp(2)", "sp(6)"):
+        alg, rep = defining(name)
+        got[f"{name}.struct"] = _digest([alg.struct])
+        got[f"{name}.killing"] = _digest([alg.killing])
+        got[f"{name}.generators"] = _digest(rep.generators)
+    for convention in ("killing_unit", "minus_delta", "trace_unit"):
+        alg, rep = normalize(*defining("sl(3)"), convention)
+        key = f"normalize(sl(3)).{convention}"
+        got[f"{key}.struct"] = _digest([alg.struct])
+        got[f"{key}.generators"] = _digest(rep.generators)
+    assert got == _PINNED
 
 
 def test_randomized_representation_check_probes_every_pair():
@@ -402,6 +493,10 @@ def test_symmetric_block_inverse():
                                       (2, 1, Fraction(1, 3)), (3, 3, -5)])
     inv = symmetric_block_inverse(m)
     assert m @ inv == SparseOp.identity(4)
+    singular = SparseOp.from_triplets(3, 3, [(0, 0, 1), (1, 1, 1), (1, 2, 1),
+                                             (2, 1, 1), (2, 2, 1)])
+    with pytest.raises(algebras.ConstructionError, match="singular"):
+        symmetric_block_inverse(singular)
 
 
 def test_normalize_idempotent_and_diagonal():

@@ -71,6 +71,17 @@ def test_cli_vogel_defaults():
     assert rc == 0
 
 
+@pytest.mark.parametrize("name", ["A2", "sl3", "D4", "so(8)"])
+def test_cli_vogel_exceptional_line_under_any_accepted_name(name, tmp_path):
+    # sl(3) and so(8) lie on the exceptional line whatever they are called
+    out = tmp_path / "vogel.json"
+    assert main(["vogel", "--algebra", name, "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    (line,) = [r for r in records if r["target"] == f"{name} exceptional line"]
+    assert (line["status"], line["observed"], line["expected"]) == \
+        ("PASS", "True", "True")
+
+
 def test_cli_ybe_single_pair(tmp_path):
     out = tmp_path / "ybe.json"
     rc = main(["ybe", "--case", "sl(2)", "--u", "1/2", "--v", "1/3",

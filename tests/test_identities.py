@@ -12,7 +12,6 @@ from splitcasimir.identities import (
     defining_identity,
     exceptional_alpha_beta,
     minimal_polynomial,
-    mu_prime,
     symmetric_part_identity,
     universal_mu,
     verify_adjoint_identity,
@@ -86,8 +85,6 @@ def test_exceptional_table4_values_from_mu_prime():
              248: (Fraction(-1, 30), Fraction(1, 5))}
     for dim, want in table.items():
         assert exceptional_alpha_beta(dim) == want
-    assert mu_prime(14) == 4
-    assert mu_prime(15) is None
 
 
 @pytest.mark.parametrize("name", ["sl(2)", "sl(3)", "sl(5)", "so(5)",
