@@ -77,17 +77,6 @@ class Representation:
 # generic construction helpers
 # ---------------------------------------------------------------------------
 
-def structure_constants_from_brackets(dim: int, coeff_fn) -> SparseOp:
-    """Assemble C^d_{ab} from a function (a, b) -> [(d, value), ...]."""
-    trips = []
-    for a in range(dim):
-        for b in range(dim):
-            for d, v in coeff_fn(a, b):
-                if v != 0:
-                    trips.append((a * dim + b, d, v))
-    return SparseOp.from_triplets(dim * dim, dim, trips)
-
-
 def trace_form(generators: Sequence[SparseOp]) -> SparseOp:
     """B_ab = Tr(T_a T_b) = sum_rc (T_a)_cr (T_b)_rc, that is X^T Y with
     the columns vec(T_a^t) of X and vec(T_b) of Y."""
@@ -366,12 +355,12 @@ def normalize(alg: LieAlgebra, rep: Representation, convention: str
     """Change basis so the Killing metric is diagonal rational, then rescale
     toward the requested convention where that needs no irrational scalars.
 
-    killing_unit / minus_delta target kappa_aa = +-1; trace_unit targets
+    killing_unit targets kappa_aa = +-1; trace_unit targets
     Tr(T_a T_b) = -delta_ab.  Entries whose rescaling would be irrational are
     left diagonal rational; the inverse metric is threaded through all
     contractions anyway, so every downstream operator is unaffected.
     """
-    if convention not in ("killing_unit", "minus_delta", "trace_unit"):
+    if convention not in ("killing_unit", "trace_unit"):
         raise ValueError(f"unknown convention {convention!r}")
     n = alg.dim
     s = _congruence_diagonalize(alg.killing)

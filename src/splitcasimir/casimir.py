@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebras import LieAlgebra, Representation
-from .classical import _metric_c, build_classical, so_sp_series_rank
+from .classical import _metric_c, build_classical
 from .kernel import (
     _INT64_SAFE,
     SparseOp,
@@ -30,7 +30,7 @@ from .kernel import (
     trace_word,
     vec_columns,
 )
-from .rootdata import RootSystem
+from .rootdata import RootSystem, series_rank
 
 
 class CasimirError(Exception):
@@ -237,7 +237,7 @@ def sl_adjoint_tensor(n: int) -> TensorAdjoint:
              - (p24 @ k12 @ k34).scaled(Fraction(1, n))
              - (p13 @ k23 @ k14).scaled(Fraction(1, n))
              + (k12 @ k34).scaled(Fraction(1, n * n)))
-    _, rep = build_classical("A", n - 1)
+    _, rep = build_classical(*series_rank("sl", n))
     adj = rep.algebra.adjoint_rep()
     sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p)
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
@@ -265,7 +265,7 @@ def sosp_adjoint_tensor(n: int, eps: int) -> TensorAdjoint:
         Fraction(2, n - 2 * eps))
     big_p = unit @ (p13 @ p24) @ unit
     big_k = unit @ (k13 @ k24) @ unit
-    _, rep = build_classical(*so_sp_series_rank(n, eps))
+    _, rep = build_classical(*series_rank("so" if eps == 1 else "sp", n))
     adj = rep.algebra.adjoint_rep()
     sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p)
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,

@@ -26,6 +26,7 @@ from .casimir import (
 from .chevalley import build_chevalley_adjoint
 from .classical import build_classical
 from .kernel import SparseOp
+from .rootdata import EXCEPTIONAL, algebra_name, series_rank
 
 
 class UnknownAlgebraError(Exception):
@@ -42,29 +43,20 @@ class AlgebraName:
 
     @property
     def is_exceptional(self) -> bool:
-        return self.family in ("g2", "f4", "e6", "e7", "e8")
+        return self.family in EXCEPTIONAL
 
     @property
     def series_rank(self) -> Tuple[str, int]:
-        if self.family == "sl":
-            return "A", self.n - 1
-        if self.family == "sp":
-            return "C", self.n // 2
-        if self.family == "so":
-            return ("B", (self.n - 1) // 2) if self.n % 2 else ("D", self.n // 2)
-        return self.family[0].upper(), int(self.family[1])
+        return series_rank(self.family, self.n)
 
 
 _NAME_RE = re.compile(r"^(sl|so|sp)\s*\(?\s*(\d+)\s*\)?$")
 _SERIES_RE = re.compile(r"^([A-Ga-g])\s*_?\s*(\d+)$")
-_CLASSICAL_N = {"A": lambda r: r + 1, "B": lambda r: 2 * r + 1,
-                "C": lambda r: 2 * r, "D": lambda r: 2 * r}
-_CLASSICAL_FAMILY = {"A": "sl", "B": "so", "C": "sp", "D": "so"}
 
 
 def parse_name(text: str) -> AlgebraName:
     s = text.strip().lower()
-    if s in ("g2", "f4", "e6", "e7", "e8"):
+    if s in EXCEPTIONAL:
         return AlgebraName(s)
     m = _NAME_RE.match(s)
     if m:
@@ -78,12 +70,7 @@ def parse_name(text: str) -> AlgebraName:
         return AlgebraName(fam, n)
     m = _SERIES_RE.match(text.strip())
     if m:
-        series = m.group(1).upper()
-        rank = int(m.group(2))
-        if series in _CLASSICAL_N:
-            return AlgebraName(_CLASSICAL_FAMILY[series],
-                               _CLASSICAL_N[series](rank))
-        return parse_name(f"{series.lower()}{rank}")
+        return parse_name(algebra_name(m.group(1).upper(), int(m.group(2))))
     raise UnknownAlgebraError(f"cannot parse algebra name {text!r}")
 
 

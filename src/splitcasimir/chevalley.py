@@ -7,22 +7,27 @@ root in (height, lex) order.  N_{alpha,beta} signs are fixed by setting the
 extraspecial pair of every non-simple positive root to +(p+1) and deriving
 the rest from the Jacobi identity; mixed-sign constants follow from the
 standard cyclic relation N_{x,y}/(z,z) = N_{y,z}/(x,x) for x+y+z = 0.
+The structure constants are read off these tables as integer arrays
+(`chevalley_struct`), with no loop over basis pairs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .algebras import (
     ConstructionError,
     LieAlgebra,
     Representation,
     algebra_from_struct,
-    structure_constants_from_brackets,
 )
-from .rootdata import Coeffs, RootSystem, root_system, _neg
+from .kernel import SparseOp
+from .rootdata import Coeffs, RootSystem, algebra_name, root_system
 
 
 def _p_down(rs: RootSystem, alpha: Coeffs, beta: Coeffs) -> int:
@@ -97,17 +102,6 @@ class ChevalleyConstants:
     def n_pos(self, a: Coeffs, b: Coeffs) -> int:
         return self._n_pos[(a, b)]
 
-    def n_mixed(self, a: Coeffs, b: Coeffs) -> Fraction:
-        """N_{alpha, -beta} for distinct positive roots with alpha-beta a root."""
-        rs = self.rs
-        sq = rs.root_length_sq
-        diff = tuple(x - y for x, y in zip(a, b))
-        if all(x >= 0 for x in diff):  # alpha - beta positive
-            sig = diff
-            return -Fraction(self.n_pos(b, sig)) * sq(sig) / sq(a)
-        sig = _neg(diff)
-        return Fraction(self.n_pos(sig, a)) * sq(sig) / sq(b)
-
 
 @lru_cache(maxsize=None)
 def chevalley_constants(series: str, rank: int) -> ChevalleyConstants:
@@ -123,80 +117,76 @@ def basis_labels(rs: RootSystem) -> List[str]:
     return labels
 
 
-def chevalley_bracket_fn(series: str, rank: int):
-    """Returns (dim, coeff_fn) with coeff_fn(a, b) -> [(d, value), ...]."""
-    cc = chevalley_constants(series, rank)
-    rs = cc.rs
-    r = rs.rank
-    pos = rs.positive_roots
-    dim = r + 2 * len(pos)
+def chevalley_struct(cc: ChevalleyConstants) -> SparseOp:
+    """C^d_{ab} of the Chevalley basis, read off the root tables as arrays:
+    [h_i, e_a] = <a, a_i^vee> e_a, [e_a, f_a] = h_a (the coroot),
+    [e_a, e_b] = N_{a,b} e_{a+b} and [e_a, f_b] = N_{a,-b} e_{a-b} or
+    f_{b-a}, with N_{a,-b} from the cyclic relation (Humphreys, Introduction
+    to Lie Algebras, 25.2).  The Chevalley involution e_a <-> -f_a,
+    h_i <-> -h_i turns these into the brackets of the f's, C -> -C."""
+    rs, r = cc.rs, cc.rs.rank
+    pos = np.array(rs.positive_roots, dtype=np.int64).reshape(-1, r)
+    m = len(pos)
+    e = r + 2 * np.arange(m)  # e_alpha; f_alpha is e_alpha + 1
+    n = np.zeros((m, m), dtype=np.int64)
+    for (x, y), val in cc._n_pos.items():
+        n[rs.pos_index[x], rs.pos_index[y]] = val
+    sq = [rs.root_length_sq(root) for root in rs.positive_roots]
+    unit = math.lcm(*(x.denominator for x in sq))
+    sq = np.array([int(x * unit) for x in sq], dtype=np.int64)
+    co = np.array([rs.coroot_coeffs(root) for root in rs.positive_roots],
+                  dtype=np.int64).reshape(-1, r)
+    pairing = pos @ np.array(rs.cartan, dtype=np.int64)  # <alpha, a_i^vee>
+    # alpha +- beta has coordinates in [-2M, 2M], M the largest coefficient
+    # of a positive root, so keys linear in the coordinates in radix 4M + 1
+    # are equal only for equal vectors: no non-root sum takes a root's key
+    key = pos @ (4 * int(pos.max()) + 1) ** np.arange(r, dtype=np.int64)
+    order = np.argsort(key)
+    sorted_key = key[order]
 
-    def e_idx(k):
-        return r + 2 * k
+    def find(keys: np.ndarray) -> np.ndarray:
+        """Positive-root index of each key, -1 where it is none."""
+        at = np.minimum(np.searchsorted(sorted_key, keys), m - 1)
+        return np.where(sorted_key[at] == keys, order[at], -1)
 
-    def f_idx(k):
-        return r + 2 * k + 1
+    plus = find(key[:, None] + key[None, :])
+    pi, pj = np.nonzero(plus >= 0)
+    if not n[pi, pj].all():
+        raise ConstructionError("missing structure constant")
+    # alpha_i - alpha_j = alpha_s: N_{i,-j} = -N_{j,s} (s,s)/(i,i) and
+    # N_{j,-i} = N_{s,j} (s,s)/(i,i)
+    minus = find(key[:, None] - key[None, :])
+    mi, mj = np.nonzero(minus >= 0)
+    ms = minus[mi, mj]
+    num = np.concatenate([-n[mj, ms], n[ms, mj]]) * np.tile(sq[ms], 2)
+    den = np.tile(sq[mi], 2)
+    if (num % den).any():
+        raise ConstructionError("non-integer structure constant")
+    k, i = np.nonzero(pairing)
+    kc, ic = np.nonzero(co)
+    a, b, d, v = (np.concatenate(x) for x in zip(
+        (i, e[k], e[k], pairing[k, i]),
+        (e[k], i, e[k], -pairing[k, i]),
+        (e[kc], e[kc] + 1, ic, co[kc, ic]),
+        (e[pi], e[pj], e[plus[pi, pj]], n[pi, pj]),
+        (np.r_[e[mi], e[mj]], np.r_[e[mj], e[mi]] + 1,
+         np.r_[e[ms], e[ms] + 1], num // den)))
 
-    def root_vector_index(root: Coeffs):
-        if all(x >= 0 for x in root):
-            return e_idx(rs.pos_index[root])
-        return f_idx(rs.pos_index[_neg(root)])
+    def flip(x: np.ndarray) -> np.ndarray:  # e_alpha <-> f_alpha
+        return np.where(x < r, x, r + ((x - r) ^ 1))
 
-    def bracket(aidx: int, bidx: int):
-        if aidx == bidx:
-            return []
-        if aidx > bidx:
-            return [(d, -v) for d, v in bracket(bidx, aidx)]
-        if bidx < r:  # [h_i, h_j]
-            return []
-        kb, eb = divmod(bidx - r, 2)
-        if aidx < r:  # [h_i, e_or_f]
-            pair = rs.pairing(pos[kb], aidx)
-            if pair == 0:
-                return []
-            return [(bidx, pair if eb == 0 else -pair)]
-        ka, ea = divmod(aidx - r, 2)
-        ra = pos[ka] if ea == 0 else _neg(pos[ka])
-        rb = pos[kb] if eb == 0 else _neg(pos[kb])
-        if ka == kb and ea != eb:  # [e_alpha, f_alpha] = h_alpha
-            co = rs.coroot_coeffs(pos[ka])
-            out = [(i, c) for i, c in enumerate(co) if c]
-            return out if ea == 0 else [(i, -c) for i, c in out]
-        s = tuple(x + y for x, y in zip(ra, rb))
-        if not rs.is_root(s):
-            return []
-        if ea == 0 and eb == 0:
-            val = cc.n_pos(pos[ka], pos[kb])
-        elif ea == 1 and eb == 1:
-            val = -cc.n_pos(pos[ka], pos[kb])
-        elif ea == 0:
-            val = cc.n_mixed(pos[ka], pos[kb])
-        else:
-            # [f_a, e_b] = -[e_b, f_a]
-            val = -cc.n_mixed(pos[kb], pos[ka])
-        return [(root_vector_index(s), val)]
-
-    return dim, bracket
-
-
-_SERIES_NAME = {"A": "sl", "B": "so", "C": "sp", "D": "so"}
-
-
-def algebra_name(series: str, rank: int) -> str:
-    if series in ("E", "F", "G"):
-        return f"{series.lower()}{rank}"
-    n = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[series]
-    return f"{_SERIES_NAME[series]}({n})"
+    dim = r + 2 * m
+    a, b, d = (np.concatenate([x, flip(x)]) for x in (a, b, d))
+    return SparseOp(dim * dim, dim, a * dim + b, d, np.concatenate([v, -v]))
 
 
 @lru_cache(maxsize=None)
 def build_chevalley_adjoint(series: str, rank: int
                             ) -> Tuple[LieAlgebra, Representation]:
     """Simple Lie algebra in the Chevalley basis plus its adjoint rep."""
-    rs = root_system(series, rank)
-    dim, bracket = chevalley_bracket_fn(series, rank)
-    struct = structure_constants_from_brackets(dim, bracket)
-    alg = algebra_from_struct(algebra_name(series, rank), series, rank, dim,
-                              struct, convention="chevalley", root_data=rs,
-                              labels=basis_labels(rs))
+    cc = chevalley_constants(series, rank)
+    struct = chevalley_struct(cc)
+    alg = algebra_from_struct(algebra_name(series, rank), series, rank,
+                              struct.cols, struct, convention="chevalley",
+                              root_data=cc.rs, labels=basis_labels(cc.rs))
     return alg, alg.adjoint_rep()

@@ -25,7 +25,7 @@ from .algebras import (
     structure_from_generators,
 )
 from .kernel import SparseOp
-from .rootdata import RootDataError, root_system
+from .rootdata import CLASSICAL_SERIES, RootDataError, root_system, series_rank
 
 
 def build_sl(n_rank: int) -> Tuple[LieAlgebra, Representation]:
@@ -64,13 +64,6 @@ def _metric_c(n_total: int, eps: int) -> SparseOp:
     return SparseOp.from_triplets(n_total, n_total, trips)
 
 
-def so_sp_series_rank(n_total: int, eps: int) -> Tuple[str, int]:
-    """Series letter and rank of so(N) (eps = +1) or sp(N) (eps = -1)."""
-    if eps == -1:
-        return "C", n_total // 2
-    return ("B", (n_total - 1) // 2) if n_total % 2 else ("D", n_total // 2)
-
-
 def build_so_sp(n_total: int, eps: int) -> Tuple[LieAlgebra, Representation]:
     """so(N) for eps = +1, sp(N) for eps = -1 (N even)."""
     if eps == 1 and n_total < 3:
@@ -92,16 +85,16 @@ def build_so_sp(n_total: int, eps: int) -> Tuple[LieAlgebra, Representation]:
                        iu * n_total + partner[ju],
                        cj[ju] * (2 - (iu == ju)), Fraction(1, 2))
     struct = structure_from_generators(gens, readout)
-    series, rank = so_sp_series_rank(n_total, eps)
-    name = f"{'so' if eps == 1 else 'sp'}({n_total})"
+    family = "so" if eps == 1 else "sp"
+    series, rank = series_rank(family, n_total)
     rd = None
     try:
         rd = root_system(series, rank)
     except RootDataError:
         pass  # so(3), so(4): outside the B/D rank range; metrics still fine
     labels = [f"M{i + 1}{j + 1}" for i, j in zip(iu, ju)]
-    alg = algebra_from_struct(name, series, rank, dim, struct,
-                              root_data=rd, labels=labels)
+    alg = algebra_from_struct(f"{family}({n_total})", series, rank, dim,
+                              struct, root_data=rd, labels=labels)
     rep = Representation(alg, n_total, gens, "defining",
                          module_metric=c)
     return alg, rep
@@ -109,20 +102,16 @@ def build_so_sp(n_total: int, eps: int) -> Tuple[LieAlgebra, Representation]:
 
 @lru_cache(maxsize=None)
 def build_classical(series: str, n: int) -> Tuple[LieAlgebra, Representation]:
-    """Defining construction by series letter and rank.
-
-    A: sl(n+1), n >= 1; B: so(2n+1), n >= 1; C: sp(2n), n >= 1;
-    D: so(2n), n >= 2.
+    """Defining construction by series letter and rank (the sizes are
+    `rootdata.CLASSICAL_SERIES`): A: sl(n+1), n >= 1; B: so(2n+1), n >= 1;
+    C: sp(2n), n >= 1; D: so(2n), n >= 2.
     """
-    if series == "A":
+    if series not in CLASSICAL_SERIES:
+        raise ConstructionError(f"not a classical series: {series!r}")
+    family, a, b = CLASSICAL_SERIES[series]
+    if family == "sl":
         return build_sl(n)
-    if series == "B":
-        return build_so_sp(2 * n + 1, +1)
-    if series == "C":
-        return build_so_sp(2 * n, -1)
-    if series == "D":
-        return build_so_sp(2 * n, +1)
-    raise ConstructionError(f"not a classical series: {series!r}")
+    return build_so_sp(a * n + b, +1 if family == "so" else -1)
 
 
 # ---------------------------------------------------------------------------

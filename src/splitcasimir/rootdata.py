@@ -4,7 +4,8 @@ Roots are integer coefficient tuples over the simple roots; weights are
 integer Dynkin-label tuples.  Two bilinear forms are provided: the standard
 one with long roots of squared length 2, and the rescaled one with
 (theta, theta) = 1/t (t the dual Coxeter number), which is the normalization
-every Casimir eigenvalue in this package refers to.
+every Casimir eigenvalue in this package refers to.  `algebra_name` and
+`series_rank` are the one map between series/rank and algebra names.
 """
 
 from __future__ import annotations
@@ -20,6 +21,33 @@ SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 class RootDataError(Exception):
     pass
+
+
+EXCEPTIONAL = ("g2", "f4", "e6", "e7", "e8")
+
+# the matrix family of each classical series, whose defining matrices are
+# N x N with N = a * rank + b
+CLASSICAL_SERIES = {"A": ("sl", 1, 1), "B": ("so", 2, 1),
+                    "C": ("sp", 2, 0), "D": ("so", 2, 0)}
+
+
+def algebra_name(series: str, rank: int) -> str:
+    """sl(N), so(N) or sp(N) for a classical series, else g2 .. e8."""
+    if series not in CLASSICAL_SERIES:
+        return f"{series.lower()}{rank}"
+    family, a, b = CLASSICAL_SERIES[series]
+    return f"{family}({a * rank + b})"
+
+
+def series_rank(family: str, n: int = 0) -> Tuple[str, int]:
+    """Series letter and rank of sl/so/sp(n), or of g2 .. e8 (n unused);
+    the inverse of `algebra_name`."""
+    for series, (fam, a, b) in CLASSICAL_SERIES.items():
+        if fam == family and (n - b) % a == 0:
+            return series, (n - b) // a
+    if family in EXCEPTIONAL:
+        return family[0].upper(), int(family[1])
+    raise RootDataError(f"no series for {family!r} of size {n}")
 
 
 def cartan_matrix(series: str, rank: int) -> List[List[int]]:
@@ -154,15 +182,10 @@ class RootSystem:
         return sum(b * self.cartan[j][i] for j, b in enumerate(beta))
 
     def bilinear_std(self, x: Coeffs, y: Coeffs) -> Fraction:
-        """(x, y) with long roots of squared length 2."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * yj * self.d[j] * self.cartan[i][j]
-        return total
+        """(x, y) with long roots of squared length 2:
+        sum_j y_j d_j <x, alpha_j^vee>, as (alpha_i, alpha_j) = d_j A_ij."""
+        return sum((yj * self.d[j] * self.pairing(x, j)
+                    for j, yj in enumerate(y) if yj), Fraction(0))
 
     def root_length_sq(self, root: Coeffs) -> Fraction:
         """(root, root), computed once per root."""

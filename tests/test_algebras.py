@@ -130,10 +130,6 @@ _PINNED = {
         "61c30a6b04e9d4137345b29c29d800b5698c85bb67266ab4530e06d02e994645",
     "normalize(sl(3)).killing_unit.generators":
         "d8cdc4cfa470c73f2cb0fe215d3b7b740b1dadf9ef2a088b82fe32dccf768b63",
-    "normalize(sl(3)).minus_delta.struct":
-        "61c30a6b04e9d4137345b29c29d800b5698c85bb67266ab4530e06d02e994645",
-    "normalize(sl(3)).minus_delta.generators":
-        "d8cdc4cfa470c73f2cb0fe215d3b7b740b1dadf9ef2a088b82fe32dccf768b63",
     "normalize(sl(3)).trace_unit.struct":
         "4d2bfdfd64d4b1403b1c182af0137c998adac110ee179b81a946d17af29ab1b1",
     "normalize(sl(3)).trace_unit.generators":
@@ -149,7 +145,7 @@ def test_classical_and_normalize_outputs_are_pinned():
         got[f"{name}.struct"] = _digest([alg.struct])
         got[f"{name}.killing"] = _digest([alg.killing])
         got[f"{name}.generators"] = _digest(rep.generators)
-    for convention in ("killing_unit", "minus_delta", "trace_unit"):
+    for convention in ("killing_unit", "trace_unit"):
         alg, rep = normalize(*defining("sl(3)"), convention)
         key = f"normalize(sl(3)).{convention}"
         got[f"{key}.struct"] = _digest([alg.struct])
@@ -513,7 +509,7 @@ def test_normalize_preserves_casimir_and_d2():
     from splitcasimir.casimir import split_casimir
     alg, rep = build_classical("A", 2)
     sc = split_casimir(rep, rep)
-    for convention in ("killing_unit", "minus_delta", "trace_unit"):
+    for convention in ("killing_unit", "trace_unit"):
         alg2, rep2 = normalize(alg, rep, convention)
         assert check_jacobi(alg2)
         assert check_representation(rep2)
@@ -524,3 +520,10 @@ def test_normalize_preserves_casimir_and_d2():
         # sl(N) trace convention: d2 = 1/(2N) in any basis
         assert rep2.d2() == Fraction(1, 6)
         assert alg2.convention == convention
+
+
+def test_normalize_rejects_minus_delta():
+    # "minus_delta" selected the same basis change as "killing_unit"
+    alg, rep = build_classical("A", 2)
+    with pytest.raises(ValueError, match="minus_delta"):
+        normalize(alg, rep, "minus_delta")

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from splitcasimir.rootdata import root_system
+from splitcasimir.catalog import parse_name
+from splitcasimir.rootdata import algebra_name, root_system
 
 
 @pytest.mark.parametrize("series,rank,n_pos,h_dual", [
@@ -96,3 +97,15 @@ def test_root_lengths_and_coroots_match_fraction_form(series, rank):
         coroot = tuple(2 * k * d / sq for k, d in zip(root, rs.d))
         assert all(c.denominator == 1 for c in coroot)
         assert rs.coroot_coeffs(root) == tuple(int(c) for c in coroot)
+
+
+
+def test_name_table_round_trip():
+    for series, ranks in (("A", (1, 2, 7)), ("B", (1, 2, 5)), ("C", (1, 3)),
+                          ("D", (2, 4, 5)), ("G", (2,)), ("F", (4,)),
+                          ("E", (6, 7, 8))):
+        for rank in ranks:
+            name = parse_name(algebra_name(series, rank))
+            assert name.series_rank == (series, rank)
+            assert parse_name(f"{series}{rank}") == name
+    assert str(parse_name("B3")) == "so(7)" and str(parse_name("C2")) == "sp(4)"
