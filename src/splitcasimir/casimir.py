@@ -25,6 +25,7 @@ from .classical import _metric_c, build_classical
 from .kernel import (
     _INT64_SAFE,
     SparseOp,
+    Vec,
     _lift,
     kron,
     trace_word,
@@ -35,6 +36,32 @@ from .rootdata import RootSystem, series_rank
 
 class CasimirError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class SplitPart:
+    """C_plus (sign +1) or C_minus (sign -1) as a matvec only.
+
+    C_+- v = (1/2)(w +- P w) with w = Chat v: the definition in
+    ``SplitCasimir.parts`` applied to a vector, so neither P @ Chat nor the
+    part is built."""
+
+    operator: SparseOp
+    swap: SparseOp
+    sign: int
+
+    @property
+    def rows(self) -> int:
+        return self.operator.rows
+
+    @property
+    def cols(self) -> int:
+        return self.operator.cols
+
+    def matvec(self, v: Vec) -> Vec:
+        w = self.operator.matvec(v)
+        pw = self.swap.matvec(w)
+        return (w + pw if self.sign > 0 else w - pw).scaled(Fraction(1, 2))
 
 
 @dataclass
@@ -64,6 +91,14 @@ class SplitCasimir:
             self._parts = ((self.operator + pc).scaled(half),
                            (self.operator - pc).scaled(half))
         return self._parts
+
+    def part_views(self) -> Tuple[SplitPart, SplitPart]:
+        """(C_plus, C_minus) as matvec-only views, for checks that only
+        apply the parts to vectors."""
+        if self.swap is None:
+            raise CasimirError("no permutation operator: rep1 != rep2")
+        return (SplitPart(self.operator, self.swap, 1),
+                SplitPart(self.operator, self.swap, -1))
 
 
 def weighted_kron_sum(pairs, chunk_nnz: int = 4_000_000) -> SparseOp:

@@ -1,11 +1,9 @@
 """Defining representations of sl(N), so(N) and sp(N).
 
-sl(N) uses the true basis {e_ij (i != j), h_k = e_kk - e_k+1,k+1}; the
-paper-style pair-indexed spanning set T_ij = e_ij - delta_ij I/N survives as
-closed-form metric functions that the tests use as oracles.  so/sp are built
-in the unified metric form M_ij = e_ij - eps e_ji with c the identity
-(eps = +1) or the standard symplectic form (eps = -1).  Structure constants
-come from the generator matrices through a readout map
+sl(N) uses the true basis {e_ij (i != j), h_k = e_kk - e_k+1,k+1}.
+so/sp are built in the unified metric form M_ij = e_ij - eps e_ji with c the
+identity (eps = +1) or the standard symplectic form (eps = -1).  Structure
+constants come from the generator matrices through a readout map
 (`algebras.structure_from_generators`), as for the exceptional builds.
 """
 
@@ -13,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -112,30 +110,3 @@ def build_classical(series: str, n: int) -> Tuple[LieAlgebra, Representation]:
     if family == "sl":
         return build_sl(n)
     return build_so_sp(a * n + b, +1 if family == "so" else -1)
-
-
-# ---------------------------------------------------------------------------
-# closed-form pair-indexed metrics (spanning-set conventions of the defining
-# constructions; the tests use them as oracles)
-# ---------------------------------------------------------------------------
-
-def sl_pair_metric(n: int) -> Callable[[int, int, int, int], Fraction]:
-    def g(i, j, k, l):
-        return Fraction(2 * (n * (j == k) * (i == l) - (i == j) * (k == l)))
-    return g
-
-
-def sl_pair_metric_inv(n: int) -> Callable[[int, int, int, int], Fraction]:
-    def ginv(i, j, k, l):
-        return (Fraction((j == k) * (i == l)) - Fraction((i == j) * (k == l), n)) \
-            / (2 * n)
-    return ginv
-
-
-def sosp_pair_metric(n: int, eps: int) -> Callable[[int, int, int, int], Fraction]:
-    c = _metric_c(n, eps).to_dense_fractions()
-
-    def g(i1, i2, j1, j2):
-        return 2 * (n - 2 * eps) * (c[i2][j1] * c[j2][i1]
-                                    - eps * c[i1][j1] * c[j2][i2])
-    return g

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .casimir import SplitCasimir
 from .catalog import adjoint_context, parse_name
 from .kernel import (
     SparseOp,
@@ -167,13 +168,28 @@ def _resolve_method(method: str, dim: int) -> str:
     return method
 
 
+def _loop_unit(unit: Optional[SparseOp]) -> Optional[SparseOp]:
+    """``unit`` for a randomized loop: None for the identity (every
+    Chevalley adjoint), whose matvecs the loop then skips."""
+    return None if unit is None or unit.is_identity() else unit
+
+
+def _apply_unit(unit: Optional[SparseOp], v: Vec) -> Vec:
+    return v if unit is None else unit.matvec(v)
+
+
 def _subspace_random(unit: Optional[SparseOp], dim: int,
                      rng: np.random.Generator) -> Vec:
-    v = Vec.random_exact(dim, rng)
-    return unit.matvec(v) if unit is not None else v
+    return _apply_unit(unit, Vec.random_exact(dim, rng))
 
 
-def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
+def _split_parts(sc: SplitCasimir, method: str):
+    """(C+, C-): built for exact_full, matvec-only views for
+    randomized_exact, which only applies them to vectors."""
+    return sc.parts() if method == "exact_full" else sc.part_views()
+
+
+def verify_identity(op, ident: CharIdentity, method: str = "auto",
                     unit: Optional[SparseOp] = None, target: str = "",
                     trials: int = RANDOM_TRIALS, seed: int = 0
                     ) -> VerificationReport:
@@ -182,7 +198,8 @@ def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
     exact_full builds prod_i (op - r_i * unit) * unit as one sparse operator
     chain: it is zero iff the identity holds on every basis vector, and a
     FAIL names the first nonzero column.  randomized_exact applies the
-    factors to random subspace vectors."""
+    factors to random subspace vectors; there ``op`` may be any operator
+    with ``rows``, ``cols`` and ``matvec``, such as a ``SplitPart``."""
     dim = op.rows
     method = _resolve_method(method, dim)
     roots = ident.roots
@@ -194,6 +211,7 @@ def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
             return VerificationReport(target, "FAIL", method, j + 1,
                                       witness=[j])
         return VerificationReport(target, "PASS", method, dim)
+    unit = _loop_unit(unit)
     for t in range(trials):
         v = _subspace_random(unit, dim, rng)
         if not apply_poly_factors(op, roots, v, unit=unit).is_zero():
@@ -229,7 +247,8 @@ def verify_adjoint_identity(name: str, method: str = "auto",
 def verify_antisymmetric_identity(name: str, method: str = "auto",
                                   seed: int = 0) -> VerificationReport:
     ctx = adjoint_context(name)
-    _, cm = ctx.sc.parts()
+    method = _resolve_method(method, ctx.sc.operator.rows)
+    _, cm = _split_parts(ctx.sc, method)
     return verify_identity(cm, antisymmetric_identity(), method,
                            unit=ctx.sc.unit,
                            target=f"{name} C- universal identity", seed=seed)
@@ -445,22 +464,27 @@ def verify_universal_sym_identity(name: str, method: str = "auto",
         return VerificationReport(f"{name} universal symmetric identity",
                                   "NOT_APPLICABLE", "none")
     ctx = adjoint_context(name)
-    cp, _ = ctx.sc.parts()
     mu = universal_mu(ctx.dim_g)
-    rhs = cp.scaled(Fraction(-1, 6)) \
-        + (ctx.ops["I"] + ctx.ops["P"] + ctx.big_k).scaled(mu)
-    dim = cp.rows
+    dim = ctx.sc.operator.rows
     method = _resolve_method(method, dim)
+    cp, _ = _split_parts(ctx.sc, method)
     if method == "exact_full":
+        rhs = cp.scaled(Fraction(-1, 6)) \
+            + (ctx.ops["I"] + ctx.ops["P"] + ctx.big_k).scaled(mu)
         ok = (cp @ cp) == rhs
         rep = VerificationReport(f"{name} C+^2 universal identity",
                                  "PASS" if ok else "FAIL", method)
     else:
         rng = np.random.default_rng(seed)
+        unit = _loop_unit(ctx.sc.unit)
         rep = None
         for t in range(trials):
-            v = _subspace_random(ctx.sc.unit, dim, rng)
-            if not (cp.matvec(cp.matvec(v)) - rhs.matvec(v)).is_zero():
+            v = _subspace_random(unit, dim, rng)
+            c1 = cp.matvec(v)
+            rhs = c1.scaled(Fraction(-1, 6)) + (
+                _apply_unit(unit, v) + ctx.ops["P"].matvec(v)
+                + ctx.big_k.matvec(v)).scaled(mu)
+            if not (cp.matvec(c1) - rhs).is_zero():
                 rep = VerificationReport(f"{name} C+^2 universal identity",
                                          "FAIL", method, t + 1,
                                          witness=v.fractions())
@@ -495,23 +519,26 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
         return VerificationReport(f"{name} generic classical identity",
                                   "FAIL", "formula",
                                   detail=f"dim formula gave {dim_formula}")
-    cp, _ = ctx.sc.parts()
-    rhs = combine([(mu1, cp), (mu2, ctx.ops["I"]), (mu2, ctx.ops["P"]),
-                   (-2 * mu2, ctx.big_k)])
-    dim = cp.rows
+    dim = ctx.sc.operator.rows
     method = _resolve_method(method, dim)
+    cp, _ = _split_parts(ctx.sc, method)
     if method == "exact_full":
+        rhs = combine([(mu1, cp), (mu2, ctx.ops["I"]), (mu2, ctx.ops["P"]),
+                       (-2 * mu2, ctx.big_k)])
         c2 = cp @ cp
         ok = combine([(1, c2 @ cp), (Fraction(1, 2), c2)]) == rhs
         return VerificationReport(f"{name} generic classical identity",
                                   "PASS" if ok else "FAIL", method)
     rng = np.random.default_rng(seed)
+    unit = _loop_unit(ctx.sc.unit)
     for t in range(trials):
-        v = _subspace_random(ctx.sc.unit, dim, rng)
+        v = _subspace_random(unit, dim, rng)
         c1 = cp.matvec(v)
         c2 = cp.matvec(c1)
         c3 = cp.matvec(c2)
-        if not (c3 + c2.scaled(Fraction(1, 2)) - rhs.matvec(v)).is_zero():
+        rhs = c1.scaled(mu1) + (_apply_unit(unit, v) + ctx.ops["P"].matvec(v)
+                                - ctx.big_k.matvec(v).scaled(2)).scaled(mu2)
+        if not (c3 + c2.scaled(Fraction(1, 2)) - rhs).is_zero():
             return VerificationReport(f"{name} generic classical identity",
                                       "FAIL", method, t + 1,
                                       witness=v.fractions())

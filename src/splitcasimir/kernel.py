@@ -80,7 +80,14 @@ def _gcd_reduce(data: np.ndarray) -> int:
             if g == 1:
                 return 1
         return g
-    return int(np.gcd.reduce(np.abs(data))) if len(data) else 0
+    if not len(data):
+        return 0
+    # the gcd of all entries divides that of the first 64, so a prefix gcd
+    # of 1 settles it; most canonical data reaches 1 there
+    head = int(np.gcd.reduce(np.abs(data[:64])))
+    if head == 1 or len(data) <= 64:
+        return head
+    return int(np.gcd.reduce(np.abs(data)))
 
 
 def _shrink_if_safe(data: np.ndarray) -> np.ndarray:
@@ -336,6 +343,13 @@ class SparseOp:
     def is_zero(self) -> bool:
         return self.nnz == 0
 
+    def is_identity(self) -> bool:
+        # canonical triplets are distinct, so n diagonal ones of an n x n
+        # operator fill the diagonal
+        return (self.rows == self.cols == self.nnz and self.scale == 1
+                and bool(np.array_equal(self.row, self.col))
+                and bool((self.data == 1).all()))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOp):
             return NotImplemented
@@ -486,12 +500,14 @@ def vec_columns(ops: Sequence[SparseOp]) -> SparseOp:
                    for a, op in enumerate(ops))
 
 
-def apply_poly_factors(op: SparseOp, roots: Sequence[ScalarLike], v: Vec,
+def apply_poly_factors(op, roots: Sequence[ScalarLike], v: Vec,
                        unit: Optional[SparseOp] = None) -> Vec:
     """Apply prod_i (op - r_i * unit) to v, left to right, factor by factor.
 
-    ``unit`` defaults to the identity; passing a subspace projector makes the
-    factors act as shifts on that subspace (callers feed subspace vectors).
+    ``op`` needs only ``rows``, ``cols`` and ``matvec``: a SparseOp or a
+    matvec-only view such as ``casimir.SplitPart``.  ``unit`` defaults to
+    the identity; passing a subspace projector makes the factors act as
+    shifts on that subspace (callers feed subspace vectors).
     """
     if op.rows != op.cols:
         raise DimensionMismatchError("apply_poly_factors needs a square op")

@@ -91,10 +91,6 @@ def emit(report: Report, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def parse_json(raw: str) -> Report:
-    return Report.from_dict(json.loads(raw))
-
-
 def _emit_markdown(report: Report) -> str:
     lines = ["# Verification report", ""]
     cfg = json.dumps(report.config, sort_keys=True)

@@ -26,13 +26,7 @@ from splitcasimir.algebras import (
     symmetric_block_inverse,
     trace_form,
 )
-from splitcasimir.classical import (
-    build_classical,
-    build_so_sp,
-    sl_pair_metric,
-    sl_pair_metric_inv,
-    sosp_pair_metric,
-)
+from splitcasimir.classical import _metric_c, build_classical, build_so_sp
 from splitcasimir.catalog import defining
 from splitcasimir.kernel import SparseOp, _pair_trace, combine
 from splitcasimir.serialize import dumps
@@ -260,6 +254,31 @@ def test_adjoint_casimir_product_matches_loop(name):
         probe = dataclasses.replace(alg, killing_inv=inv)
         assert check_adjoint_casimir_is_identity(probe) == \
             _adjoint_casimir_by_loop(probe) == (inv is ki)
+
+
+# closed-form pair-indexed metrics of the paper's spanning sets
+# (T_ij = e_ij - delta_ij I/N for sl(N), M_ij for so/sp), as oracles
+
+def sl_pair_metric(n):
+    def g(i, j, k, l):
+        return Fraction(2 * (n * (j == k) * (i == l) - (i == j) * (k == l)))
+    return g
+
+
+def sl_pair_metric_inv(n):
+    def ginv(i, j, k, l):
+        return (Fraction((j == k) * (i == l)) - Fraction((i == j) * (k == l), n)) \
+            / (2 * n)
+    return ginv
+
+
+def sosp_pair_metric(n, eps):
+    c = _metric_c(n, eps).to_dense_fractions()
+
+    def g(i1, i2, j1, j2):
+        return 2 * (n - 2 * eps) * (c[i2][j1] * c[j2][i1]
+                                    - eps * c[i1][j1] * c[j2][i2])
+    return g
 
 
 def test_sl_killing_pair_formula():

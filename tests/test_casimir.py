@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitcasimir.casimir import (
+    CasimirError,
     adjoint_split_casimir,
     antisymmetrizer_4,
     casimir_eigenvalue,
@@ -397,6 +398,19 @@ def test_swap_conjugation_fixes_casimir():
         assert sc.swap @ sc.operator @ sc.swap == sc.operator
 
 
+@pytest.mark.parametrize("name", ["g2", "f4", "sl(3)", "so(8)", "sp(4)"])
+def test_part_views_match_built_parts(name):
+    # sl(3), so(8) and sp(4) live on V^(x4): the unit is a projector and P
+    # is not a permutation, so no commutation shortcut is hidden here
+    sc = adjoint_context(name).sc
+    rng = np.random.default_rng(17)
+    for built, view in zip(sc.parts(), sc.part_views()):
+        assert (view.rows, view.cols) == (built.rows, built.cols)
+        for _ in range(3):
+            v = sc.unit.matvec(Vec.random_exact(built.cols, rng))
+            assert view.matvec(v) == built.matvec(v)
+
+
 def test_split_casimir_mixed_representation_pair():
     # defining (x) adjoint: ad-invariance and the comultiplication identity
     # hold for any built pair
@@ -404,6 +418,10 @@ def test_split_casimir_mixed_representation_pair():
     adj = alg.adjoint_rep()
     sc = split_casimir(rep, adj)
     assert sc.swap is None
+    with pytest.raises(CasimirError):
+        sc.parts()
+    with pytest.raises(CasimirError):
+        sc.part_views()
     d1, d2m = rep.dim_module, adj.dim_module
     i1, i2 = SparseOp.identity(d1), SparseOp.identity(d2m)
     ki = alg.killing_inv

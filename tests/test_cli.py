@@ -5,7 +5,7 @@ import json
 import pytest
 
 from splitcasimir.cli import SuiteConfig, main, run_suite
-from splitcasimir.report import CheckRecord, Report, emit, parse_json
+from splitcasimir.report import CheckRecord, Report, emit
 
 
 def test_run_suite_small_all_pass():
@@ -26,7 +26,7 @@ def test_reports_are_byte_identical_for_same_config_and_seed():
 def test_json_round_trip():
     config = SuiteConfig(["sl(2)"], ["construct"])
     report = run_suite(config)
-    again = parse_json(emit(report, "json"))
+    again = Report.from_dict(json.loads(emit(report, "json")))
     assert again.to_dict() == report.to_dict()
 
 

@@ -1,10 +1,13 @@
 """Characteristic identities and their independent rediscovery."""
 
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from splitcasimir.casimir import split_casimir
+from splitcasimir import identities
+from splitcasimir.casimir import SplitCasimir, split_casimir
 from splitcasimir.catalog import adjoint_context, defining
 from splitcasimir.identities import (
     CharIdentity,
@@ -271,3 +274,91 @@ def test_symmetric_part_identity_roots():
     assert set(ident.roots) == {0, -1, Fraction(1, 30), Fraction(-1, 5)}
     with pytest.raises(ValueError):
         symmetric_part_identity("sl(4)")
+
+
+# --- randomized checks on the composed C+- --------------------------------
+
+@pytest.mark.parametrize("name", ["g2", "f4"])
+@pytest.mark.parametrize("method", ["exact_full", "randomized_exact"])
+def test_part_checks_pass_on_both_methods(name, method):
+    for check in (verify_antisymmetric_identity,
+                  verify_universal_sym_identity):
+        rep = check(name, method)
+        assert (rep.status, rep.method) == ("PASS", method), rep.target
+
+
+@pytest.mark.parametrize("name", ["sl(4)", "so(7)"])
+@pytest.mark.parametrize("method", ["exact_full", "randomized_exact"])
+def test_generic_classical_identity_on_both_methods(name, method):
+    rep = verify_classical_generic_identity(name, method)
+    assert (rep.status, rep.method) == ("PASS", method)
+
+
+def _first_failure(op, roots, unit, trials, seed):
+    """Oracle: the randomized loop on a built operator, unit applied."""
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        v = unit.matvec(Vec.random_exact(op.cols, rng))
+        if not apply_poly_factors(op, roots, v, unit=unit).is_zero():
+            return "FAIL", t + 1, v.fractions()
+    return "PASS", trials, None
+
+
+@pytest.mark.parametrize("name", ["g2", "sl(3)"])
+def test_perturbed_root_fails_on_composed_part(name):
+    sc = adjoint_context(name).sc
+    ident = CharIdentity([0, Fraction(-1, 3)])  # C-(C- + 1/2) = 0 is true
+    _, cm_view = sc.part_views()
+    got = verify_identity(cm_view, ident, "randomized_exact", unit=sc.unit,
+                          trials=4, seed=5)
+    want = _first_failure(sc.parts()[1], ident.roots, sc.unit, 4, 5)
+    assert (got.status, got.trials, got.witness) == want
+    assert got.status == "FAIL" and got.witness is not None
+
+
+@pytest.mark.parametrize("name,check", [
+    ("g2", verify_universal_sym_identity),
+    ("sl(3)", verify_universal_sym_identity),
+    ("sl(4)", verify_classical_generic_identity),
+    ("so(7)", verify_classical_generic_identity)])
+@pytest.mark.parametrize("method", ["exact_full", "randomized_exact"])
+def test_wrong_k_fails_the_composed_right_hand_side(monkeypatch, name, check,
+                                                    method):
+    ctx = adjoint_context(name)
+    bad = dataclasses.replace(ctx, big_k=ctx.big_k.scaled(2))
+    monkeypatch.setattr(identities, "adjoint_context", lambda _: bad)
+    rep = check(name, method)
+    assert rep.status == "FAIL"
+    if method == "randomized_exact":
+        assert rep.witness is not None and rep.trials == 1
+
+
+@pytest.mark.parametrize("name", ["g2", "e6"])
+def test_randomized_part_checks_never_build_the_parts(monkeypatch, name):
+    def refuse(self):
+        raise AssertionError("parts() built")
+    monkeypatch.setattr(SplitCasimir, "parts", refuse)
+    assert verify_antisymmetric_identity(name, "randomized_exact").passed
+    assert verify_universal_sym_identity(name, "randomized_exact").passed
+    with pytest.raises(AssertionError):
+        verify_antisymmetric_identity(name, "exact_full")
+
+
+def test_identity_unit_is_never_applied(monkeypatch):
+    ctx = adjoint_context("g2")
+    unit = ctx.sc.unit
+    assert unit.is_identity()
+    ident = adjoint_identity("g2")
+    want = verify_identity(ctx.sc.operator, ident, "randomized_exact",
+                           trials=4)
+    matvec = SparseOp.matvec
+
+    def guarded(self, v):
+        assert self is not unit, "identity unit applied"
+        return matvec(self, v)
+    monkeypatch.setattr(SparseOp, "matvec", guarded)
+    got = verify_identity(ctx.sc.operator, ident, "randomized_exact",
+                          unit=unit, trials=4)
+    assert got == want and got.passed
+    assert verify_universal_sym_identity("g2", "randomized_exact",
+                                         trials=4).passed

@@ -14,6 +14,7 @@ from splitcasimir.kernel import (
     KernelError,
     SparseOp,
     Vec,
+    _gcd_reduce,
     apply_poly_factors,
     combine,
     kron,
@@ -314,6 +315,40 @@ def test_bigint_overflow_lift_is_exact():
     dense = a.to_dense_fractions()
     want = dense_matmul(dense_matmul(dense, dense), dense)
     assert np.array_equal(prod.to_dense_fractions(), want)
+
+
+@pytest.mark.parametrize("values", [
+    [2] * 64 + [3],             # prefix gcd 2, total 1
+    [0] * 64 + [6, -4],         # all-zero prefix, nonzero tail
+    [4, -6, 10],                # shorter than the prefix
+    [5] * 64,                   # exactly the prefix
+    [0] * 100,                  # all zero: 0
+    [],
+    [-4] * 64 + [-6] * 10,      # negative entries, prefix gcd 4
+    [1] + [10 ** 6] * 100,      # a prefix gcd of 1 settles it
+])
+def test_gcd_reduce_prefix_boundaries(values):
+    want = math.gcd(*values)
+    assert _gcd_reduce(np.array(values, dtype=np.int64)) == want
+    assert _gcd_reduce(np.array(values, dtype=object)) == want
+    assert _gcd_reduce(np.array(values + [2 ** 70], dtype=object)) == \
+        math.gcd(want, 2 ** 70)
+
+
+def test_vec_canonical_gcd_past_the_prefix():
+    v = Vec(np.array([4] * 64 + [6], dtype=np.int64))
+    assert v.scale == 2 and v.data.tolist() == [2] * 64 + [3]
+
+
+def test_is_identity():
+    assert SparseOp.identity(5).is_identity()
+    assert not SparseOp.identity(5, scale=2).is_identity()
+    diag = [(0, 0, 1), (1, 1, 1)]
+    assert not SparseOp.from_triplets(3, 3, diag).is_identity()
+    assert not SparseOp.from_triplets(3, 3, diag + [(2, 2, -1)]).is_identity()
+    assert not SparseOp.from_triplets(3, 3, diag + [(2, 2, 2)]).is_identity()
+    assert not SparseOp.from_triplets(3, 3, diag + [(2, 1, 1)]).is_identity()
+    assert not SparseOp.from_triplets(2, 3, diag).is_identity()
 
 
 def test_vec_scaled_negative_is_canonical():
