@@ -15,10 +15,9 @@ from .kernel import (  # noqa: F401
     Vec,
     apply_poly_factors,
     kron,
-    randomized_zero_check,
     trace_word,
 )
-from .algebras import LieAlgebra, Representation, normalize  # noqa: F401
+from .algebras import LieAlgebra, Representation  # noqa: F401
 from .catalog import adjoint_context, chevalley, defining, parse_name  # noqa: F401
 from .classical import build_classical  # noqa: F401
 from .chevalley import build_chevalley_adjoint  # noqa: F401

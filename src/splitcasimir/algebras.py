@@ -1,6 +1,6 @@
 """Lie algebra and representation containers plus the generic exact machinery
 shared by every construction: structure constants from generator matrices,
-Killing metrics and their block inverses, invariant checks, normalization.
+Killing metrics and their block inverses, invariant checks.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def check_representation(rep: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# rational squares
 # ---------------------------------------------------------------------------
 
 def _is_rational_square(f: Fraction) -> Optional[Fraction]:
@@ -348,108 +348,3 @@ def _is_rational_square(f: Fraction) -> Optional[Fraction]:
     if rn * rn == f.numerator and rd * rd == f.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def normalize(alg: LieAlgebra, rep: Representation, convention: str
-              ) -> Tuple[LieAlgebra, Representation]:
-    """Change basis so the Killing metric is diagonal rational, then rescale
-    toward the requested convention where that needs no irrational scalars.
-
-    killing_unit targets kappa_aa = +-1; trace_unit targets
-    Tr(T_a T_b) = -delta_ab.  Entries whose rescaling would be irrational are
-    left diagonal rational; the inverse metric is threaded through all
-    contractions anyway, so every downstream operator is unaffected.
-    """
-    if convention not in ("killing_unit", "trace_unit"):
-        raise ValueError(f"unknown convention {convention!r}")
-    n = alg.dim
-    s = _congruence_diagonalize(alg.killing)
-    d2 = rep.d2() if convention == "trace_unit" else Fraction(1)
-    s_rows = []
-    for row, kaa in zip(s, _transform_metric_diag(alg.killing, s)):
-        r = _is_rational_square(abs(kaa * d2))
-        c = Fraction(1) / r if r is not None else Fraction(1)
-        s_rows.append({k: v * c for k, v in row.items()})
-    s_op = _rows_op(n, s_rows)
-    s_inv = SparseOp.from_dense(
-        invert_fraction_matrix(s_op.to_dense_fractions()))
-    # C'^d_{ab} = S_a^p S_b^q C^r_{pq} (S^-1)_r^d
-    struct2 = kron(s_op, s_op) @ alg.struct @ s_inv
-    killing2 = killing_from_struct(struct2, n)
-    alg2 = LieAlgebra(alg.name, alg.series, alg.rank, n, struct2, killing2,
-                      symmetric_block_inverse(killing2), convention,
-                      alg.root_data, alg.labels)
-    gens2 = [combine((v, rep.generators[b]) for b, v in row.items())
-             for row in s_rows]
-    rep2 = Representation(alg2, rep.dim_module, gens2, rep.kind,
-                          rep.module_metric)
-    return alg2, rep2
-
-
-def _rows_op(n: int, rows: Sequence[Dict[int, Fraction]]) -> SparseOp:
-    """The n x n operator with the given sparse rows."""
-    return SparseOp.from_triplets(n, n, [(i, k, v) for i, row in enumerate(rows)
-                                         for k, v in row.items()])
-
-
-def _congruence_diagonalize(killing: SparseOp) -> List[Dict[int, Fraction]]:
-    """Rows S_i with S kappa S^T diagonal (symmetric Gram-Schmidt over Q,
-    hyperbolic pairs handled by a preliminary x_i + x_j move)."""
-    n = killing.rows
-    dense = killing.to_dense_fractions()
-    basis = [{i: Fraction(1)} for i in range(n)]
-
-    def form(u: Dict[int, Fraction], v: Dict[int, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for a, ua in u.items():
-            rowa = dense[a]
-            for b, vb in v.items():
-                x = rowa[b]
-                if x:
-                    total += ua * vb * x
-        return total
-
-    out: List[Dict[int, Fraction]] = []
-    remaining = basis
-    while remaining:
-        # pick a vector of nonzero norm, fixing a hyperbolic pair if needed
-        head = None
-        for i, cand in enumerate(remaining):
-            if form(cand, cand) != 0:
-                head = remaining.pop(i)
-                break
-        if head is None:
-            first = remaining[0]
-            mate = next(v for v in remaining[1:] if form(first, v) != 0)
-            merged = dict(first)
-            for k, x in mate.items():
-                merged[k] = merged.get(k, Fraction(0)) + x
-            head = merged
-            remaining.pop(0)
-        norm = form(head, head)
-        out.append(head)
-        new_rem = []
-        for v in remaining:
-            c = form(head, v) / norm
-            if c:
-                nv = dict(v)
-                for k, x in head.items():
-                    nv[k] = nv.get(k, Fraction(0)) - c * x
-                    if nv[k] == 0:
-                        del nv[k]
-                new_rem.append(nv)
-            else:
-                new_rem.append(v)
-        remaining = new_rem
-    return out
-
-
-def _transform_metric_diag(killing: SparseOp, s_rows) -> List[Fraction]:
-    """The diagonal of S kappa S^T for S with rows ``s_rows``."""
-    s = _rows_op(killing.rows, s_rows)
-    prod = s @ killing @ s.transpose()
-    out = [Fraction(0)] * len(s_rows)
-    for r, c, v in prod.entries():
-        if r == c:
-            out[r] = v
-    return out

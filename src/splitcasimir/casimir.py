@@ -33,6 +33,9 @@ from .kernel import (
 )
 from .rootdata import RootSystem, series_rank
 
+# weighted_kron_sum normalizes its buffered triplets once past this many
+KRON_CHUNK_NNZ = 4_000_000
+
 
 class CasimirError(Exception):
     pass
@@ -101,8 +104,9 @@ class SplitCasimir:
                 SplitPart(self.operator, self.swap, -1))
 
 
-def weighted_kron_sum(pairs, chunk_nnz: int = 4_000_000) -> SparseOp:
-    """sum_k c_k * kron(A_k, B_k) assembled chunkwise with one common scale.
+def weighted_kron_sum(pairs) -> SparseOp:
+    """sum_k c_k * kron(A_k, B_k) assembled in chunks of about
+    KRON_CHUNK_NNZ triplets with one common scale.
 
     ``pairs`` yields (coefficient, A, B); all exact.
     """
@@ -132,7 +136,7 @@ def weighted_kron_sum(pairs, chunk_nnz: int = 4_000_000) -> SparseOp:
         buf_c.append(cc)
         buf_d.append(d)
         buffered += len(d)
-        if buffered >= chunk_nnz:
+        if buffered >= KRON_CHUNK_NNZ:
             acc = acc + _flush(rows_dim, cols_dim, buf_r, buf_c, buf_d, den)
             buf_r, buf_c, buf_d, buffered = [], [], [], 0
     if buffered:

@@ -275,7 +275,7 @@ def minimal_polynomial(op: SparseOp, degree_bound: int,
         v = _subspace_random(unit, dim, rng)
         if v.is_zero():
             continue
-        p = _krylov_min_poly(op, v, degree_bound, unit)
+        p = _krylov_min_poly(op, v, degree_bound)
         if p is None:
             return {"coeffs": None, "roots": None, "confirmed": False,
                     "detail": f"degree bound {degree_bound} exceeded"}
@@ -295,8 +295,8 @@ def minimal_polynomial(op: SparseOp, degree_bound: int,
     return {"coeffs": poly, "roots": roots, "confirmed": confirmed}
 
 
-def _krylov_min_poly(op: SparseOp, v: Vec, degree_bound: int,
-                     unit: Optional[SparseOp]) -> Optional[List[Fraction]]:
+def _krylov_min_poly(op: SparseOp, v: Vec, degree_bound: int
+                     ) -> Optional[List[Fraction]]:
     # reduced Krylov vectors with bookkeeping of their monomial expansions
     pivots: List[Tuple[int, Vec, List[Fraction]]] = []
     cur = v

@@ -15,9 +15,8 @@ the same kernels run on it.  Results never depend on which dtype ran.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -541,82 +540,17 @@ def _pair_trace(a: SparseOp, b: SparseOp) -> Fraction:
     return total * a.scale * b.scale
 
 
-def trace_word(ops: Sequence[SparseOp], product_nnz_limit: int = 40_000_000
-               ) -> Fraction:
-    """Exact trace of a product of sparse operators.
-
-    Never materializes a dense product: single factors read the diagonal,
-    pairs use a sorted triplet join, longer words chain sparse products and
-    fall back to column-block application if the fill estimate is too large.
-    """
-    if not ops:
-        raise ValueError("trace_word needs at least one operator")
-    for x, y in zip(ops, ops[1:]):
-        if x.cols != y.rows:
-            raise DimensionMismatchError("trace_word factors not composable")
-    if ops[0].rows != ops[-1].cols:
-        raise DimensionMismatchError("trace_word product is not square")
+def trace_word(ops: Sequence[SparseOp]) -> Fraction:
+    """Exact trace of one operator or of the product of two, never
+    materialized: a single factor reads the diagonal, a pair uses a sorted
+    triplet join."""
     if len(ops) == 1:
+        if ops[0].rows != ops[0].cols:
+            raise DimensionMismatchError("trace_word operator is not square")
         return ops[0].trace()
     if len(ops) == 2:
-        return _pair_trace(ops[0], ops[1])
-    estimate = ops[0].nnz
-    for nxt in ops[1:-1]:
-        estimate = min(estimate * max(nxt.row_nnz_max, 1),
-                       ops[0].rows * nxt.cols)
-    if estimate <= product_nnz_limit:
-        acc = ops[0]
-        for nxt in ops[1:-1]:
-            acc = acc @ nxt
-        return _pair_trace(acc, ops[-1])
-    return _trace_word_columns(ops)
-
-
-def _trace_word_columns(ops: Sequence[SparseOp], block: int = 64) -> Fraction:
-    n = ops[0].rows
-    total = 0
-    scale = Fraction(1)
-    for o in ops:
-        scale = scale * o.scale
-    for start in range(0, n, block):
-        width = min(block, n - start)
-        cur = np.zeros((n, width), dtype=np.int64)
-        for j in range(width):
-            cur[start + j, j] = 1
-        for o in reversed(ops):
-            cur = o.apply_dense(cur)
-        total += sum(int(cur[start + j, j]) for j in range(width))
-    return total * scale
-
-
-@dataclass
-class ZeroCheckResult:
-    verdict: str  # "ZERO" | "NONZERO"
-    trials: int
-    witness: Optional[Vec] = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.verdict == "ZERO"
-
-
-def randomized_zero_check(apply_fn: Callable[[Vec], Vec], dim: int,
-                          trials: int = 20,
-                          rng: Optional[np.random.Generator] = None,
-                          seed: int = 0) -> ZeroCheckResult:
-    """Apply an operator expression to random integer vectors; ZERO iff
-    every image is exactly zero.
-
-    Records the witness vector on the first failure.
-    """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    for t in range(trials):
-        v = Vec.random_exact(dim, rng)
-        image = apply_fn(v)
-        if not image.is_zero():
-            return ZeroCheckResult("NONZERO", t + 1, witness=v)
-    return ZeroCheckResult("ZERO", trials)
+        return _pair_trace(*ops)
+    raise ValueError("trace_word takes one or two operators")
 
 
 def apply_two_site(op: SparseOp, v: Vec, sites: Tuple[int, int],
@@ -638,18 +572,6 @@ def apply_two_site(op: SparseOp, v: Vec, sites: Tuple[int, int],
     inverse = np.argsort(axes)
     restored = np.ascontiguousarray(np.transpose(out_cube, inverse)).ravel()
     return Vec(restored, op.scale * v.scale)
-
-
-def poly_of_op(op: SparseOp, coeffs: Sequence[ScalarLike],
-               unit: Optional[SparseOp] = None) -> SparseOp:
-    """Materialize sum_k coeffs[k] * op^k (op^0 = unit or identity), Horner style."""
-    unit = unit if unit is not None else SparseOp.identity(op.rows)
-    acc = unit.scaled(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc @ op
-        if c != 0:
-            acc = acc + unit.scaled(c)
-    return acc
 
 
 def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],

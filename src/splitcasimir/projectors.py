@@ -154,16 +154,35 @@ def _weighted_sum(weights: Sequence[int], vecs) -> Vec:
 # Lagrange construction and refinements
 # ---------------------------------------------------------------------------
 
+def lagrange_basis(roots: Sequence[Fraction]) -> List[List[Fraction]]:
+    """The Lagrange basis polynomials L_j(x) = prod_{i != j} (x - a_i) /
+    (a_j - a_i) of distinct roots a_j, each as its coefficient list,
+    constant term first."""
+    basis = []
+    for aj in roots:
+        coeffs = [Fraction(1)]  # prod_{i != j} (x - a_i)
+        denom = Fraction(1)
+        for ai in roots:
+            if ai == aj:
+                continue
+            coeffs = [Fraction(0)] + coeffs
+            for k in range(len(coeffs) - 1):
+                coeffs[k] -= ai * coeffs[k + 1]
+            denom *= (aj - ai)
+        basis.append([c / denom for c in coeffs])
+    return basis
+
+
 def lagrange_family(op: SparseOp, ident: CharIdentity,
                     unit: Optional[SparseOp] = None,
                     expected_dims: Optional[Dict[Fraction, int]] = None,
-                    context: str = "", precheck: bool = True
-                    ) -> ProjectorFamily:
-    """P_j = prod_{i != j} (op - a_i)/(a_j - a_i) over the identity's roots.
+                    context: str = "") -> ProjectorFamily:
+    """P_j = L_j(op) = prod_{i != j} (op - a_i)/(a_j - a_i) over the
+    identity's roots.
 
-    All members share one chain of powers W_k = unit @ op^k (k < number of
-    roots): P_j = sum_k c_jk W_k / prod_{i != j} (a_j - a_i), with c_jk the
-    coefficients of prod_{i != j} (x - a_i), summed by ``combine``.  That
+    The identity is checked first (randomized_exact, 4 trials).  All members
+    share one chain of powers W_k = unit @ op^k (k < number of roots):
+    P_j = sum_k L_j[k] W_k (``lagrange_basis``), summed by ``combine``.  That
     equals the factor-by-factor product exactly when ``unit`` is idempotent
     and commutes with ``op``; both are checked exactly first.
 
@@ -171,11 +190,10 @@ def lagrange_family(op: SparseOp, ident: CharIdentity,
     are the caller's business (see refine_family).
     """
     unit = unit if unit is not None else SparseOp.identity(op.rows)
-    if precheck:
-        rep = verify_identity(op, ident, method="randomized_exact",
-                              unit=unit, trials=4, target="lagrange precheck")
-        if not rep.passed:
-            raise ProjectorError("characteristic identity fails; no family")
+    rep = verify_identity(op, ident, method="randomized_exact",
+                          unit=unit, trials=4, target="lagrange precheck")
+    if not rep.passed:
+        raise ProjectorError("characteristic identity fails; no family")
     if unit @ unit != unit:
         raise ProjectorError("unit is not idempotent; no family")
     powers = [unit, unit @ op]
@@ -184,17 +202,8 @@ def lagrange_family(op: SparseOp, ident: CharIdentity,
     while len(powers) < len(ident.roots):
         powers.append(powers[-1] @ op)
     members = []
-    for aj in ident.roots:
-        coeffs = [Fraction(1)]  # prod_{i != j} (x - a_i), constant term first
-        denom = Fraction(1)
-        for ai in ident.roots:
-            if ai == aj:
-                continue
-            coeffs = [Fraction(0)] + coeffs
-            for k in range(len(coeffs) - 1):
-                coeffs[k] -= ai * coeffs[k + 1]
-            denom *= (aj - ai)
-        proj = combine((c / denom, w) for c, w in zip(coeffs, powers))
+    for aj, coeffs in zip(ident.roots, lagrange_basis(ident.roots)):
+        proj = combine(zip(coeffs, powers))
         dim = (expected_dims or {}).get(aj)
         if dim is None:
             tr = proj.trace()
@@ -313,37 +322,6 @@ def exceptional_adjoint_family(name: str) -> ProjectorFamily:
         op = ip.scaled(c_ip) + cp.scaled(c_cp) + k.scaled(c_k)
         members.append(FamilyMember(label, op, dim, eigenvalue=ev))
     return ProjectorFamily(members, unit, context=f"{name} adjoint")
-
-
-def cross_check_against_lagrange(family: ProjectorFamily, op: SparseOp,
-                                 ident: CharIdentity, unit: SparseOp,
-                                 trials: int = 8, seed: int = 0) -> bool:
-    """Member-by-member randomized equality between an explicit family and
-    the Lagrange construction (never materializing the Lagrange products on
-    large spaces)."""
-    rng = np.random.default_rng(seed)
-    by_ev = {}
-    for m in family.members:
-        if m.eigenvalue is not None:
-            by_ev.setdefault(m.eigenvalue, []).append(m)
-    for _ in range(trials):
-        v = unit.matvec(Vec.random_exact(op.rows, rng))
-        for aj in ident.roots:
-            image = v
-            denom = Fraction(1)
-            for ai in ident.roots:
-                if ai == aj:
-                    continue
-                image = op.matvec(image) - unit.matvec(image).scaled(ai)
-                denom *= (aj - ai)
-            image = image.scaled(Fraction(1) / denom)
-            got = None
-            for m in by_ev.get(aj, []):
-                piece = m.operator.matvec(v)
-                got = piece if got is None else got + piece
-            if got is None or not (got - image).is_zero():
-                return False
-    return True
 
 
 def sl_adjoint_family(n: int) -> ProjectorFamily:

@@ -3,8 +3,9 @@ Yang-Baxter, unitarity, form-equivalence and classical-YBE verification.
 
 Spectral forms are assembled from the invariant operators (I, P, K, F, D,
 projectors); Casimir-rational forms are Mobius functions of the split
-Casimir operator (or its shifted symmetric/antisymmetric parts), evaluated
-through exact polynomial interpolation on the verified eigenvalue sets.
+Casimir operator C (or its shifted symmetric/antisymmetric parts), evaluated
+as sum_j f(a_j) L_j(C) over the verified eigenvalues a_j, with the same
+Lagrange basis L_j as the projector families.
 The two construction paths share no arithmetic, so their entrywise equality
 at sampled spectral parameters is a real check.
 """
@@ -20,12 +21,8 @@ import numpy as np
 from .catalog import defining, invariants, parse_name
 from .casimir import split_casimir, split_parts, swap_operator
 from .identities import VerificationReport, defining_identity
-from .kernel import (
-    SparseOp,
-    Vec,
-    apply_two_site,
-    poly_of_op,
-)
+from .kernel import SparseOp, Vec, apply_two_site, combine
+from .projectors import lagrange_basis
 
 DEFAULT_SAMPLES: List[Tuple[Fraction, Fraction]] = [
     (Fraction(1, 2), Fraction(1, 3)),
@@ -67,34 +64,25 @@ class RMatrixFamily:
 
 
 def interpolate_function_of_op(op: SparseOp, roots: Sequence[Fraction],
-                               fn: Callable[[Fraction], Fraction],
-                               unit: Optional[SparseOp] = None) -> SparseOp:
-    """f(op) for diagonalizable op with the given eigenvalue set, through
-    the exact interpolating polynomial of degree < len(roots)."""
+                               fn: Callable[[Fraction], Fraction]) -> SparseOp:
+    """p(op) for the polynomial p of degree < len(roots) that interpolates
+    fn on the roots: p = sum_j fn(a_j) L_j over the Lagrange basis of the
+    projector families (``projectors.lagrange_basis``), as one ``combine``
+    over op^0 .. op^(n-1).  p(op) = fn(op) when op is diagonalizable with
+    its eigenvalues among the roots.  A root at a pole of fn raises
+    PoleError."""
     roots = [Fraction(r) for r in roots]
     try:
         values = [Fraction(fn(r)) for r in roots]
     except ZeroDivisionError as exc:
         raise PoleError(str(exc)) from exc
-    # Newton divided differences -> monomial coefficients
-    coeffs = [Fraction(0)] * len(roots)
-    newton = []
-    table = list(values)
-    for k in range(len(roots)):
-        newton.append(table[0])
-        table = [(table[i + 1] - table[i]) / (roots[i + 1 + k] - roots[i])
-                 for i in range(len(table) - 1)]
-    basis = [Fraction(1)]
-    for k, nk in enumerate(newton):
-        for i, b in enumerate(basis):
-            coeffs[i] += nk * b
-        if k + 1 < len(roots):
-            new_basis = [Fraction(0)] * (len(basis) + 1)
-            for i, b in enumerate(basis):
-                new_basis[i] -= roots[k] * b
-                new_basis[i + 1] += b
-            basis = new_basis
-    return poly_of_op(op, coeffs, unit=unit)
+    basis = lagrange_basis(roots)
+    coeffs = [sum(v * lj[k] for v, lj in zip(values, basis))
+              for k in range(len(roots))]
+    powers = [SparseOp.identity(op.rows), op][:len(roots)]
+    while len(powers) < len(roots):
+        powers.append(powers[-1] @ op)
+    return combine(zip(coeffs, powers))
 
 
 def _minimal_roots(op: SparseOp, bound: int = 8) -> List[Fraction]:

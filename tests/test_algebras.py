@@ -1,4 +1,4 @@
-"""Classical constructions, metric closed forms, nullspace and normalize."""
+"""Classical constructions, metric closed forms, nullspace and basis changes."""
 
 import dataclasses
 import hashlib
@@ -15,20 +15,20 @@ from splitcasimir import algebras, classical
 from splitcasimir.algebras import (
     Representation,
     _check_brackets,
+    algebra_from_struct,
     check_adjoint_casimir_is_identity,
     check_antisymmetry,
     check_jacobi,
     check_killing,
     check_representation,
     killing_from_struct,
-    normalize,
     sparse_nullspace,
     symmetric_block_inverse,
     trace_form,
 )
 from splitcasimir.classical import _metric_c, build_classical, build_so_sp
 from splitcasimir.catalog import defining
-from splitcasimir.kernel import SparseOp, _pair_trace, combine
+from splitcasimir.kernel import SparseOp, _pair_trace, combine, kron
 from splitcasimir.serialize import dumps
 
 
@@ -70,7 +70,7 @@ def _digest(ops):
 
 
 # sha256 of `serialize.dumps` of each output, as built by the per-pair
-# Fraction bracket tables and basis change these constructions replaced
+# Fraction bracket tables these constructions replaced
 _PINNED = {
     "sl(2).struct":
         "bf2820bad3a601461273756c23053760f01cf52a2aaf5be461658e8e5a08c3d9",
@@ -120,14 +120,6 @@ _PINNED = {
         "7529df91d532fea51b1fea584ede49ffcb57099c8815c04c067db67977e78f87",
     "sp(6).generators":
         "028e26b8eb08a9ef875748a5936231d4d69aa478f67ebeb84af2a7deb2263905",
-    "normalize(sl(3)).killing_unit.struct":
-        "61c30a6b04e9d4137345b29c29d800b5698c85bb67266ab4530e06d02e994645",
-    "normalize(sl(3)).killing_unit.generators":
-        "d8cdc4cfa470c73f2cb0fe215d3b7b740b1dadf9ef2a088b82fe32dccf768b63",
-    "normalize(sl(3)).trace_unit.struct":
-        "4d2bfdfd64d4b1403b1c182af0137c998adac110ee179b81a946d17af29ab1b1",
-    "normalize(sl(3)).trace_unit.generators":
-        "4cd590157ea35c6b20c42494283059a3d6f806b1fbdb9cf4bb7ddfaff9325c2e",
 }
 
 
@@ -139,11 +131,6 @@ def test_classical_and_normalize_outputs_are_pinned():
         got[f"{name}.struct"] = _digest([alg.struct])
         got[f"{name}.killing"] = _digest([alg.killing])
         got[f"{name}.generators"] = _digest(rep.generators)
-    for convention in ("killing_unit", "trace_unit"):
-        alg, rep = normalize(*defining("sl(3)"), convention)
-        key = f"normalize(sl(3)).{convention}"
-        got[f"{key}.struct"] = _digest([alg.struct])
-        got[f"{key}.generators"] = _digest(rep.generators)
     assert got == _PINNED
 
 
@@ -514,35 +501,29 @@ def test_symmetric_block_inverse():
         symmetric_block_inverse(singular)
 
 
-def test_normalize_idempotent_and_diagonal():
-    alg, rep = build_classical("A", 1)
-    alg2, rep2 = normalize(alg, rep, "killing_unit")
-    # diagonal Killing metric
-    assert all(r == c for r, c, _ in alg2.killing.entries())
-    alg3, rep3 = normalize(alg2, rep2, "killing_unit")
-    assert alg3.killing == alg2.killing
-    assert [g for g in rep3.generators] == [g for g in rep2.generators]
-
-
 def test_normalize_preserves_casimir_and_d2():
+    # a change of basis X'_a = S_a^b X_b by a fixed integer unitriangular S:
+    # C'^d_{ab} = S_a^p S_b^q C^r_{pq} (S^-1)_r^d and T'_a = S_a^b T_b
     from splitcasimir.casimir import split_casimir
     alg, rep = build_classical("A", 2)
     sc = split_casimir(rep, rep)
-    for convention in ("killing_unit", "trace_unit"):
-        alg2, rep2 = normalize(alg, rep, convention)
-        assert check_jacobi(alg2)
-        assert check_representation(rep2)
-        assert check_adjoint_casimir_is_identity(alg2)
-        # the split Casimir is basis independent
-        sc2 = split_casimir(rep2, rep2)
-        assert sc2.operator == sc.operator
-        # sl(N) trace convention: d2 = 1/(2N) in any basis
-        assert rep2.d2() == Fraction(1, 6)
-        assert alg2.convention == convention
-
-
-def test_normalize_rejects_minus_delta():
-    # "minus_delta" selected the same basis change as "killing_unit"
-    alg, rep = build_classical("A", 2)
-    with pytest.raises(ValueError, match="minus_delta"):
-        normalize(alg, rep, "minus_delta")
+    n = alg.dim
+    # E maps the last four basis vectors into the first four, so E^2 = 0
+    # and S = I + E has the inverse I - E
+    e = SparseOp.from_triplets(n, n, [(0, 4, 1), (0, 5, 2), (1, 4, -1),
+                                      (2, 7, 3), (3, 6, 1)])
+    s_op, s_inv = SparseOp.identity(n) + e, SparseOp.identity(n) - e
+    assert s_op @ s_inv == SparseOp.identity(n)
+    struct2 = kron(s_op, s_op) @ alg.struct @ s_inv
+    alg2 = algebra_from_struct(alg.name, alg.series, alg.rank, n, struct2)
+    rows = {}
+    for a, b, v in s_op.entries():
+        rows.setdefault(a, []).append((v, rep.generators[b]))
+    gens2 = [combine(rows[a]) for a in range(n)]
+    rep2 = Representation(alg2, rep.dim_module, gens2, rep.kind)
+    assert alg2.killing != alg.killing
+    assert check_representation(rep2)
+    # the split Casimir is basis independent
+    assert split_casimir(rep2, rep2).operator == sc.operator
+    # sl(N) trace convention: d2 = 1/(2N) in any basis
+    assert rep2.d2() == Fraction(1, 6)

@@ -356,19 +356,15 @@ def test_exceptional_defining_convention_is_d2_normalized():
 
 
 def test_zero_check_sl2_adjoint_cminus_identity():
-    # randomized_zero_check on C-(C- + 1/2) for the sl(2) adjoint: ZERO
-    # across 20 trials
-    from splitcasimir.kernel import randomized_zero_check, apply_poly_factors
+    # C-(C- + 1/2) = 0 for the sl(2) adjoint: PASS across 20 random vectors
+    from splitcasimir.identities import CharIdentity, verify_identity
     alg, _ = defining("sl(2)")
     sc = adjoint_split_casimir(alg)
     _, cm = sc.parts()
-
-    def expr(v):
-        return apply_poly_factors(cm, [0, Fraction(-1, 2)], v)
-
-    res = randomized_zero_check(expr, cm.rows, trials=20, seed=4)
-    assert res.is_zero
-    assert res.trials == 20
+    rep = verify_identity(cm, CharIdentity([0, Fraction(-1, 2)]),
+                          method="randomized_exact", trials=20, seed=4)
+    assert rep.status == "PASS"
+    assert rep.trials == 20
 
 
 def test_kono_drinfeld_e6_exact_and_e7_randomized():

@@ -13,8 +13,6 @@ from splitcasimir.algebras import (
     check_jacobi,
     check_killing,
     check_representation,
-    _congruence_diagonalize,
-    _transform_metric_diag,
 )
 from splitcasimir.chevalley import (
     build_chevalley_adjoint,
@@ -170,13 +168,21 @@ def test_g2_two_constructions_agree_on_invariants():
     assert chev.rank == octo.rank == 2
 
     def det_sign(alg):
-        s = _congruence_diagonalize(alg.killing)
-        diag = _transform_metric_diag(alg.killing, s)
+        # sign of det(kappa) by exact Gaussian elimination over Q
+        m = [list(row) for row in alg.killing.to_dense_fractions()]
+        n = len(m)
         sign = 1
-        for x in diag:
-            assert x != 0
-            if x < 0:
+        for k in range(n):
+            p = next(i for i in range(k, n) if m[i][k] != 0)
+            if p != k:
+                m[k], m[p] = m[p], m[k]
                 sign = -sign
+            if m[k][k] < 0:
+                sign = -sign
+            for i in range(k + 1, n):
+                f = m[i][k] / m[k][k]
+                if f:
+                    m[i] = [x - f * y for x, y in zip(m[i], m[k])]
         return sign
 
     assert det_sign(chev) == det_sign(octo)

@@ -18,11 +18,10 @@ from splitcasimir.kernel import (
     apply_poly_factors,
     combine,
     kron,
-    poly_of_op,
     product_of_shifts,
-    randomized_zero_check,
     trace_word,
 )
+from splitcasimir.identities import CharIdentity, verify_identity
 from splitcasimir.serialize import dumps, loads
 
 
@@ -218,53 +217,47 @@ def test_trace_permutation_on_tensor_square():
 
 def test_trace_word_matches_dense_oracle():
     rng = np.random.default_rng(23)
-    ops = [random_exact_op(rng, 4, 4, 0.5) for _ in range(4)]
-    dense = ops[0].to_dense_fractions()
-    for o in ops[1:]:
-        dense = dense_matmul(dense, o.to_dense_fractions())
+    ops = [random_exact_op(rng, 4, 4, 0.5) for _ in range(2)]
+    dense = dense_matmul(ops[0].to_dense_fractions(), ops[1].to_dense_fractions())
     want = sum(dense[i, i] for i in range(4))
     assert trace_word(ops) == want
-    # pair fast path agrees with the chain
-    assert trace_word(ops[:2]) == trace_word([ops[0] @ ops[1]])
+    # the pair join agrees with the trace of the materialized product
+    assert trace_word(ops) == trace_word([ops[0] @ ops[1]])
+    with pytest.raises(ValueError):
+        trace_word(ops + ops[:1])
 
 
 def test_trace_word_cyclic_invariance():
     rng = np.random.default_rng(29)
-    ops = [random_exact_op(rng, 3, 3, 0.7) for _ in range(3)]
-    base = trace_word(ops)
-    assert trace_word(ops[1:] + ops[:1]) == base
-    assert trace_word(ops[2:] + ops[:2]) == base
+    a = random_exact_op(rng, 3, 5, 0.7)
+    b = random_exact_op(rng, 5, 3, 0.7)
+    assert trace_word([a, b]) == trace_word([b, a])
 
 
-def test_trace_word_column_fallback_agrees():
-    from splitcasimir.kernel import _trace_word_columns
-    rng = np.random.default_rng(31)
-    ops = [random_exact_op(rng, 5, 5, 0.5) for _ in range(3)]
-    assert _trace_word_columns(ops, block=2) == trace_word(ops)
-
-
-# --- randomized_zero_check ------------------------------------------------------
+# --- randomized zero checks ---------------------------------------------------
 
 def test_zero_check_zero_operator():
-    zero = SparseOp.zero(6, 6)
-    res = randomized_zero_check(zero.matvec, 6, trials=5, seed=1)
-    assert res.is_zero
+    rep = verify_identity(SparseOp.zero(6, 6), CharIdentity([0]),
+                          method="randomized_exact", trials=5, seed=1)
+    assert rep.status == "PASS" and rep.trials == 5
 
 
 def test_zero_check_identity_has_witness():
     ident = SparseOp.identity(4)
-    res = randomized_zero_check(ident.matvec, 4, trials=1, seed=1)
-    assert res.verdict == "NONZERO"
-    assert res.witness is not None
-    assert not ident.matvec(res.witness).is_zero()
+    rep = verify_identity(ident, CharIdentity([0]),
+                          method="randomized_exact", trials=1, seed=1)
+    assert rep.status == "FAIL"
+    assert not Vec.from_fractions(rep.witness).is_zero()
 
 
 def test_zero_check_tiny_scale_is_nonzero():
-    # exact arithmetic has no tolerance: 10^-12 * identity is not zero
-    tiny = SparseOp.identity(3, scale=Fraction(1, 10 ** 12))
-    res = randomized_zero_check(tiny.matvec, 3, trials=4, seed=2)
-    assert res.verdict == "NONZERO"
-    assert not tiny.matvec(res.witness).is_zero()
+    # exact arithmetic has no tolerance: (1 + 10^-12) I - I is not zero
+    near = SparseOp.identity(3, scale=1 + Fraction(1, 10 ** 12))
+    rep = verify_identity(near, CharIdentity([1]), method="randomized_exact",
+                          trials=4, seed=2)
+    assert rep.status == "FAIL" and rep.trials == 1
+    w = Vec.from_fractions(rep.witness)
+    assert not (near.matvec(w) - w).is_zero()
 
 
 # --- storage-order invariants -------------------------------------------
@@ -431,13 +424,9 @@ def test_poly_of_op_and_shifts():
     ident = np.full((4, 4), Fraction(0), dtype=object)
     for i in range(4):
         ident[i, i] = Fraction(1)
-    # c0 + c1 x + c2 x^2 at x = a
-    want = 2 * ident + Fraction(-1, 3) * dense + dense_matmul(dense, dense)
-    got = poly_of_op(a, [2, Fraction(-1, 3), 1])
-    assert np.array_equal(got.to_dense_fractions(), want)
     shifts = product_of_shifts(a, [1, -2])
-    want2 = dense_matmul(dense - ident, dense + 2 * ident)
-    assert np.array_equal(shifts.to_dense_fractions(), want2)
+    want = dense_matmul(dense - ident, dense + 2 * ident)
+    assert np.array_equal(shifts.to_dense_fractions(), want)
 
 
 def test_product_of_shifts_with_unit_pins_factor_order():

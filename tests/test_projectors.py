@@ -12,7 +12,7 @@ from splitcasimir.identities import (
     adjoint_identity,
     defining_identity,
 )
-from splitcasimir.kernel import SparseOp, Vec, kron
+from splitcasimir.kernel import SparseOp, combine, kron
 from splitcasimir.projectors import (
     MATERIALIZED_PRODUCT_MAX_DIM,
     PRODUCT_PROBE_RANGE,
@@ -20,7 +20,6 @@ from splitcasimir.projectors import (
     FamilyMember,
     ProjectorError,
     ProjectorFamily,
-    cross_check_against_lagrange,
     defining_family,
     exceptional_adjoint_family,
     lagrange_family,
@@ -94,10 +93,11 @@ def test_shared_powers_equal_chain_products(name, kind):
 
 
 def test_lagrange_family_rejects_non_idempotent_unit():
-    op = SparseOp.from_triplets(3, 3, [(0, 0, 2), (1, 1, 5), (2, 2, 5)])
+    # the zero op satisfies op (op - unit) = 0 for any unit, so the identity
+    # check passes and the idempotency check is what refuses unit = 2 I
     with pytest.raises(ProjectorError, match="idempotent"):
-        lagrange_family(op, CharIdentity([2, 5]),
-                        unit=SparseOp.identity(3).scaled(2), precheck=False)
+        lagrange_family(SparseOp.zero(3, 3), CharIdentity([0, 1]),
+                        unit=SparseOp.identity(3).scaled(2))
 
 
 def test_lagrange_family_rejects_non_commuting_unit():
@@ -105,7 +105,7 @@ def test_lagrange_family_rejects_non_commuting_unit():
     op = SparseOp.from_triplets(2, 2, [(0, 0, 2), (1, 1, 5)])
     unit = SparseOp.from_triplets(2, 2, [(0, 0, 1), (0, 1, 1)])
     with pytest.raises(ProjectorError, match="commute"):
-        lagrange_family(op, CharIdentity([2, 5]), unit=unit, precheck=False)
+        lagrange_family(op, CharIdentity([2, 5]), unit=unit)
 
 
 def test_sl_adjoint_seven_projectors():
@@ -177,10 +177,17 @@ def test_exceptional_adjoint_families(name, dims):
     fam = exceptional_adjoint_family(name)
     assert _dims(fam) == sorted(dims)
     assert fam.verify()["all_pass"]
+    # the paper's affine members, summed per eigenvalue, are exactly the
+    # Lagrange projectors of the adjoint identity
     ctx = adjoint_context(name)
-    assert cross_check_against_lagrange(fam, ctx.sc.operator,
-                                        adjoint_identity(name), ctx.sc.unit,
-                                        trials=3)
+    lag = lagrange_family(ctx.sc.operator, adjoint_identity(name),
+                          unit=ctx.sc.unit)
+    by_ev = {}
+    for m in fam.members:
+        by_ev.setdefault(m.eigenvalue, []).append((1, m.operator))
+    assert sorted(by_ev) == sorted(m.eigenvalue for m in lag.members)
+    for m in lag.members:
+        assert combine(by_ev[m.eigenvalue]) == m.operator
 
 
 def test_x1x2_split():

@@ -33,6 +33,34 @@ def test_interpolation_reproduces_function():
     assert got == want
 
 
+def test_interpolation_on_non_diagonalizable_op():
+    # a 3x3 Jordan block of eigenvalue 2 plus the diagonal entry 5: p(A) is
+    # the interpolating polynomial of fn on the roots applied to A, here
+    # checked against the dense factor-by-factor Lagrange form
+    op = SparseOp.from_triplets(4, 4, [(0, 0, 2), (1, 1, 2), (2, 2, 2),
+                                       (0, 1, 1), (1, 2, 1), (3, 3, 5)])
+    roots = [Fraction(2), Fraction(5), Fraction(-1)]
+
+    def fn(x):
+        return (x + 5) / (x - 7)
+
+    dense = op.to_dense_fractions()
+    eye = SparseOp.identity(4).to_dense_fractions()
+    want = np.full((4, 4), Fraction(0), dtype=object)
+    for aj in roots:
+        term = eye * fn(aj)
+        for ai in roots:
+            if ai != aj:
+                term = term.dot(dense - eye * ai) / (aj - ai)
+        want = want + term
+    got = interpolate_function_of_op(op, roots, fn)
+    assert np.array_equal(got.to_dense_fractions(), want)
+    # A is not diagonalizable, so p(A) has a nilpotent part
+    assert got.to_dense_fractions()[0, 2] != 0
+    with pytest.raises(PoleError):
+        interpolate_function_of_op(op, roots + [Fraction(7)], fn)
+
+
 def test_identity_rmatrix_satisfies_ybe():
     # trivial case: R(u) = I solves YBE on any tensor cube
     d = 3
