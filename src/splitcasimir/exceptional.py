@@ -2,9 +2,11 @@
 
 g2 comes from octonion derivations (7-dim module), f4 from derivations of
 the exceptional Jordan algebra J3 (26-dim), e6 from adding the traceless
-Jordan multiplications (27-dim), e7 from the minuscule weight construction
-over its Chevalley basis (56-dim).  e8's minimal fundamental representation
-is the adjoint and lives in `chevalley`.
+Jordan multiplications (27-dim), e7 from its Chevalley basis acting on the
+weight basis of the minuscule orbit (56-dim): every simple e_i moves a
+weight to the next with coefficient 1, f = e^T, and no sign is chosen.
+e8's minimal fundamental representation is the adjoint and lives in
+`chevalley`.
 
 Everything up to e6 starts from the integer octonion table.  The Jordan
 product of J3 is an integer bilinear map on 3x3 octonion matrices, halved
@@ -345,164 +347,47 @@ def build_e6_defining() -> Tuple[LieAlgebra, Representation]:
 
 @lru_cache(maxsize=1)
 def build_e7_defining() -> Tuple[LieAlgebra, Representation]:
+    """e7 on the Weyl orbit of its minuscule fundamental weight.
+
+    Every <mu, alpha_i^vee> of a minuscule weight is -1, 0 or 1, so
+    h_i = diag<mu, alpha_i^vee>, e_i v_mu = v_(mu + alpha_i) with unit
+    coefficients and f_i = e_i^T satisfy the Chevalley relations.  A
+    non-simple root gamma gets e_gamma = [e_a, e_(gamma - a)] / N_(a, gamma - a)
+    for the first simple a that leaves a positive root, and f_gamma =
+    e_gamma^T."""
     alg, _ = build_chevalley_adjoint("E", 7)
     rs = alg.root_data
+    r = rs.rank
     cc = chevalley_constants("E", 7)
     # a minuscule weight of a simply-laced type sits at a node of mark 1 in
     # the highest root
     node = rs.highest_root.index(1)
-    minuscule = rs.weyl_orbit(tuple(int(i == node) for i in range(rs.rank)))
+    minuscule = rs.weyl_orbit(tuple(int(i == node) for i in range(r)))
     if len(minuscule) != 56:
         raise ConstructionError("the minuscule Weyl orbit is not 56 weights")
     widx = {w: k for k, w in enumerate(minuscule)}
-    highest = next(w for w in minuscule if all(x >= 0 for x in w))
-
-    # edge (mu, i): mu and mu + alpha_i both weights
-    edges = []
-    eidx = {}
-    for w in minuscule:
-        for i in range(rs.rank):
-            up = tuple(w[k] + rs.cartan[i][k] for k in range(rs.rank))
-            if up in widx:
-                eidx[(w, i)] = len(edges)
-                edges.append((w, i))
-
-    # GF(2) sign solve: tree edges 0, orthogonal squares sum to 0
-    pinned: Dict[int, int] = {}
-    seen = {highest}
-    frontier = [highest]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                down = tuple(w[k] - rs.cartan[i][k] for k in range(rs.rank))
-                if down in widx and down not in seen:
-                    seen.add(down)
-                    pinned[eidx[(down, i)]] = 0
-                    nxt.append(down)
-        frontier = nxt
-    if len(seen) != 56:
-        raise ConstructionError("weight graph is not connected")
-
-    constraints = []
-    for w in minuscule:
-        for i in range(rs.rank):
-            for j in range(i + 1, rs.rank):
-                if rs.cartan[i][j] != 0:
-                    continue
-                e1 = eidx.get((w, i))
-                e2 = eidx.get((w, j))
-                if e1 is None or e2 is None:
-                    continue
-                up_i = tuple(w[k] + rs.cartan[i][k] for k in range(rs.rank))
-                up_j = tuple(w[k] + rs.cartan[j][k] for k in range(rs.rank))
-                e3 = eidx.get((up_i, j))
-                e4 = eidx.get((up_j, i))
-                if e3 is None or e4 is None:
-                    continue
-                constraints.append((e1, e3, e2, e4))
-    signs = _solve_gf2(len(edges), pinned, constraints)
-
-    def edge_sign(w, i) -> int:
-        return -1 if signs[eidx[(w, i)]] else 1
-
-    r = rs.rank
-    pos = rs.positive_roots
-    dim = alg.dim
-    gens: List[SparseOp] = [None] * dim
-    for i in range(r):
-        gens[i] = SparseOp.from_triplets(
-            56, 56, [(widx[w], widx[w], w[i]) for w in minuscule if w[i]])
-    simple_e = {}
-    simple_f = {}
-    for i in range(r):
-        te, tf = [], []
-        for (w, ii), k in eidx.items():
-            if ii != i:
-                continue
-            up = tuple(w[kk] + rs.cartan[i][kk] for kk in range(r))
-            s = edge_sign(w, i)
-            te.append((widx[up], widx[w], s))
-            tf.append((widx[w], widx[up], s))
-        simple_e[i] = SparseOp.from_triplets(56, 56, te)
-        simple_f[i] = SparseOp.from_triplets(56, 56, tf)
-
-    simple_idx = {tuple(int(i == j) for j in range(r)): i for i in range(r)}
+    simples = rs.positive_roots[:r]
+    gens = [SparseOp.from_triplets(
+        56, 56, [(widx[w], widx[w], w[i]) for w in minuscule if w[i]])
+        for i in range(r)]
     e_mats: Dict[Tuple[int, ...], SparseOp] = {}
-    f_mats: Dict[Tuple[int, ...], SparseOp] = {}
-    order = rs.pos_index
-    for root in pos:
-        if sum(root) == 1:
-            i = simple_idx[root]
-            e_mats[root] = simple_e[i]
-            f_mats[root] = simple_f[i]
-            continue
-        # extraspecial decomposition root = a + b, a minimal in root order
-        a = b = None
-        for p in pos:
-            rest = tuple(x - y for x, y in zip(root, p))
-            if min(rest) >= 0 and rs.is_root(rest) and order[p] <= order[rest]:
-                a, b = p, rest
-                break
-        n = cc.n_pos(a, b)
-        e_mats[root] = (e_mats[a] @ e_mats[b]
-                        - e_mats[b] @ e_mats[a]).scaled(Fraction(1, n))
-        f_mats[root] = (f_mats[b] @ f_mats[a]
-                        - f_mats[a] @ f_mats[b]).scaled(Fraction(1, n))
-    for k, root in enumerate(pos):
-        gens[r + 2 * k] = e_mats[root]
-        gens[r + 2 * k + 1] = f_mats[root]
-
+    for root in rs.positive_roots:
+        if root in simples:
+            up = rs.cartan[root.index(1)]
+            moves = ((widx.get(tuple(x + y for x, y in zip(w, up))), k)
+                     for k, w in enumerate(minuscule))
+            e = SparseOp.from_triplets(
+                56, 56, [(j, k, 1) for j, k in moves if j is not None])
+        else:
+            a, b = next((a, b) for a in simples
+                        for b in [tuple(x - y for x, y in zip(root, a))]
+                        if b in rs.pos_index)
+            e = (e_mats[a] @ e_mats[b] - e_mats[b] @ e_mats[a]).scaled(
+                Fraction(1, cc.n_pos(a, b)))
+        e_mats[root] = e
+        gens += [e, e.transpose()]
     rep = Representation(alg, 56, gens, "defining")
     return alg, rep
-
-
-def _solve_gf2(n_vars: int, pinned: Dict[int, int],
-               constraints: List[Tuple[int, ...]]) -> List[int]:
-    """Solve x_e1+..+x_e4 = 0 (mod 2) with some variables pinned; free
-    variables default to 0 (deterministic gauge)."""
-    rows = []
-    for cons in constraints:
-        acc: Dict[int, int] = {}
-        rhs = 0
-        for e in cons:
-            if e in pinned:
-                rhs ^= pinned[e]
-            else:
-                acc[e] = acc.get(e, 0) ^ 1
-        acc = {k: v for k, v in acc.items() if v}
-        if acc:
-            rows.append((acc, rhs))
-        elif rhs:
-            raise ConstructionError("inconsistent sign constraints")
-    lead: Dict[int, Tuple[Dict[int, int], int]] = {}
-    for acc, rhs in rows:
-        acc = dict(acc)
-        while acc:
-            p = min(acc)
-            if p in lead:
-                base, brhs = lead[p]
-                for k, v in base.items():
-                    acc[k] = acc.get(k, 0) ^ v
-                    if not acc[k]:
-                        del acc[k]
-                rhs ^= brhs
-            else:
-                lead[p] = (acc, rhs)
-                break
-        if not acc and rhs:
-            raise ConstructionError("inconsistent sign constraints")
-    out = [0] * n_vars
-    for e, v in pinned.items():
-        out[e] = v
-    for p in sorted(lead, reverse=True):
-        base, rhs = lead[p]
-        val = rhs
-        for k, v in base.items():
-            if k != p and v:
-                val ^= out[k]
-        out[p] = val
-    return out
 
 
 def invariant_antisymmetric_form(rep: Representation) -> SparseOp:

@@ -2,10 +2,13 @@
 Yang-Baxter, unitarity, form-equivalence and classical-YBE verification.
 
 Spectral forms are assembled from the invariant operators (I, P, K, F, D,
-projectors); Casimir-rational forms are Mobius functions of the split
-Casimir operator C (or its shifted symmetric/antisymmetric parts), evaluated
-as sum_j f(a_j) L_j(C) over the verified eigenvalues a_j, with the same
-Lagrange basis L_j as the projector families.
+projectors); a Casimir-rational form is a product of Mobius factors
+(p(X) + u)(p(X) - u)^-1, p(x) = a x + b, of the split Casimir operator C
+(or its shifted symmetric/antisymmetric parts), one table entry per case
+(`_mobius`).  Each factor is evaluated as sum_j f(a_j) L_j(X) over the
+verified eigenvalues a_j, with the same Lagrange basis L_j as the projector
+families and the powers of X built once per family; the poles are the
+values p(a_j).
 The two construction paths share no arithmetic, so their entrywise equality
 at sampled spectral parameters is a real check.
 """
@@ -63,26 +66,56 @@ class RMatrixFamily:
         return self._cache[u]
 
 
-def interpolate_function_of_op(op: SparseOp, roots: Sequence[Fraction],
-                               fn: Callable[[Fraction], Fraction]) -> SparseOp:
-    """p(op) for the polynomial p of degree < len(roots) that interpolates
-    fn on the roots: p = sum_j fn(a_j) L_j over the Lagrange basis of the
-    projector families (``projectors.lagrange_basis``), as one ``combine``
-    over op^0 .. op^(n-1).  p(op) = fn(op) when op is diagonalizable with
-    its eigenvalues among the roots.  A root at a pole of fn raises
-    PoleError."""
+def function_of_op(op: SparseOp, roots: Sequence[Fraction]
+                   ) -> Callable[[Callable[[Fraction], Fraction]], SparseOp]:
+    """fn -> p(op) for the polynomial p of degree < len(roots) that
+    interpolates fn on the roots: p = sum_j fn(a_j) L_j over the Lagrange
+    basis of the projector families (``projectors.lagrange_basis``), as one
+    ``combine`` over op^0 .. op^(n-1).  p(op) = fn(op) when op is
+    diagonalizable with its eigenvalues among the roots.  The basis is
+    expanded once, and the powers on the first call; a root at a pole of fn
+    raises PoleError."""
     roots = [Fraction(r) for r in roots]
-    try:
-        values = [Fraction(fn(r)) for r in roots]
-    except ZeroDivisionError as exc:
-        raise PoleError(str(exc)) from exc
     basis = lagrange_basis(roots)
-    coeffs = [sum(v * lj[k] for v, lj in zip(values, basis))
-              for k in range(len(roots))]
-    powers = [SparseOp.identity(op.rows), op][:len(roots)]
-    while len(powers) < len(roots):
-        powers.append(powers[-1] @ op)
-    return combine(zip(coeffs, powers))
+    powers: List[SparseOp] = []
+
+    def apply(fn: Callable[[Fraction], Fraction]) -> SparseOp:
+        try:
+            values = [Fraction(fn(r)) for r in roots]
+        except ZeroDivisionError as exc:
+            raise PoleError(str(exc)) from exc
+        coeffs = [sum(v * lj[k] for v, lj in zip(values, basis))
+                  for k in range(len(roots))]
+        if not powers:
+            powers.extend([SparseOp.identity(op.rows), op][:len(roots)])
+            while len(powers) < len(roots):
+                powers.append(powers[-1] @ op)
+        return combine(zip(coeffs, powers))
+
+    return apply
+
+
+def _mobius(factors: Sequence[Tuple[SparseOp, Sequence[Fraction],
+                                    Fraction, Fraction]], sign: int = 1
+            ) -> Tuple[Callable[[Fraction], SparseOp], List[Fraction]]:
+    """(evaluate, poles) of R(u) = sign * prod_k (p_k(X_k) + u)
+    (p_k(X_k) - u)^-1 over factors (X_k, roots of X_k, a_k, b_k), with
+    p_k(x) = a_k x + b_k.  The poles are the values p_k(r) over the roots;
+    the sign rides on the first factor's values."""
+    parts = [(function_of_op(x, roots), Fraction(a), Fraction(b))
+             for x, roots, a, b in factors]
+    poles = sorted({Fraction(a) * r + Fraction(b)
+                    for _, roots, a, b in factors for r in roots})
+
+    def evaluate(u: Fraction) -> SparseOp:
+        out = None
+        for k, (fn_of, a, b) in enumerate(parts):
+            s = sign if k == 0 else 1
+            op = fn_of(lambda x: s * (a * x + b + u) / (a * x + b - u))
+            out = op if out is None else out @ op
+        return out
+
+    return evaluate, poles
 
 
 def _minimal_roots(op: SparseOp, bound: int = 8) -> List[Fraction]:
@@ -108,14 +141,8 @@ def _sl_forms(n: int):
         return (ident.scaled(u) + perm).scaled(Fraction(1) / (1 - u))
 
     a_op = sc.operator.scaled(n) + ident.scaled(Fraction(1 + n, 2 * n))
-    a_roots = [Fraction(0), Fraction(1)]
-
-    def casimir(u: Fraction) -> SparseOp:
-        return interpolate_function_of_op(
-            a_op, a_roots, lambda x: (x + u) / (x - u))
-
     return {"spectral": (spectral, [Fraction(1)]),
-            "casimir_rational": (casimir, [Fraction(0), Fraction(1)])}, d
+            "casimir_rational": _mobius([(a_op, [0, 1], 1, 0)])}, d
 
 
 def _sosp_forms(n: int, eps: int):
@@ -133,16 +160,10 @@ def _sosp_forms(n: int, eps: int):
         out = ident.scaled(u) + perm - kop.scaled(Fraction(eps) * u / shift)
         return out.scaled(Fraction(1) / (eps - u))
 
-    def casimir(u: Fraction) -> SparseOp:
-        return interpolate_function_of_op(
-            sc.operator, roots,
-            lambda x: (x + d2 * (Fraction(eps, 2) + u))
-            / (x + d2 * (Fraction(eps, 2) - u)))
-
     sp_poles = [Fraction(eps), Fraction(eps) - Fraction(n, 2)]
-    ca_poles = sorted({x / d2 + Fraction(eps, 2) for x in roots})
     return {"spectral": (spectral, sp_poles),
-            "casimir_rational": (casimir, ca_poles)}, d
+            "casimir_rational": _mobius(
+                [(sc.operator, roots, 1 / d2, Fraction(eps, 2))])}, d
 
 
 def _g2_forms():
@@ -151,25 +172,16 @@ def _g2_forms():
     ident, perm, kop, fop = inv["I"], inv["P"], inv["K"], inv["F"]
     sc = split_casimir(rep, rep)
     cp, cm = split_parts(sc)
-    sc_roots = _minimal_roots(cp)
-    ac_roots = _minimal_roots(cm)
 
     def spectral(u: Fraction) -> SparseOp:
         out = (ident.scaled(u) - perm
                + kop.scaled(2 * u / (u - 6)) + fop.scaled(u / (u - 4)))
         return out.scaled(Fraction(1) / (u - 1))
 
-    def casimir(u: Fraction) -> SparseOp:
-        f1 = interpolate_function_of_op(
-            cp, sc_roots, lambda x: (3 * x - u) / (3 * x + u))
-        f2 = interpolate_function_of_op(
-            cm, ac_roots, lambda y: (3 * y - 1 - u) / (3 * y - 1 + u))
-        return f1 @ f2
-
-    ca_poles = sorted({-3 * x for x in sc_roots}
-                      | {1 - 3 * y for y in ac_roots})
     return {"spectral": (spectral, [Fraction(1), Fraction(4), Fraction(6)]),
-            "casimir_rational": (casimir, ca_poles)}, 7
+            "casimir_rational": _mobius(
+                [(cp, _minimal_roots(cp), -3, 0),
+                 (cm, _minimal_roots(cm), -3, 1)])}, 7
 
 
 def _f4_forms(beta: Optional[Fraction]):
@@ -183,8 +195,6 @@ def _f4_forms(beta: Optional[Fraction]):
     beta = Fraction(beta) if beta is not None else Fraction(1, 2)
     scp = cp + p1.scaled(beta)
     acp = cm - p1.scaled(beta)
-    scp_roots = _minimal_roots(scp)
-    acp_roots = _minimal_roots(acp)
 
     def spectral(u: Fraction) -> SparseOp:
         out = (ident.scaled(u) - perm
@@ -193,18 +203,11 @@ def _f4_forms(beta: Optional[Fraction]):
                + dop.scaled(3 * u / (4 * (u - 6))))
         return out.scaled(Fraction(1) / (u - 1))
 
-    def casimir(u: Fraction) -> SparseOp:
-        f1 = interpolate_function_of_op(
-            scp, scp_roots, lambda x: (6 * x - u) / (6 * x + u))
-        f2 = interpolate_function_of_op(
-            acp, acp_roots, lambda y: (6 * y - 1 - u) / (6 * y - 1 + u))
-        return f1 @ f2
-
-    ca_poles = sorted({-6 * x for x in scp_roots}
-                      | {1 - 6 * y for y in acp_roots})
     return {"spectral": (spectral,
                          [Fraction(1), Fraction(4), Fraction(6), Fraction(9)]),
-            "casimir_rational": (casimir, ca_poles)}, 26
+            "casimir_rational": _mobius(
+                [(scp, _minimal_roots(scp), -6, 0),
+                 (acp, _minimal_roots(acp), -6, 1)])}, 26
 
 
 def _e6_forms():
@@ -223,15 +226,9 @@ def _e6_forms():
         return (p27.scaled((u - 4) / (u + 4))
                 + p351_2.scaled((u + 1) / (u - 1)) + p351_1)
 
-    def casimir(u: Fraction) -> SparseOp:
-        return interpolate_function_of_op(
-            sc.operator, roots,
-            lambda x: -(3 * x + Fraction(1, 3) + u)
-            / (3 * x + Fraction(1, 3) - u))
-
-    ca_poles = sorted({3 * x + Fraction(1, 3) for x in roots})
     return {"spectral": (spectral, [Fraction(-4), Fraction(1)]),
-            "casimir_rational": (casimir, ca_poles)}, 27
+            "casimir_rational": _mobius(
+                [(sc.operator, roots, 3, Fraction(1, 3))], sign=-1)}, 27
 
 
 def _e7_forms(beta: Optional[Fraction]):
@@ -253,28 +250,18 @@ def _e7_forms(beta: Optional[Fraction]):
     beta = Fraction(beta) if beta is not None else Fraction(37, 4)
     scp = cp - p1.scaled(beta / 6)
     acp = cm + p1.scaled(beta / 6)
-    scp_roots = _minimal_roots(scp)
-    acp_roots = _minimal_roots(acp)
 
     def spectral(u: Fraction) -> SparseOp:
         return (p1.scaled((u - 9) * (u - 5) / ((u + 9) * (u + 5)))
                 + p133.scaled((u - 5) / (u + 5))
                 + p1463.scaled((u + 1) / (u - 1)) + p1539)
 
-    def casimir(u: Fraction) -> SparseOp:
-        f1 = interpolate_function_of_op(
-            scp, scp_roots,
-            lambda x: (u + 6 * x + Fraction(1, 4))
-            / (u - 6 * x - Fraction(1, 4)))
-        f2 = interpolate_function_of_op(
-            acp, acp_roots, lambda y: (u + 6 * y) / (u - 6 * y))
-        return f1 @ f2
-
-    ca_poles = sorted({6 * x + Fraction(1, 4) for x in scp_roots}
-                      | {6 * y for y in acp_roots})
+    # each factor is -(p + u) / (p - u), so the two signs cancel
     return {"spectral": (spectral,
                          [Fraction(-9), Fraction(-5), Fraction(1)]),
-            "casimir_rational": (casimir, ca_poles)}, 56
+            "casimir_rational": _mobius(
+                [(scp, _minimal_roots(scp), 6, Fraction(1, 4)),
+                 (acp, _minimal_roots(acp), 6, 0)])}, 56
 
 
 def build_rmatrix(case: str, form: str,

@@ -350,6 +350,7 @@ _PINNED = {
     "f4.D": "f620b0831f99932cc4010ae7bb4154a81e2a6aae95b290577d45e8d442d9bceb",
     "e6.L": "767b08e43921051137ca9bf0cdb1856b978dc793a7b230b68d0ce13b0af7cb01",
     "e7.J": "288dc7f9af49b9ec4eb5bd683672f8f2772821dc6c7663c31d8c0f4d2544ab0d",
+    "e7.generators": "534af2e1365e22e800f539ce8930f0d1cd4d8af40018e10bd350dcf0dd7adff8",
 }
 
 
@@ -368,4 +369,5 @@ def test_construction_outputs_are_pinned():
     got["f4.D"] = _digest([casimir._f4_d_operator()])
     got["e6.L"] = _digest(build_e6_defining()[1].generators[52:])
     got["e7.J"] = _digest([invariant_antisymmetric_form(build_e7_defining()[1])])
+    got["e7.generators"] = _digest(build_e7_defining()[1].generators)
     assert got == _PINNED

@@ -12,7 +12,7 @@ from splitcasimir.yangbaxter import (
     PoleError,
     UnsupportedCaseError,
     build_rmatrix,
-    interpolate_function_of_op,
+    function_of_op,
     verify_classical_ybe,
     verify_form_equivalence,
     verify_unitarity,
@@ -25,8 +25,7 @@ SMALL_CASES = ["sl(2)", "sl(3)", "so(5)", "sp(4)", "g2"]
 def test_interpolation_reproduces_function():
     op = SparseOp.from_triplets(4, 4, [(i, i, v) for i, v in
                                        enumerate([1, 1, 3, -2])])
-    got = interpolate_function_of_op(op, [1, 3, -2],
-                                     lambda x: (x + 5) / (x - 7))
+    got = function_of_op(op, [1, 3, -2])(lambda x: (x + 5) / (x - 7))
     want = SparseOp.from_triplets(
         4, 4, [(i, i, Fraction(v + 5, v - 7)) for i, v in
                enumerate([1, 1, 3, -2])])
@@ -44,21 +43,65 @@ def test_interpolation_on_non_diagonalizable_op():
     def fn(x):
         return (x + 5) / (x - 7)
 
+    def other(x):
+        return x * x - 3
+
     dense = op.to_dense_fractions()
     eye = SparseOp.identity(4).to_dense_fractions()
-    want = np.full((4, 4), Fraction(0), dtype=object)
-    for aj in roots:
-        term = eye * fn(aj)
-        for ai in roots:
-            if ai != aj:
-                term = term.dot(dense - eye * ai) / (aj - ai)
-        want = want + term
-    got = interpolate_function_of_op(op, roots, fn)
-    assert np.array_equal(got.to_dense_fractions(), want)
+
+    def oracle(f):
+        want = np.full((4, 4), Fraction(0), dtype=object)
+        for aj in roots:
+            term = eye * f(aj)
+            for ai in roots:
+                if ai != aj:
+                    term = term.dot(dense - eye * ai) / (aj - ai)
+            want = want + term
+        return want
+
+    of_op = function_of_op(op, roots)
+    got = of_op(fn)
+    assert np.array_equal(got.to_dense_fractions(), oracle(fn))
     # A is not diagonalizable, so p(A) has a nilpotent part
     assert got.to_dense_fractions()[0, 2] != 0
+    # the same callable serves a second function from the powers it keeps
+    assert np.array_equal(of_op(other).to_dense_fractions(), oracle(other))
     with pytest.raises(PoleError):
-        interpolate_function_of_op(op, roots + [Fraction(7)], fn)
+        function_of_op(op, roots + [Fraction(7)])(fn)
+
+
+# the Casimir-rational poles: p(a) over the roots a of each Mobius factor
+_CASIMIR_POLES = {
+    ("sl(3)", None): [0, 1],
+    ("so(5)", None): [Fraction(-3, 2), 0, 1],
+    ("sp(4)", None): [-3, -1, 0],
+    ("g2", None): [-1, 0, 1, 4, 6],
+    ("f4", Fraction(1, 2)): [-1, 0, 1, 4, 6, 9],
+    ("f4", Fraction(4, 3)): [-1, 0, 1, 4, 6, 9],
+    ("e6", None): [-4, 0, 1],
+}
+
+
+@pytest.mark.parametrize("case, beta", list(_CASIMIR_POLES))
+def test_casimir_rational_poles(case, beta):
+    fam = build_rmatrix(case, "casimir_rational", beta)
+    assert fam.poles == _CASIMIR_POLES[case, beta]
+
+
+@pytest.mark.parametrize("case, beta, products", [
+    ("f4", Fraction(1, 2), 1),  # the product of the two factors
+    ("e6", None, 0),            # one factor, its sign in the values
+])
+def test_casimir_rational_powers_built_once(monkeypatch, case, beta,
+                                            products):
+    fam = build_rmatrix(case, "casimir_rational", beta)
+    fam.evaluate(Fraction(1, 2))
+    calls = []
+    real = SparseOp.__matmul__
+    monkeypatch.setattr(SparseOp, "__matmul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    fam.evaluate(Fraction(2, 5))
+    assert len(calls) == products
 
 
 def test_identity_rmatrix_satisfies_ybe():
