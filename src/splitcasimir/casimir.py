@@ -3,17 +3,18 @@ antisymmetric parts, the per-algebra invariant operator sets, and the trace
 suite.
 
 Two realizations coexist.  Generic representations give Chat = kappa^{ab}
-T_a (x) T_b on V (x) V (for defining representations of the exceptional
-algebras the operator is divided by d2, matching the convention in which
-their characteristic identities are stated).  For sl/so/sp adjoints the
-operator is realized on V_N^(x4) with the subspace projector playing the
-unit, which keeps the Kronecker structure of P_13, K_23 etc.
+T_a (x) T_b on V (x) V as one sparse product X kappa^-1 Y^T over the
+columns X = vec(T1_a) and Y = vec(T2_b), realigned to V (x) V (for
+defining representations of the exceptional algebras the operator is
+divided by d2, matching the convention in which their characteristic
+identities are stated).  For sl/so/sp adjoints the operator is realized on
+V_N^(x4) with the subspace projector playing the unit, which keeps the
+Kronecker structure of P_13, K_23 etc.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -22,19 +23,8 @@ import numpy as np
 
 from .algebras import LieAlgebra, Representation
 from .classical import _metric_c, build_classical
-from .kernel import (
-    _INT64_SAFE,
-    SparseOp,
-    Vec,
-    _lift,
-    kron,
-    trace_word,
-    vec_columns,
-)
+from .kernel import SparseOp, Vec, kron, trace_word, vec_columns
 from .rootdata import RootSystem, series_rank
-
-# weighted_kron_sum normalizes its buffered triplets once past this many
-KRON_CHUNK_NNZ = 4_000_000
 
 
 class CasimirError(Exception):
@@ -104,49 +94,24 @@ class SplitCasimir:
                 SplitPart(self.operator, self.swap, -1))
 
 
-def weighted_kron_sum(pairs) -> SparseOp:
-    """sum_k c_k * kron(A_k, B_k) assembled in chunks of about
-    KRON_CHUNK_NNZ triplets with one common scale.
+def weighted_kron_sum(coeffs: SparseOp, left: Sequence[SparseOp],
+                      right: Sequence[SparseOp]) -> SparseOp:
+    """sum_ab coeffs[a, b] * kron(left[a], right[b]) as one product.
 
-    ``pairs`` yields (coefficient, A, B); all exact.
+    With X = vec_columns(left) and Y = vec_columns(right), entry
+    (i1 c1 + j1, i2 c2 + j2) of M = X coeffs Y^T is entry
+    (i1 r2 + i2, j1 c2 + j2) of the sum, for left operators of shape
+    (r1, c1) and right ones of shape (r2, c2); the result realigns M.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise CasimirError("empty Kronecker sum")
-    den = 1
-    for c, a, b in pairs:
-        full = Fraction(c) * a.scale * b.scale
-        den = math.lcm(den, full.denominator)
-    rows_dim = pairs[0][1].rows * pairs[0][2].rows
-    cols_dim = pairs[0][1].cols * pairs[0][2].cols
-    acc = SparseOp.zero(rows_dim, cols_dim)
-    buf_r, buf_c, buf_d, buffered = [], [], [], 0
-    for c, a, b in pairs:
-        mult = Fraction(c) * a.scale * b.scale * den
-        assert mult.denominator == 1
-        mult = int(mult)
-        if mult == 0:
-            continue
-        r = (a.row[:, None] * b.rows + b.row[None, :]).ravel()
-        cc = (a.col[:, None] * b.cols + b.col[None, :]).ravel()
-        da, db = _lift(max(a.max_abs, 1) * max(b.max_abs, 1) * abs(mult)
-                       >= _INT64_SAFE, a.data, b.data)
-        d = (da[:, None] * db[None, :]).ravel() * mult
-        buf_r.append(r)
-        buf_c.append(cc)
-        buf_d.append(d)
-        buffered += len(d)
-        if buffered >= KRON_CHUNK_NNZ:
-            acc = acc + _flush(rows_dim, cols_dim, buf_r, buf_c, buf_d, den)
-            buf_r, buf_c, buf_d, buffered = [], [], [], 0
-    if buffered:
-        acc = acc + _flush(rows_dim, cols_dim, buf_r, buf_c, buf_d, den)
-    return acc
-
-
-def _flush(rows, cols, buf_r, buf_c, buf_d, den) -> SparseOp:
-    return SparseOp(rows, cols, np.concatenate(buf_r), np.concatenate(buf_c),
-                    np.concatenate(_lift(False, *buf_d)), Fraction(1, den))
+    x = vec_columns(left)
+    y = x if right is left else vec_columns(right)
+    m = x @ coeffs @ y.transpose()
+    r1, c1 = left[0].rows, left[0].cols
+    r2, c2 = right[0].rows, right[0].cols
+    i1, j1 = np.divmod(m.row, c1)
+    i2, j2 = np.divmod(m.col, c2)
+    return SparseOp(r1 * r2, c1 * c2, i1 * r2 + i2, j1 * c2 + j2, m.data,
+                    m.scale)
 
 
 def swap_operator(d: int) -> SparseOp:
@@ -159,31 +124,23 @@ def swap_operator(d: int) -> SparseOp:
 _EXCEPTIONAL_SERIES = ("G", "F", "E")
 
 
-def split_casimir(rep1: Representation, rep2: Representation,
-                  convention: str = "auto") -> SplitCasimir:
-    """Chat = kappa^{ab} T1_a (x) T2_b.
+def split_casimir(rep1: Representation, rep2: Representation) -> SplitCasimir:
+    """Chat = kappa^{ab} T1_a (x) T2_b, one ``weighted_kron_sum``.
 
-    convention "auto": defining/other representations of exceptional
-    algebras are divided by d2 (the normalization their characteristic
-    identities are stated in); everything else keeps the Killing-metric
-    operator, whose adjoint value is c2 = 1.
+    Non-adjoint representations of exceptional algebras are divided by d2
+    (the normalization their characteristic identities are stated in);
+    everything else keeps the Killing-metric operator, whose adjoint value
+    is c2 = 1.  ``SplitCasimir.convention`` records which.
     """
     if rep1.algebra is not rep2.algebra:
         if rep1.algebra.name != rep2.algebra.name:
             raise CasimirError("representations of different algebras")
     alg = rep1.algebra
-    if convention == "auto":
-        if (alg.series in _EXCEPTIONAL_SERIES and rep1.kind != "adjoint"
-                and rep2.kind != "adjoint"):
-            convention = "d2_normalized"
-        else:
-            convention = "killing"
-    ki = alg.killing_inv
-    pairs = []
-    for a, b, v in ki.entries():
-        pairs.append((v, rep1.generators[a], rep2.generators[b]))
-    op = weighted_kron_sum(pairs)
-    if convention == "d2_normalized":
+    op = weighted_kron_sum(alg.killing_inv, rep1.generators, rep2.generators)
+    convention = "killing"
+    if (alg.series in _EXCEPTIONAL_SERIES and rep1.kind != "adjoint"
+            and rep2.kind != "adjoint"):
+        convention = "d2_normalized"
         op = op.scaled(Fraction(1) / rep1.d2())
     d1, d2m = rep1.dim_module, rep2.dim_module
     unit = SparseOp.identity(d1 * d2m)
@@ -198,7 +155,7 @@ def split_parts(c: SplitCasimir) -> Tuple[SparseOp, SparseOp]:
 def adjoint_split_casimir(alg: LieAlgebra) -> SplitCasimir:
     """Adjoint Chat assembled directly from structure constants."""
     rep = alg.adjoint_rep()
-    return split_casimir(rep, rep, convention="killing")
+    return split_casimir(rep, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -382,23 +382,10 @@ class SparseOp:
         return self.scaled(c)
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError(
-                f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        s = fraction_gcd(self.scale, other.scale)
-        ma, mb = int(self.scale / s), int(other.scale / s)
-        da, db = _lift(max(1, self.max_abs) * ma >= _INT64_SAFE
-                       or max(1, other.max_abs) * mb >= _INT64_SAFE,
-                       self.data, other.data)
-        da = da * ma if ma != 1 else da
-        db = db * mb if mb != 1 else db
-        return SparseOp(self.rows, self.cols,
-                        np.concatenate([self.row, other.row]),
-                        np.concatenate([self.col, other.col]),
-                        np.concatenate([da, db]), s)
+        return combine([(1, self), (1, other)])
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
-        return self + other.scaled(-1)
+        return combine([(1, self), (-1, other)])
 
     def matvec(self, v: Vec) -> Vec:
         if len(v) != self.cols:
@@ -460,9 +447,10 @@ def combine(terms: Iterable[Tuple[ScalarLike, SparseOp]]) -> SparseOp:
     """Materialize sum_k c_k * op_k from (c_k, op_k) pairs in one pass.
 
     The scaled triplets of all terms are concatenated over the common scale
-    gcd and normalized once; int64 terms are lifted to object data by the
-    same per-term bound as ``SparseOp.__add__``, and duplicate positions by
-    the segment-sum guard of ``_normalize``.
+    gcd and normalized once; int64 terms are lifted to object data when a
+    term's largest entry times its multiplier reaches ``_INT64_SAFE``, and
+    duplicate positions by the segment-sum guard of ``_normalize``.
+    ``SparseOp.__add__`` and ``__sub__`` are two-term calls of it.
     """
     terms = [(Fraction(c), op) for c, op in terms]
     if not terms:

@@ -10,7 +10,9 @@ verified eigenvalues a_j, with the same Lagrange basis L_j as the projector
 families and the powers of X built once per family; the poles are the
 values p(a_j).
 The two construction paths share no arithmetic, so their entrywise equality
-at sampled spectral parameters is a real check.
+at sampled spectral parameters is a real check.  Each case builder returns
+one zero-argument builder per form, and ``build_rmatrix`` runs only the one
+it is asked for.
 """
 
 from __future__ import annotations
@@ -135,14 +137,17 @@ def _sl_forms(n: int):
     d = rep.dim_module
     ident = SparseOp.identity(d * d)
     perm = swap_operator(d)
-    sc = split_casimir(rep, rep)
 
     def spectral(u: Fraction) -> SparseOp:
         return (ident.scaled(u) + perm).scaled(Fraction(1) / (1 - u))
 
-    a_op = sc.operator.scaled(n) + ident.scaled(Fraction(1 + n, 2 * n))
-    return {"spectral": (spectral, [Fraction(1)]),
-            "casimir_rational": _mobius([(a_op, [0, 1], 1, 0)])}, d
+    def casimir_rational():
+        sc = split_casimir(rep, rep)
+        a_op = sc.operator.scaled(n) + ident.scaled(Fraction(1 + n, 2 * n))
+        return _mobius([(a_op, [0, 1], 1, 0)])
+
+    return {"spectral": lambda: (spectral, [Fraction(1)]),
+            "casimir_rational": casimir_rational}, d
 
 
 def _sosp_forms(n: int, eps: int):
@@ -151,37 +156,40 @@ def _sosp_forms(n: int, eps: int):
     d = rep.dim_module
     inv = invariants(f"{fam}({n})")
     ident, perm, kop = inv["I"], inv["P"], inv["K"]
-    sc = split_casimir(rep, rep)
-    d2 = Fraction(1, n - 2 * eps)
-    roots = defining_identity(f"{fam}({n})").roots
 
     def spectral(u: Fraction) -> SparseOp:
         shift = u + Fraction(n, 2) - eps
         out = ident.scaled(u) + perm - kop.scaled(Fraction(eps) * u / shift)
         return out.scaled(Fraction(1) / (eps - u))
 
+    def casimir_rational():
+        sc = split_casimir(rep, rep)
+        roots = defining_identity(f"{fam}({n})").roots
+        return _mobius([(sc.operator, roots, n - 2 * eps, Fraction(eps, 2))])
+
     sp_poles = [Fraction(eps), Fraction(eps) - Fraction(n, 2)]
-    return {"spectral": (spectral, sp_poles),
-            "casimir_rational": _mobius(
-                [(sc.operator, roots, 1 / d2, Fraction(eps, 2))])}, d
+    return {"spectral": lambda: (spectral, sp_poles),
+            "casimir_rational": casimir_rational}, d
 
 
 def _g2_forms():
     alg, rep = defining("g2")
     inv = invariants("g2")
     ident, perm, kop, fop = inv["I"], inv["P"], inv["K"], inv["F"]
-    sc = split_casimir(rep, rep)
-    cp, cm = split_parts(sc)
 
     def spectral(u: Fraction) -> SparseOp:
         out = (ident.scaled(u) - perm
                + kop.scaled(2 * u / (u - 6)) + fop.scaled(u / (u - 4)))
         return out.scaled(Fraction(1) / (u - 1))
 
-    return {"spectral": (spectral, [Fraction(1), Fraction(4), Fraction(6)]),
-            "casimir_rational": _mobius(
-                [(cp, _minimal_roots(cp), -3, 0),
-                 (cm, _minimal_roots(cm), -3, 1)])}, 7
+    def casimir_rational():
+        cp, cm = split_parts(split_casimir(rep, rep))
+        return _mobius([(cp, _minimal_roots(cp), -3, 0),
+                        (cm, _minimal_roots(cm), -3, 1)])
+
+    return {"spectral": lambda: (spectral, [Fraction(1), Fraction(4),
+                                            Fraction(6)]),
+            "casimir_rational": casimir_rational}, 7
 
 
 def _f4_forms(beta: Optional[Fraction]):
@@ -189,12 +197,7 @@ def _f4_forms(beta: Optional[Fraction]):
     inv = invariants("f4")
     ident, perm, kop = inv["I"], inv["P"], inv["K"]
     dop, fop = inv["D"], inv["F"]
-    sc = split_casimir(rep, rep)
-    cp, cm = split_parts(sc)
-    p1 = kop.scaled(Fraction(1, 26))
     beta = Fraction(beta) if beta is not None else Fraction(1, 2)
-    scp = cp + p1.scaled(beta)
-    acp = cm - p1.scaled(beta)
 
     def spectral(u: Fraction) -> SparseOp:
         out = (ident.scaled(u) - perm
@@ -203,11 +206,17 @@ def _f4_forms(beta: Optional[Fraction]):
                + dop.scaled(3 * u / (4 * (u - 6))))
         return out.scaled(Fraction(1) / (u - 1))
 
-    return {"spectral": (spectral,
-                         [Fraction(1), Fraction(4), Fraction(6), Fraction(9)]),
-            "casimir_rational": _mobius(
-                [(scp, _minimal_roots(scp), -6, 0),
-                 (acp, _minimal_roots(acp), -6, 1)])}, 26
+    def casimir_rational():
+        cp, cm = split_parts(split_casimir(rep, rep))
+        p1 = kop.scaled(Fraction(1, 26))
+        scp = cp + p1.scaled(beta)
+        acp = cm - p1.scaled(beta)
+        return _mobius([(scp, _minimal_roots(scp), -6, 0),
+                        (acp, _minimal_roots(acp), -6, 1)])
+
+    return {"spectral": lambda: (spectral, [Fraction(1), Fraction(4),
+                                            Fraction(6), Fraction(9)]),
+            "casimir_rational": casimir_rational}, 26
 
 
 def _e6_forms():
@@ -220,15 +229,17 @@ def _e6_forms():
     p27 = (ident + perm).scaled(Fraction(1, 15)) - cp.scaled(Fraction(3, 5))
     p351_1 = (ident - perm).scaled(half)
     p351_2 = (ident + perm).scaled(Fraction(13, 30)) + cp.scaled(Fraction(3, 5))
-    roots = defining_identity("e6").roots
 
     def spectral(u: Fraction) -> SparseOp:
         return (p27.scaled((u - 4) / (u + 4))
                 + p351_2.scaled((u + 1) / (u - 1)) + p351_1)
 
-    return {"spectral": (spectral, [Fraction(-4), Fraction(1)]),
-            "casimir_rational": _mobius(
-                [(sc.operator, roots, 3, Fraction(1, 3))], sign=-1)}, 27
+    def casimir_rational():
+        roots = defining_identity("e6").roots
+        return _mobius([(sc.operator, roots, 3, Fraction(1, 3))], sign=-1)
+
+    return {"spectral": lambda: (spectral, [Fraction(-4), Fraction(1)]),
+            "casimir_rational": casimir_rational}, 27
 
 
 def _e7_forms(beta: Optional[Fraction]):
@@ -237,7 +248,6 @@ def _e7_forms(beta: Optional[Fraction]):
     cp, cm = split_parts(sc)
     inv = invariants("e7")
     ident, perm, p1 = inv["I"], inv["P"], inv["P1"]
-    half = Fraction(1, 2)
     p133 = (ident + perm).scaled(Fraction(1, 16)) - cp
     p1463 = (ident + perm).scaled(Fraction(7, 16)) + cp
     p1_alt = (ident - perm).scaled(Fraction(-1, 112)) - cm.scaled(Fraction(3, 7))
@@ -248,20 +258,22 @@ def _e7_forms(beta: Optional[Fraction]):
     # itself); only this reading makes both printed beta values reproduce
     # the spectral singlet coefficient (u-9)(u-5)/((u+9)(u+5))
     beta = Fraction(beta) if beta is not None else Fraction(37, 4)
-    scp = cp - p1.scaled(beta / 6)
-    acp = cm + p1.scaled(beta / 6)
 
     def spectral(u: Fraction) -> SparseOp:
         return (p1.scaled((u - 9) * (u - 5) / ((u + 9) * (u + 5)))
                 + p133.scaled((u - 5) / (u + 5))
                 + p1463.scaled((u + 1) / (u - 1)) + p1539)
 
-    # each factor is -(p + u) / (p - u), so the two signs cancel
-    return {"spectral": (spectral,
-                         [Fraction(-9), Fraction(-5), Fraction(1)]),
-            "casimir_rational": _mobius(
-                [(scp, _minimal_roots(scp), 6, Fraction(1, 4)),
-                 (acp, _minimal_roots(acp), 6, 0)])}, 56
+    def casimir_rational():
+        scp = cp - p1.scaled(beta / 6)
+        acp = cm + p1.scaled(beta / 6)
+        # each factor is -(p + u) / (p - u), so the two signs cancel
+        return _mobius([(scp, _minimal_roots(scp), 6, Fraction(1, 4)),
+                        (acp, _minimal_roots(acp), 6, 0)])
+
+    return {"spectral": lambda: (spectral, [Fraction(-9), Fraction(-5),
+                                            Fraction(1)]),
+            "casimir_rational": casimir_rational}, 56
 
 
 def build_rmatrix(case: str, form: str,
@@ -291,7 +303,7 @@ def build_rmatrix(case: str, form: str,
         forms, d = _e7_forms(beta)
     else:
         raise UnsupportedCaseError(f"no R-matrix for {case}")
-    fn, poles = forms[form]
+    fn, poles = forms[form]()
     return RMatrixFamily(str(an), form, d, poles, beta=beta, _eval=fn)
 
 

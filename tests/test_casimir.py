@@ -1,8 +1,10 @@
 """Split Casimir assembly, invariant operators, parts, traces, eigenvalue
 predictions and the tensor-space adjoint realizations."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +31,11 @@ from splitcasimir.casimir import (
     two_site,
     weighted_kron_sum,
 )
-from splitcasimir.catalog import adjoint_context, defining
+from splitcasimir.catalog import adjoint_context, chevalley, defining
 from splitcasimir.classical import build_classical
 from splitcasimir.kernel import SparseOp, Vec, apply_two_site, kron
 from splitcasimir.rootdata import root_system
+from splitcasimir.serialize import dumps
 
 
 def test_sl_defining_closed_form():
@@ -186,7 +189,10 @@ def test_comultiplication_identity():
     # Delta(C2) = C2 x 1 + 1 x C2 + 2 Chat
     for name in ["sl(2)", "g2"]:
         alg, rep = defining(name)
-        sc = split_casimir(rep, rep, convention="killing")
+        sc = split_casimir(rep, rep)
+        # the Killing-normalised Chat, whatever the convention
+        chat = (sc.operator.scaled(rep.d2())
+                if sc.convention == "d2_normalized" else sc.operator)
         d = rep.dim_module
         ident = SparseOp.identity(d)
         ki = alg.killing_inv
@@ -197,7 +203,7 @@ def test_comultiplication_identity():
             da = kron(rep.generators[a], ident) + kron(ident, rep.generators[a])
             db = kron(rep.generators[b], ident) + kron(ident, rep.generators[b])
             delta_c2 = delta_c2 + (da @ db).scaled(v)
-        want = kron(c2, ident) + kron(ident, c2) + sc.operator.scaled(2)
+        want = kron(c2, ident) + kron(ident, c2) + chat.scaled(2)
         assert delta_c2 == want
 
 
@@ -347,12 +353,15 @@ def test_e4_operator_matches_levi_civita():
 
 
 def test_exceptional_defining_convention_is_d2_normalized():
-    _, rep = defining("g2")
+    alg, rep = defining("g2")
     sc_auto = split_casimir(rep, rep)
-    sc_killing = split_casimir(rep, rep, convention="killing")
+    d = rep.dim_module
+    killing_chat = SparseOp.zero(d * d, d * d)
+    for a, b, v in alg.killing_inv.entries():
+        killing_chat = killing_chat + kron(rep.generators[a],
+                                           rep.generators[b]).scaled(v)
     assert sc_auto.convention == "d2_normalized"
-    assert sc_auto.operator == sc_killing.operator.scaled(
-        Fraction(1) / rep.d2())
+    assert sc_auto.operator == killing_chat.scaled(Fraction(1) / rep.d2())
 
 
 def test_zero_check_sl2_adjoint_cminus_identity():
@@ -450,7 +459,8 @@ def test_weighted_kron_sum_across_int64_bound(mult, shift, delta, sign, other):
     b = SparseOp(2, 3, np.array([0, 1]), np.array([0, 2]),
                  np.array([sign, 1], dtype=np.int64))
     ident = SparseOp.identity(2)
-    got = weighted_kron_sum([(mult, a, b), (other, ident, b)])
+    coeffs = SparseOp.from_triplets(2, 2, [(0, 0, mult), (1, 1, other)])
+    got = weighted_kron_sum(coeffs, [a, ident], [b, b])
     want = np.full((4, 6), Fraction(0), dtype=object)
     for c, x in ((mult, a), (other, ident)):
         dx, db = x.to_dense_fractions(), b.to_dense_fractions()
@@ -463,3 +473,50 @@ def test_weighted_kron_sum_across_int64_bound(mult, shift, delta, sign, other):
     # lifted iff a stored entry reaches 2^62 once the gcd is divided out
     assert (got.data.dtype == object) == (max(abs(int(x)) for x in got.data)
                                           >= 2 ** 62)
+
+
+# sha256 of `serialize.dumps` of each split Casimir operator, as assembled
+# by the per-entry Kronecker sum that the single product replaced
+_PINNED = {
+    "sl(3)": "994d04b3f4b540da5df22e3994acf2ed0e95469a73592a6df49b7f42df11e744",
+    "so(7)": "e9e38dd5cfbddf3fa6baf691899469b5c25b7e4e92afcc5aa10a7008d9f823aa",
+    "sp(6)": "46327f66164fd81796e06b0a76a8450073aab2b12482654c20f53c3732f84bdf",
+    "g2": "73239d4e7a2e0fa70ca3a1d28f9bbac3e42b4ad20a4733bc63beb71edf90074c",
+    "f4": "023e5afd0d64b50bcf1264835aadd621c8cb8181d594c3fd5799649875373d7d",
+    "e6": "ca07865e846cf2374224aaaf039dc9c240dbd537b2d8a1dd3bec2bc7606d3e39",
+    "e7": "035a329aad30957ac2929666f00a06a56b8b37b1582449011e1aa0135dd95b57",
+    "sl(2) defining x adjoint":
+        "aeaf8e0c159a8986b0711c057e169557f7467ad1da91216fa22fd5048920aca6",
+    "e7 adjoint":
+        "89cf6375fc114f751fa8abebd39b8c51ad0001e8e9666370b69e6856d97aff6e",
+}
+
+
+def test_split_casimir_outputs_are_pinned():
+    def digest(op):
+        return hashlib.sha256(dumps(op)).hexdigest()
+
+    got = {}
+    for name in ("sl(3)", "so(7)", "sp(6)", "g2", "f4", "e6", "e7"):
+        _, rep = defining(name)
+        got[name] = digest(split_casimir(rep, rep).operator)
+    alg, rep = defining("sl(2)")
+    got["sl(2) defining x adjoint"] = digest(
+        split_casimir(rep, alg.adjoint_rep()).operator)
+    got["e7 adjoint"] = digest(adjoint_context("e7").sc.operator)
+    assert got == _PINNED
+
+
+def test_e7_adjoint_casimir_build_peak_memory():
+    # the 17689-dim Chat (213982 nonzeros) as one product peaks at about
+    # 24 MB of allocations; buffering one Kronecker block per Killing-inverse
+    # entry peaked at 38 MB
+    _, rep = chevalley("e7")
+    tracemalloc.start()
+    try:
+        sc = split_casimir(rep, rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sc.operator.nnz == 213982
+    assert peak < 30 * 2 ** 20

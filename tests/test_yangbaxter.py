@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splitcasimir import catalog
+from splitcasimir import catalog, yangbaxter
 from splitcasimir.kernel import SparseOp, Vec, apply_two_site
 from splitcasimir.yangbaxter import (
     DEFAULT_SAMPLES,
@@ -102,6 +102,24 @@ def test_casimir_rational_powers_built_once(monkeypatch, case, beta,
                         lambda a, b: calls.append(1) or real(a, b))
     fam.evaluate(Fraction(2, 5))
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("case", ["g2", "f4"])
+def test_spectral_build_prepares_no_casimir_form(monkeypatch, case):
+    # the spectral form reads only the invariant set: no split Casimir and
+    # no minimal-polynomial search of its parts
+    calls = {"_minimal_roots": 0, "split_casimir": 0}
+    for name in calls:
+        real = getattr(yangbaxter, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(yangbaxter, name, counted)
+    fam = build_rmatrix(case, "spectral")
+    fam.evaluate(Fraction(1, 2))
+    assert calls == {"_minimal_roots": 0, "split_casimir": 0}
 
 
 def test_identity_rmatrix_satisfies_ybe():
