@@ -11,6 +11,12 @@ The triplets are sorted by (row, col), so A @ v and A @ B (B dense) are one
 ``np.add.reduceat`` segment sum per non-empty row, over the row starts the
 operator caches (``SparseOp.segments``).  Only spmm's dense accumulator
 scatters with ``np.add.at``: its keys are not sorted within a row.
+
+spmm expands a block of products by repeating each A entry's row key,
+value and B offset over the products it makes and completing them in place,
+so no per-product index array is gathered through; its dense accumulator
+finds the nonzero slots through a bool cast, which reads int64 and object
+data alike.
 """
 
 import numpy as np
@@ -94,16 +100,20 @@ def _merged_block(a_row, a_data, counts, shift, b_col, b_data, width,
     ``DENSE_AREA_FACTOR`` times its product count, the products are summed
     into a dense accumulator; otherwise a stable sort and a segment sum
     merge them."""
-    reps = np.repeat(np.arange(lo, hi), counts[lo:hi])
-    b_pos = shift[reps] + np.arange(p0, p1)
-    key = a_row[reps] * width + b_col[b_pos]
-    prod = a_data[reps] * b_data[b_pos]
+    cnt = counts[lo:hi]
+    b_pos = np.repeat(shift[lo:hi], cnt)
+    b_pos += np.arange(p0, p1)
+    key = np.repeat(a_row[lo:hi] * width, cnt)
+    key += b_col[b_pos]
+    prod = np.repeat(a_data[lo:hi], cnt)
+    prod *= b_data[b_pos]
     first_key = int(a_row[lo]) * width
     area = (int(a_row[hi - 1]) + 1) * width - first_key
     if area <= DENSE_AREA_FACTOR * (p1 - p0):
         acc = np.zeros(area, dtype=prod.dtype)
-        np.add.at(acc, key - first_key, prod)
-        nz = np.flatnonzero(acc)
+        key -= first_key
+        np.add.at(acc, key, prod)
+        nz = np.flatnonzero(acc.astype(bool))
         key, prod = nz + first_key, acc[nz]
     else:
         order = np.argsort(key, kind="stable")

@@ -102,16 +102,31 @@ def weighted_kron_sum(coeffs: SparseOp, left: Sequence[SparseOp],
     (i1 c1 + j1, i2 c2 + j2) of M = X coeffs Y^T is entry
     (i1 r2 + i2, j1 c2 + j2) of the sum, for left operators of shape
     (r1, c1) and right ones of shape (r2, c2); the result realigns M.
+
+    M is sorted by (i1, j1, i2, j2), so within each output row (i1, i2) its
+    entries already run in output-column order, and one stable sort of the
+    output rows orders the result.  M is reduced and zero-free, and the
+    realignment is a bijection, so the result needs no normalising.
     """
     x = vec_columns(left)
     y = x if right is left else vec_columns(right)
     m = x @ coeffs @ y.transpose()
     r1, c1 = left[0].rows, left[0].cols
     r2, c2 = right[0].rows, right[0].cols
-    i1, j1 = np.divmod(m.row, c1)
-    i2, j2 = np.divmod(m.col, c2)
-    return SparseOp(r1 * r2, c1 * c2, i1 * r2 + i2, j1 * c2 + j2, m.data,
-                    m.scale)
+    data, scale = m.data, m.scale
+    row = m.row // c1
+    row *= r2
+    row += m.col // c2
+    col = m.row % c1
+    col *= c2
+    col += m.col % c2
+    # free M's index arrays before the sort
+    del m
+    order = np.argsort(row, kind="stable")
+    row = row[order]
+    col = col[order]
+    data = data[order]
+    return SparseOp(r1 * r2, c1 * c2, row, col, data, scale, _canonical=True)
 
 
 def swap_operator(d: int) -> SparseOp:

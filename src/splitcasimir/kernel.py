@@ -523,9 +523,11 @@ def _pair_trace(a: SparseOp, b: SparseOp) -> Fraction:
     if not hit.any():
         return Fraction(0)
     da = a.data[hit]
-    db = b.data[order][pos_c[hit]]
-    total = sum(int(x) * int(y) for x, y in zip(da, db))
-    return total * a.scale * b.scale
+    db = b.data[order[pos_c[hit]]]
+    # the dot sums len(da) products of at most max|a| * max|b| each
+    da, db = _lift(len(da) * max(a.max_abs, 1) * max(b.max_abs, 1)
+                   >= _INT64_SAFE, da, db)
+    return int(np.dot(da, db)) * a.scale * b.scale
 
 
 def trace_word(ops: Sequence[SparseOp]) -> Fraction:

@@ -520,3 +520,18 @@ def test_e7_adjoint_casimir_build_peak_memory():
         tracemalloc.stop()
     assert sc.operator.nnz == 213982
     assert peak < 30 * 2 ** 20
+
+
+def test_casimir_realignment_peak_memory():
+    # realigning X kappa^-1 Y^T into V (x) V order by one stable sort of the
+    # output rows peaks near 2.8x the result's bytes on the e6 adjoint;
+    # four divmod index arrays and a full re-normalisation peaked at 4.8x
+    _, rep = chevalley("e6")
+    tracemalloc.start()
+    try:
+        op = split_casimir(rep, rep).operator
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.nnz == 56472
+    assert peak < 3.5 * (op.row.nbytes + op.col.nbytes + op.data.nbytes)

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitcasimir import _kernels
+from splitcasimir import kernel as kernel_module
 from splitcasimir.kernel import (
     DimensionMismatchError,
     KernelError,
@@ -633,6 +634,27 @@ def test_matmul_in_row_blocks_matches_dense_oracle(data, budget, factor, kind):
     assert SparseOp(n, m, r, c, d, a.scale * b.scale) == got
 
 
+@pytest.mark.parametrize("factor", [0, 10 ** 9])
+@pytest.mark.parametrize("big", [1, 2 ** 70])
+def test_spmm_exact_cancellation_drops_the_zero(factor, big):
+    # row 0 of A @ B sums to (3, 0, 5) and row 1 to (-1, 2 big, -1): the
+    # products at (0, 1) cancel between two nonzero neighbours; factor 0
+    # merges by the sort, 10^9 by the dense accumulator
+    a = np.array([1, 1, 1, -1], dtype=object)
+    b = np.array([1, big, 2, 2, -big, 3], dtype=object)
+    if big == 1:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "DENSE_AREA_FACTOR", factor)
+        r, c, d = _kernels.spmm(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                                a, np.array([0, 3, 6]),
+                                np.array([0, 1, 2, 0, 1, 2]), b)
+    assert d.dtype == a.dtype
+    assert np.all(np.diff(r * 3 + c) > 0)
+    assert [(int(i), int(j), int(x)) for i, j, x in zip(r, c, d)] == [
+        (0, 0, 3), (0, 2, 5), (1, 0, -1), (1, 1, 2 * big), (1, 2, -1)]
+
+
 def test_matmul_transient_is_bounded_by_block():
     # the sp(6) adjoint C+ @ C+ expands about 1.29M products into 34458
     # entries; expanding them all at once peaked near 86x the result's bytes
@@ -755,6 +777,47 @@ def test_sparse_add_across_int64_bound(mult, shift, delta, other, overlap):
     assert np.array_equal(got.to_dense_fractions(), want)
     assert (got.data.dtype == object) == (max(abs(x) for x in _stored(got))
                                           >= 2 ** 62)
+
+
+@settings(max_examples=80, deadline=None)
+@given(count=st.integers(1, 8), shift=st.integers(0, 2),
+       signs=st.lists(st.sampled_from([1, -1]), min_size=8, max_size=8),
+       deltas=st.lists(st.integers(-64, 64), min_size=16, max_size=16))
+@example(count=4, shift=0, signs=[1] * 8, deltas=[0] * 16)
+def test_pair_trace_across_int64_bound(count, shift, signs, deltas):
+    # Tr(A B) = sum_j x_j y_j over `count` pairs of entries near 2^(31-shift),
+    # so the dot crosses 2^62 as count and shift vary; A's and B's unit
+    # entries keep each gcd at 1 and meet no partner
+    base = 2 ** (31 - shift)
+    xs = [s * (base + d) for s, d in zip(signs, deltas[:count])]
+    ys = [base + d for d in deltas[8:8 + count]]
+    a = SparseOp.from_triplets(2, count + 1, [(0, j, x) for j, x in enumerate(xs)]
+                               + [(1, count, 1)])
+    b = SparseOp.from_triplets(count + 1, 2, [(j, 0, y) for j, y in enumerate(ys)]
+                               + [(count, 0, 1)])
+    assert a.data.dtype == b.data.dtype == np.int64
+    lift = kernel_module._lift
+    ran = []
+
+    def spy(trips, *arrays):
+        out = lift(trips, *arrays)
+        ran.append(out[0].dtype)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_module, "_lift", spy)
+        got = trace_word([a, b])
+    total = sum(x * y for x, y in zip(xs, ys))
+    dense = dense_matmul(a.to_dense_fractions(), b.to_dense_fractions())
+    assert got == total == dense[0, 0] + dense[1, 1]
+    # int64 below the bound, Python ints from it on
+    past = count * max(map(abs, xs)) * max(ys) >= 2 ** 62
+    assert ran == [np.dtype(object) if past else np.dtype(np.int64)]
+    if abs(total) >= 2 ** 63:
+        # the same dot on int64 data wraps
+        assert past
+        assert int(np.dot(np.array(xs, dtype=np.int64),
+                          np.array(ys, dtype=np.int64))) != total
 
 
 def test_zero_operand_with_multiplier_past_int64():
