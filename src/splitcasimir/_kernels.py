@@ -38,7 +38,10 @@ def csr_matvec(rows, starts, col, data, v, n_rows):
     row ``rows[i]`` is one segment sum of the products from entry
     ``starts[i]`` on."""
     out = np.zeros(n_rows, dtype=np.result_type(data.dtype, v.dtype))
-    out[rows] = np.add.reduceat(data * v[col], starts)
+    # as in csr_matmat_dense: scale the fresh gather in place
+    prod = v[col].astype(out.dtype, copy=False)
+    prod *= data
+    out[rows] = np.add.reduceat(prod, starts)
     return out
 
 

@@ -9,7 +9,9 @@ defining representations of the exceptional algebras the operator is
 divided by d2, matching the convention in which their characteristic
 identities are stated).  For sl/so/sp adjoints the operator is realized on
 V_N^(x4) with the subspace projector playing the unit, which keeps the
-Kronecker structure of P_13, K_23 etc.
+Kronecker structure of P_13, K_23 etc.  Both realizations carry the
+coordinate involution sigma behind the swap, P = sigma unit, whose
+eigenspace blocks (``SwapBlock``) carry C+ and C-.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ import numpy as np
 
 from .algebras import LieAlgebra, Representation
 from .classical import _metric_c, build_classical
-from .kernel import SparseOp, Vec, kron, trace_word, vec_columns
+from .kernel import (
+    SparseOp,
+    Vec,
+    compress,
+    kron,
+    permutes_to,
+    trace_word,
+    vec_columns,
+)
 from .rootdata import RootSystem, series_rank
 
 
@@ -31,43 +41,21 @@ class CasimirError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SplitPart:
-    """C_plus (sign +1) or C_minus (sign -1) as a matvec only.
-
-    C_+- v = (1/2)(w +- P w) with w = Chat v: the definition in
-    ``SplitCasimir.parts`` applied to a vector, so neither P @ Chat nor the
-    part is built."""
-
-    operator: SparseOp
-    swap: SparseOp
-    sign: int
-
-    @property
-    def rows(self) -> int:
-        return self.operator.rows
-
-    @property
-    def cols(self) -> int:
-        return self.operator.cols
-
-    def matvec(self, v: Vec) -> Vec:
-        w = self.operator.matvec(v)
-        pw = self.swap.matvec(w)
-        return (w + pw if self.sign > 0 else w - pw).scaled(Fraction(1, 2))
-
-
 @dataclass
 class SplitCasimir:
     """Split Casimir operator with the structural operators of its ambient
     space: ``unit`` is the identity of the (sub)space the operator lives on,
-    ``swap`` the adjoint-space permutation used to split it."""
+    ``swap`` the adjoint-space permutation P used to split it, and
+    ``sigma`` the coordinate involution behind it, P = sigma unit, as an
+    index array: (sigma w)[i] = w[sigma[i]]."""
 
     operator: SparseOp
     rep_pair: Tuple[Representation, Representation]
     convention: str  # killing | d2_normalized
     unit: SparseOp
     swap: Optional[SparseOp] = None
+    sigma: Optional[np.ndarray] = field(default=None, repr=False,
+                                        compare=False)
     _parts: Optional[Tuple[SparseOp, SparseOp]] = field(default=None, repr=False)
 
     @property
@@ -84,14 +72,6 @@ class SplitCasimir:
             self._parts = ((self.operator + pc).scaled(half),
                            (self.operator - pc).scaled(half))
         return self._parts
-
-    def part_views(self) -> Tuple[SplitPart, SplitPart]:
-        """(C_plus, C_minus) as matvec-only views, for checks that only
-        apply the parts to vectors."""
-        if self.swap is None:
-            raise CasimirError("no permutation operator: rep1 != rep2")
-        return (SplitPart(self.operator, self.swap, 1),
-                SplitPart(self.operator, self.swap, -1))
 
 
 def weighted_kron_sum(coeffs: SparseOp, left: Sequence[SparseOp],
@@ -129,11 +109,123 @@ def weighted_kron_sum(coeffs: SparseOp, left: Sequence[SparseOp],
     return SparseOp(r1 * r2, c1 * c2, row, col, data, scale, _canonical=True)
 
 
+def swap_permutation(d: int) -> np.ndarray:
+    """The swap of V_d (x) V_d as an index array: entry i d + j is j d + i."""
+    i, j = np.divmod(np.arange(d * d, dtype=np.int64), d)
+    return j * d + i
+
+
 def swap_operator(d: int) -> SparseOp:
-    row = np.arange(d * d, dtype=np.int64)
-    i, j = np.divmod(row, d)
-    return SparseOp(d * d, d * d, row, j * d + i, np.ones(d * d, dtype=np.int64),
+    return SparseOp(d * d, d * d, np.arange(d * d, dtype=np.int64),
+                    swap_permutation(d), np.ones(d * d, dtype=np.int64),
                     _canonical=True)
+
+
+class SwapBlockError(CasimirError):
+    """A fact a swap block rests on fails; ``witness`` says where."""
+
+    def __init__(self, detail: str, witness: list):
+        super().__init__(detail)
+        self.witness = witness
+
+
+@dataclass(frozen=True, eq=False)
+class SwapBlock:
+    """The sign eigenspace of a coordinate involution sigma of C^dim, in
+    the basis of its orbits.
+
+    ``reps`` are the orbit representatives x (ascending, x <= sigma x) and
+    ``partner`` their images sigma x; the + block keeps the fixed points,
+    the - block drops them.  B has the columns e_x + sign e_{sigma x} (e_x
+    at a fixed point) and S selects the representatives, so S B = 1 and
+    B S w = w whenever sigma w = sign w.  An operator X that commutes with
+    sigma keeps the eigenspace, and there X B = B (S X B): the block
+    S X B carries X on it exactly, and B is injective.
+    """
+
+    sign: int
+    reps: np.ndarray
+    partner: np.ndarray
+    dim: int
+
+    def restrict(self, v: Vec) -> Vec:
+        """S Pi v with Pi = (1 + sign sigma) / 2, the block coordinates of
+        the part of v in the eigenspace: (v_x + sign v_{sigma x}) / 2."""
+        x = Vec(v.data[self.reps], v.scale)
+        y = Vec(v.data[self.partner], v.scale)
+        return (x + y if self.sign > 0 else x - y).scaled(Fraction(1, 2))
+
+    def compress(self, op: SparseOp) -> SparseOp:
+        """S op B, built in row chunks (``kernel.compress``)."""
+        m = len(self.reps)
+        target = np.full(self.dim, -1, dtype=np.int64)
+        target[self.partner] = np.arange(m)
+        target[self.reps] = np.arange(m)
+        coef = None
+        if self.sign < 0:
+            coef = np.ones(self.dim, dtype=np.int64)
+            coef[self.partner] = -1
+        return compress(op, self.reps, target, coef, m)
+
+
+def _permuted_mismatch(op: SparseOp, target: SparseOp,
+                       row_perm: Optional[np.ndarray],
+                       col_perm: Optional[np.ndarray]) -> Optional[list]:
+    """None if op with its rows and columns renumbered by the given
+    permutations of the coordinates (``kernel.permutes_to``) equals
+    ``target``; else [row, col] of an entry where they differ."""
+    idx = np.arange(op.rows, dtype=np.int64)
+    rows = idx if row_perm is None else row_perm
+    cols = idx if col_perm is None else col_perm
+    if permutes_to(op, rows, cols, target):
+        return None
+    diff = compress(op, rows, cols, None, op.cols) - target
+    return [int(diff.row[0]), int(diff.col[0])]
+
+
+def swap_block(sc: SplitCasimir, sign: int,
+               big_k: Optional[SparseOp] = None) -> SwapBlock:
+    """The ``sign`` block of ``sc.sigma``, once these facts hold exactly:
+    sigma is an involution of the coordinates; sigma unit = unit sigma =
+    swap; sigma Chat sigma = Chat; unit Chat = Chat; and, when ``big_k`` is
+    given, sigma K = K = K sigma.  Then C_sign = (1/2)(1 + sign P) Chat =
+    Chat Pi acts on the block as S Chat B and vanishes on the other one,
+    the unit keeps both blocks, and K vanishes on the - block.
+
+    Raises SwapBlockError naming the first fact that fails and where.
+    """
+    s = sc.sigma
+    if s is None:
+        raise CasimirError("no permutation operator: rep1 != rep2")
+    n = sc.operator.rows
+    if len(s) != n:
+        raise SwapBlockError(f"sigma permutes {len(s)} coordinates, "
+                             f"not {n}", [len(s)])
+    outside = np.flatnonzero((s < 0) | (s >= n))
+    if len(outside):
+        raise SwapBlockError("sigma leaves the coordinates", [int(outside[0])])
+    moved = np.flatnonzero(s[s] != np.arange(n))
+    if len(moved):
+        raise SwapBlockError("sigma is not an involution", [int(moved[0])])
+    checks = [("sigma unit != P", sc.unit, sc.swap, s, None),
+              ("unit sigma != P", sc.unit, sc.swap, None, s),
+              ("sigma Chat sigma != Chat", sc.operator, sc.operator, s, s)]
+    if big_k is not None:
+        checks += [("sigma K != K", big_k, big_k, s, None),
+                   ("K sigma != K", big_k, big_k, None, s)]
+    for detail, op, target, row_perm, col_perm in checks:
+        where = _permuted_mismatch(op, target, row_perm, col_perm)
+        if where is not None:
+            raise SwapBlockError(detail, where)
+    if not sc.unit.is_identity():
+        unit_chat = sc.unit @ sc.operator
+        if unit_chat != sc.operator:
+            diff = unit_chat - sc.operator
+            raise SwapBlockError("unit Chat != Chat",
+                                 [int(diff.row[0]), int(diff.col[0])])
+    idx = np.arange(n)
+    reps = np.flatnonzero(idx <= s if sign > 0 else idx < s)
+    return SwapBlock(sign, reps, s[reps], n)
 
 
 _EXCEPTIONAL_SERIES = ("G", "F", "E")
@@ -159,8 +251,10 @@ def split_casimir(rep1: Representation, rep2: Representation) -> SplitCasimir:
         op = op.scaled(Fraction(1) / rep1.d2())
     d1, d2m = rep1.dim_module, rep2.dim_module
     unit = SparseOp.identity(d1 * d2m)
-    swap = swap_operator(d1) if d1 == d2m else None
-    return SplitCasimir(op, (rep1, rep2), convention, unit, swap)
+    if d1 != d2m:
+        return SplitCasimir(op, (rep1, rep2), convention, unit)
+    return SplitCasimir(op, (rep1, rep2), convention, unit, swap_operator(d1),
+                        swap_permutation(d1))
 
 
 def split_parts(c: SplitCasimir) -> Tuple[SparseOp, SparseOp]:
@@ -250,7 +344,9 @@ def sl_adjoint_tensor(n: int) -> TensorAdjoint:
              + (k12 @ k34).scaled(Fraction(1, n * n)))
     _, rep = build_classical(*series_rank("sl", n))
     adj = rep.algebra.adjoint_rep()
-    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p)
+    # P13 P24 swaps the site pairs (12) and (34): the swap of V_N^2 (x) V_N^2
+    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p,
+                      swap_permutation(n * n))
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
            "K12": k12, "K13": k13, "K14": k14, "K23": k23, "K24": k24,
            "K34": k34}
@@ -278,7 +374,8 @@ def sosp_adjoint_tensor(n: int, eps: int) -> TensorAdjoint:
     big_k = unit @ (k13 @ k24) @ unit
     _, rep = build_classical(*series_rank("so" if eps == 1 else "sp", n))
     adj = rep.algebra.adjoint_rep()
-    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p)
+    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p,
+                      swap_permutation(n * n))
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
            "K13": k13, "K24": k24}
     return TensorAdjoint(sc, ops)

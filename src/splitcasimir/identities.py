@@ -8,11 +8,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .casimir import SplitCasimir
+from .casimir import SwapBlock, SwapBlockError, swap_block
 from .catalog import adjoint_context, parse_name
 from .kernel import (
     SparseOp,
@@ -183,41 +183,80 @@ def _subspace_random(unit: Optional[SparseOp], dim: int,
     return _apply_unit(unit, Vec.random_exact(dim, rng))
 
 
-def _split_parts(sc: SplitCasimir, method: str):
-    """(C+, C-): built for exact_full, matvec-only views for
-    randomized_exact, which only applies them to vectors."""
-    return sc.parts() if method == "exact_full" else sc.part_views()
+def _unit_block(unit: Optional[SparseOp], block: SwapBlock
+                ) -> Optional[SparseOp]:
+    """The block of ``unit``, or None for the identity."""
+    unit = _loop_unit(unit)
+    return None if unit is None else block.compress(unit)
 
 
-def verify_identity(op, ident: CharIdentity, method: str = "auto",
+def _broken_block(target: str, method: str, err: SwapBlockError
+                  ) -> VerificationReport:
+    return VerificationReport(target, "FAIL", method, witness=err.witness,
+                              detail=str(err))
+
+
+def _probe(target: str, method: str, dim: int, unit: Optional[SparseOp],
+           residual: Callable[[Vec], Vec], trials: int, seed: int,
+           block: Optional[SwapBlock] = None) -> VerificationReport:
+    """Randomized-exact zero test: ``residual`` of ``trials`` random
+    vectors v on the image of ``unit`` (of their ``block`` coordinates when
+    a block is given); a FAIL names the first v with a nonzero residual."""
+    unit = _loop_unit(unit)
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        v = _subspace_random(unit, dim, rng)
+        if not residual(v if block is None else block.restrict(v)).is_zero():
+            return VerificationReport(target, "FAIL", method, t + 1,
+                                      witness=v.fractions())
+    return VerificationReport(target, "PASS", method, trials)
+
+
+def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
                     unit: Optional[SparseOp] = None, target: str = "",
-                    trials: int = RANDOM_TRIALS, seed: int = 0
-                    ) -> VerificationReport:
+                    trials: int = RANDOM_TRIALS, seed: int = 0,
+                    block: Optional[SwapBlock] = None) -> VerificationReport:
     """Check prod_i (op - r_i * unit) = 0 on the image of ``unit``.
 
     exact_full builds prod_i (op - r_i * unit) * unit as one sparse operator
     chain: it is zero iff the identity holds on every basis vector, and a
     FAIL names the first nonzero column.  randomized_exact applies the
-    factors to random subspace vectors; there ``op`` may be any operator
-    with ``rows``, ``cols`` and ``matvec``, such as a ``SplitPart``."""
-    dim = op.rows
+    factors to random subspace vectors.
+
+    With a swap ``block`` (randomized_exact only), ``op`` is the block
+    S X B of an operator X that vanishes on the other block, such as C+-
+    (``casimir.swap_block``).  Each trial vector is drawn on the full space
+    as for X and restricted, and the shifts use the unit's block.  The
+    root 0 must be among the roots: its factor kills the other block, so a
+    trial fails exactly when it fails for X, with the same witness."""
+    dim = op.rows if block is None else block.dim
     method = _resolve_method(method, dim)
     roots = ident.roots
-    rng = np.random.default_rng(seed)
     if method == "exact_full":
+        if block is not None:
+            raise ValueError("a swap block is checked randomized_exact only")
         residual = product_of_shifts(op, roots, unit=unit)
         if residual.nnz:
             j = int(residual.col.min())
             return VerificationReport(target, "FAIL", method, j + 1,
                                       witness=[j])
         return VerificationReport(target, "PASS", method, dim)
-    unit = _loop_unit(unit)
-    for t in range(trials):
-        v = _subspace_random(unit, dim, rng)
-        if not apply_poly_factors(op, roots, v, unit=unit).is_zero():
-            return VerificationReport(target, "FAIL", method, t + 1,
-                                      witness=v.fractions())
-    return VerificationReport(target, "PASS", method, trials)
+    shift = _loop_unit(unit)
+    if block is not None:
+        if 0 not in roots:
+            raise ValueError("a swap-block identity needs the root 0")
+        shift = _unit_block(unit, block)
+    return _probe(target, method, dim, unit,
+                  lambda a: apply_poly_factors(op, roots, a, unit=shift),
+                  trials, seed, block)
+
+
+def _symmetric_block(ctx):
+    """The + swap block with C+, K and the unit (None for the identity) on
+    it; raises SwapBlockError."""
+    block = swap_block(ctx.sc, 1, ctx.big_k)
+    return (block, block.compress(ctx.sc.operator),
+            block.compress(ctx.big_k), _unit_block(ctx.sc.unit, block))
 
 
 def verify_defining_identity(name: str, method: str = "auto",
@@ -246,12 +285,19 @@ def verify_adjoint_identity(name: str, method: str = "auto",
 
 def verify_antisymmetric_identity(name: str, method: str = "auto",
                                   seed: int = 0) -> VerificationReport:
-    ctx = adjoint_context(name)
-    method = _resolve_method(method, ctx.sc.operator.rows)
-    _, cm = _split_parts(ctx.sc, method)
-    return verify_identity(cm, antisymmetric_identity(), method,
-                           unit=ctx.sc.unit,
-                           target=f"{name} C- universal identity", seed=seed)
+    sc = adjoint_context(name).sc
+    method = _resolve_method(method, sc.operator.rows)
+    target = f"{name} C- universal identity"
+    if method == "exact_full":
+        return verify_identity(sc.parts()[1], antisymmetric_identity(), method,
+                               unit=sc.unit, target=target, seed=seed)
+    try:
+        block = swap_block(sc, -1)
+    except SwapBlockError as err:
+        return _broken_block(target, method, err)
+    return verify_identity(block.compress(sc.operator),
+                           antisymmetric_identity(), method, unit=sc.unit,
+                           target=target, seed=seed, block=block)
 
 
 # ---------------------------------------------------------------------------
@@ -467,36 +513,35 @@ def verify_universal_sym_identity(name: str, method: str = "auto",
     mu = universal_mu(ctx.dim_g)
     dim = ctx.sc.operator.rows
     method = _resolve_method(method, dim)
-    cp, _ = _split_parts(ctx.sc, method)
+    target = f"{name} C+^2 universal identity"
     if method == "exact_full":
+        block = None
+        cp, _ = ctx.sc.parts()
         rhs = cp.scaled(Fraction(-1, 6)) \
             + (ctx.ops["I"] + ctx.ops["P"] + ctx.big_k).scaled(mu)
         ok = (cp @ cp) == rhs
-        rep = VerificationReport(f"{name} C+^2 universal identity",
-                                 "PASS" if ok else "FAIL", method)
+        rep = VerificationReport(target, "PASS" if ok else "FAIL", method)
     else:
-        rng = np.random.default_rng(seed)
-        unit = _loop_unit(ctx.sc.unit)
-        rep = None
-        for t in range(trials):
-            v = _subspace_random(unit, dim, rng)
-            c1 = cp.matvec(v)
+        try:
+            block, cp, kp, up = _symmetric_block(ctx)
+        except SwapBlockError as err:
+            return _broken_block(f"{name} universal symmetric identity",
+                                 method, err)
+
+        # on the + block, (I + P) v = 2 unit v
+        def residual(a: Vec) -> Vec:
+            c1 = cp.matvec(a)
             rhs = c1.scaled(Fraction(-1, 6)) + (
-                _apply_unit(unit, v) + ctx.ops["P"].matvec(v)
-                + ctx.big_k.matvec(v)).scaled(mu)
-            if not (cp.matvec(c1) - rhs).is_zero():
-                rep = VerificationReport(f"{name} C+^2 universal identity",
-                                         "FAIL", method, t + 1,
-                                         witness=v.fractions())
-                break
-        rep = rep or VerificationReport(f"{name} C+^2 universal identity",
-                                        "PASS", method, trials)
+                _apply_unit(up, a).scaled(2) + kp.matvec(a)).scaled(mu)
+            return cp.matvec(c1) - rhs
+        rep = _probe(target, method, dim, ctx.sc.unit, residual, trials, seed,
+                     block)
     if not rep.passed:
         return rep
     quartic = symmetric_part_identity(name)
     rep2 = verify_identity(cp, quartic, method, unit=ctx.sc.unit,
                            target=f"{name} C+ quartic", seed=seed,
-                           trials=trials)
+                           trials=trials, block=block)
     if not rep2.passed:
         return rep2
     return VerificationReport(f"{name} universal symmetric identity",
@@ -521,26 +566,25 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
                                   detail=f"dim formula gave {dim_formula}")
     dim = ctx.sc.operator.rows
     method = _resolve_method(method, dim)
-    cp, _ = _split_parts(ctx.sc, method)
+    target = f"{name} generic classical identity"
     if method == "exact_full":
+        cp, _ = ctx.sc.parts()
         rhs = combine([(mu1, cp), (mu2, ctx.ops["I"]), (mu2, ctx.ops["P"]),
                        (-2 * mu2, ctx.big_k)])
         c2 = cp @ cp
         ok = combine([(1, c2 @ cp), (Fraction(1, 2), c2)]) == rhs
-        return VerificationReport(f"{name} generic classical identity",
-                                  "PASS" if ok else "FAIL", method)
-    rng = np.random.default_rng(seed)
-    unit = _loop_unit(ctx.sc.unit)
-    for t in range(trials):
-        v = _subspace_random(unit, dim, rng)
-        c1 = cp.matvec(v)
+        return VerificationReport(target, "PASS" if ok else "FAIL", method)
+    try:
+        block, cp, kp, up = _symmetric_block(ctx)
+    except SwapBlockError as err:
+        return _broken_block(target, method, err)
+
+    # on the + block, (I + P - 2K) v = 2 (unit v - K v)
+    def residual(a: Vec) -> Vec:
+        c1 = cp.matvec(a)
         c2 = cp.matvec(c1)
-        c3 = cp.matvec(c2)
-        rhs = c1.scaled(mu1) + (_apply_unit(unit, v) + ctx.ops["P"].matvec(v)
-                                - ctx.big_k.matvec(v).scaled(2)).scaled(mu2)
-        if not (c3 + c2.scaled(Fraction(1, 2)) - rhs).is_zero():
-            return VerificationReport(f"{name} generic classical identity",
-                                      "FAIL", method, t + 1,
-                                      witness=v.fractions())
-    return VerificationReport(f"{name} generic classical identity", "PASS",
-                              method, trials)
+        rhs = c1.scaled(mu1) + (_apply_unit(up, a) - kp.matvec(a)).scaled(
+            2 * mu2)
+        return cp.matvec(c2) + c2.scaled(Fraction(1, 2)) - rhs
+    return _probe(target, method, dim, ctx.sc.unit, residual, trials, seed,
+                  block)

@@ -25,6 +25,8 @@ from . import _kernels
 # products and row-sums are kept strictly below this before falling back to
 # arbitrary precision
 _INT64_SAFE = 2 ** 62
+# ``compress`` remaps and merges about this many entries at a time
+COMPRESS_ENTRIES = 1 << 12
 
 ScalarLike = Union[int, Fraction]
 
@@ -487,14 +489,114 @@ def vec_columns(ops: Sequence[SparseOp]) -> SparseOp:
                    for a, op in enumerate(ops))
 
 
-def apply_poly_factors(op, roots: Sequence[ScalarLike], v: Vec,
+def _compressed_chunks(op: SparseOp, rows: np.ndarray, target: np.ndarray,
+                       coef: Optional[np.ndarray], width: int
+                       ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Rows lo..hi of ``compress(op, rows, target, coef, width)``, about
+    ``COMPRESS_ENTRIES`` entries of op at a time, as (hi, key, val): the
+    keys row * width + col, sorted and distinct, and their nonzero integer
+    values over op.scale."""
+    indptr = op.indptr
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    live = target >= 0
+    # an output entry sums at most fan_in entries of op
+    fan_in = int(np.bincount(target[live]).max()) if live.any() else 0
+    most = 1 if coef is None else int(np.abs(coef).max())
+    (data,) = _lift(fan_in * max(op.max_abs, 1) * most >= _INT64_SAFE,
+                    op.data)
+    lo = 0
+    while lo < len(rows):
+        p0 = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, p0 + COMPRESS_ENTRIES,
+                                             "right")))
+        cnt = counts[lo:hi]
+        idx = np.repeat(starts[lo:hi] - (ends[lo:hi] - cnt), cnt)
+        idx += np.arange(p0, ends[hi - 1])
+        col = op.col[idx]
+        key = np.repeat(np.arange(lo, hi, dtype=np.int64) * width, cnt)
+        key += target[col]
+        val = data[idx] if coef is None else data[idx] * coef[col]
+        keep = live[col]
+        if not keep.all():
+            key, val = key[keep], val[keep]
+        if len(key):
+            order = np.argsort(key, kind="stable")
+            key, val = key[order], val[order]
+            first = np.empty(len(key), dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if not first.all():
+                idx = np.flatnonzero(first)
+                key, val = key[idx], np.add.reduceat(val, idx)
+                keep = val != 0
+                key, val = key[keep], val[keep]
+        yield hi, key, val
+        lo = hi
+
+
+def compress(op: SparseOp, rows: np.ndarray, target: np.ndarray,
+             coef: Optional[np.ndarray], width: int) -> SparseOp:
+    """S op B, never forming op B.
+
+    S selects ``rows``, and B (op.cols x width) holds the nonzero coef[c]
+    (1 when ``coef`` is None) at (c, target[c]) for each column c with
+    target[c] >= 0 and nothing else: row i of the result is row rows[i] of
+    op with each column c moved to column target[c] and scaled by coef[c].
+    The rows are remapped and merged in chunks of about
+    ``COMPRESS_ENTRIES`` entries, which bounds the transient by a chunk;
+    the chunks come out sorted, merged and zero-free, so the result needs
+    no normalising.
+    """
+    keys = [np.zeros(0, dtype=np.int64)]
+    vals = [np.zeros(0, dtype=op.data.dtype)]
+    for _, key, val in _compressed_chunks(op, rows, target, coef, width):
+        keys.append(key)
+        vals.append(val)
+    # join one array at a time, so at most two copies of it are alive
+    key = np.concatenate(keys)
+    del keys
+    val = np.concatenate(vals)
+    del vals
+    row, col = np.divmod(key, width)
+    del key
+    g = _gcd_reduce(val)
+    if g > 1:
+        val //= g
+    return SparseOp(len(rows), width, row, col, _shrink_if_safe(val),
+                    op.scale * g if g else Fraction(1), _canonical=True)
+
+
+def permutes_to(op: SparseOp, row_perm: np.ndarray, col_perm: np.ndarray,
+                other: SparseOp) -> bool:
+    """Whether op, with row i taken from row row_perm[i] and column c moved
+    to column col_perm[c], equals ``other``.  Both maps must be
+    permutations.  The permuted op is compared chunk by chunk with the same
+    rows of ``other`` and never built."""
+    if ((op.rows, op.cols, op.nnz, op.scale)
+            != (other.rows, other.cols, other.nnz, other.scale)):
+        return False
+    lo = 0
+    for hi, key, val in _compressed_chunks(op, row_perm, col_perm, None,
+                                           op.cols):
+        a, b = other.indptr[lo], other.indptr[hi]
+        other_key = other.row[a:b] * other.cols
+        other_key += other.col[a:b]
+        if not (np.array_equal(key, other_key)
+                and np.array_equal(val, other.data[a:b])):
+            return False
+        lo = hi
+    return True
+
+
+def apply_poly_factors(op: SparseOp, roots: Sequence[ScalarLike], v: Vec,
                        unit: Optional[SparseOp] = None) -> Vec:
     """Apply prod_i (op - r_i * unit) to v, left to right, factor by factor.
 
-    ``op`` needs only ``rows``, ``cols`` and ``matvec``: a SparseOp or a
-    matvec-only view such as ``casimir.SplitPart``.  ``unit`` defaults to
-    the identity; passing a subspace projector makes the factors act as
-    shifts on that subspace (callers feed subspace vectors).
+    ``unit`` defaults to the identity; passing a subspace projector makes
+    the factors act as shifts on that subspace (callers feed subspace
+    vectors).
     """
     if op.rows != op.cols:
         raise DimensionMismatchError("apply_poly_factors needs a square op")
@@ -572,12 +674,15 @@ def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],
 
     ``unit`` must be idempotent and commute with ``op``; then every partial
     product is a polynomial in op times unit, so unit @ acc == acc and a
-    shift needs no product."""
+    shift needs no product.  The first factor reuses the op @ unit of that
+    check."""
     if unit is None:
-        unit = SparseOp.identity(op.rows)
-    elif unit @ unit != unit or op @ unit != unit @ op:
-        raise KernelError("unit must be idempotent and commute with op")
+        unit, op_acc = SparseOp.identity(op.rows), op
+    else:
+        op_acc = op @ unit
+        if unit @ unit != unit or op_acc != unit @ op:
+            raise KernelError("unit must be idempotent and commute with op")
     acc = unit
-    for r in roots:
-        acc = combine([(1, op @ acc), (-r, acc)])
+    for k, r in enumerate(roots):
+        acc = combine([(1, op_acc if k == 0 else op @ acc), (-r, acc)])
     return acc

@@ -3,8 +3,10 @@ pass/fail line per criterion.
 
 Exact means zero residual in rational arithmetic; randomized-exact means the
 expression is applied to 32 random integer vectors and every image is
-exactly zero.  No criterion uses a floating-point tolerance: the e7
-Yang-Baxter and unitarity checks are exact as well.
+exactly zero.  No criterion uses a floating-point tolerance.  The e7
+unitarity check is an exact operator equality.  The Yang-Baxter check is
+randomized-exact over its trial vectors, although its records carry the
+method label "exact".
 """
 
 import time

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from splitcasimir import identities
-from splitcasimir.casimir import SplitCasimir, split_casimir
+from splitcasimir.casimir import SplitCasimir, split_casimir, swap_block
 from splitcasimir.catalog import adjoint_context, defining
 from splitcasimir.identities import (
     CharIdentity,
@@ -308,12 +308,106 @@ def _first_failure(op, roots, unit, trials, seed):
 def test_perturbed_root_fails_on_composed_part(name):
     sc = adjoint_context(name).sc
     ident = CharIdentity([0, Fraction(-1, 3)])  # C-(C- + 1/2) = 0 is true
-    _, cm_view = sc.part_views()
-    got = verify_identity(cm_view, ident, "randomized_exact", unit=sc.unit,
-                          trials=4, seed=5)
+    block = swap_block(sc, -1)
+    got = verify_identity(block.compress(sc.operator), ident,
+                          "randomized_exact", unit=sc.unit, trials=4, seed=5,
+                          block=block)
     want = _first_failure(sc.parts()[1], ident.roots, sc.unit, 4, 5)
     assert (got.status, got.trials, got.witness) == want
     assert got.status == "FAIL" and got.witness is not None
+
+
+def test_block_identity_needs_the_root_zero():
+    # without the root 0 the other block's part of v would go unchecked
+    sc = adjoint_context("g2").sc
+    block = swap_block(sc, -1)
+    with pytest.raises(ValueError):
+        verify_identity(block.compress(sc.operator),
+                        CharIdentity([Fraction(-1, 2)]), "randomized_exact",
+                        block=block)
+
+
+def _break(monkeypatch, name, **changes):
+    """Serve a copy of the adjoint context of ``name`` with the split
+    Casimir's fields (``operator``, ``sigma``) or ``big_k`` replaced."""
+    ctx = adjoint_context(name)
+    sc_changes = {k: v for k, v in changes.items() if k != "big_k"}
+    bad = dataclasses.replace(
+        ctx, sc=dataclasses.replace(ctx.sc, **sc_changes),
+        big_k=changes.get("big_k", ctx.big_k))
+    monkeypatch.setattr(identities, "adjoint_context", lambda _: bad)
+    return ctx
+
+
+def _nudged(op, at):
+    """op with entry ``at`` of its triplets raised by one unit of scale."""
+    data = op.data.copy()
+    data[at] += 1
+    return SparseOp(op.rows, op.cols, op.row, op.col, data, op.scale)
+
+
+_BLOCK_CHECKS = [verify_antisymmetric_identity, verify_universal_sym_identity,
+                 verify_classical_generic_identity]
+
+
+@pytest.mark.parametrize("name,checks", [("g2", _BLOCK_CHECKS[:2]),
+                                         ("so(7)", _BLOCK_CHECKS[::2])])
+def test_non_swap_invariant_casimir_fails_with_witness(monkeypatch, name,
+                                                       checks):
+    # one entry of Chat changed, in a row that sigma moves, and not its
+    # mirror: sigma Chat sigma != Chat
+    ctx = adjoint_context(name)
+    c = ctx.sc.operator
+    at = int(np.flatnonzero(ctx.sc.sigma[c.row] != c.row)[0])
+    _break(monkeypatch, name, operator=_nudged(c, at))
+    for check in checks:
+        rep = check(name, "randomized_exact")
+        assert rep.status == "FAIL" and rep.witness, rep.target
+        assert rep.detail == "sigma Chat sigma != Chat"
+
+
+def test_casimir_off_the_unit_image_fails_with_witness(monkeypatch):
+    # an entry of the so(7) Chat on sigma-fixed coordinates changed: Chat
+    # still commutes with sigma, but unit Chat != Chat, so C+- would not
+    # be Chat times a swap projector
+    ctx = adjoint_context("so(7)")
+    c, sigma = ctx.sc.operator, ctx.sc.sigma
+    at = int(np.flatnonzero((sigma[c.row] == c.row)
+                            & (sigma[c.col] == c.col))[0])
+    _break(monkeypatch, "so(7)", operator=_nudged(c, at))
+    for check in _BLOCK_CHECKS[::2]:
+        rep = check("so(7)", "randomized_exact")
+        assert rep.status == "FAIL" and rep.witness, rep.target
+        assert rep.detail == "unit Chat != Chat"
+
+
+def test_non_swap_invariant_k_fails_with_witness(monkeypatch):
+    # an entry of K in a sigma-fixed row and a moved column changed: sigma K
+    # is still K, but K sigma != K, and the symmetric checks refuse the block
+    ctx = adjoint_context("g2")
+    k, sigma = ctx.big_k, ctx.sc.sigma
+    at = int(np.flatnonzero((sigma[k.row] == k.row)
+                            & (sigma[k.col] != k.col))[0])
+    _break(monkeypatch, "g2", big_k=_nudged(k, at))
+    rep = verify_universal_sym_identity("g2", "randomized_exact")
+    assert rep.status == "FAIL" and rep.witness
+    assert rep.detail == "K sigma != K"
+    # C- does not read K
+    assert verify_antisymmetric_identity("g2", "randomized_exact").passed
+
+
+@pytest.mark.parametrize("name", ["g2", "sl(3)"])
+def test_non_involutive_sigma_fails_with_witness(monkeypatch, name):
+    # a 3-cycle on the first coordinates: still a permutation, but
+    # sigma^2 != 1
+    ctx = adjoint_context(name)
+    sigma = ctx.sc.sigma.copy()
+    sigma[[0, 1, 2]] = sigma[[1, 2, 0]]
+    _break(monkeypatch, name, sigma=sigma)
+    for check in _BLOCK_CHECKS[:2]:
+        rep = check(name, "randomized_exact")
+        assert rep.status == "FAIL" and rep.witness, rep.target
+        assert "involution" in rep.detail
 
 
 @pytest.mark.parametrize("name,check", [

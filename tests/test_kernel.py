@@ -467,6 +467,88 @@ def test_product_of_shifts_with_unit_pins_factor_order():
         assert col.fractions() == list(want[:, j])
 
 
+def test_product_of_shifts_reuses_the_commutation_product(monkeypatch):
+    # the sp(4) adjoint on V^(x4) with one root dropped, so the residual is
+    # nonzero: the chain starts from the op @ unit of the commutation check
+    from splitcasimir.catalog import adjoint_context
+    from splitcasimir.identities import adjoint_identity
+    sc = adjoint_context("sp(4)").sc
+    op, unit = sc.operator, sc.unit
+    ident = SparseOp.identity(op.rows)
+    roots = adjoint_identity("sp(4)").roots[1:]
+    want = {}
+    for name, start in (("unit", unit), ("identity", ident)):
+        acc = start
+        for r in roots:
+            acc = op @ acc - acc.scaled(r)
+        want[name] = acc
+    matmul = SparseOp.__matmul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+    monkeypatch.setattr(SparseOp, "__matmul__", counted)
+    got = product_of_shifts(op, roots, unit=unit)
+    # unit @ unit, op @ unit and unit @ op, then one product per later root
+    assert len(calls) == 3 + len(roots) - 1
+    assert got == want["unit"] and not got.is_zero()
+    calls.clear()
+    assert product_of_shifts(op, roots) == want["identity"]
+    assert len(calls) == len(roots) - 1
+
+
+@pytest.mark.parametrize("dtypes", [(np.int64, np.int64), (object, np.int64),
+                                    (np.int64, object), (object, object)])
+def test_csr_matvec_mixed_dtypes(dtypes):
+    rng = np.random.default_rng(61)
+    a = random_exact_op(rng, 6, 5, 0.5)
+    v = rng.integers(-9, 10, size=5)
+    data, vec = a.data.astype(dtypes[0]), v.astype(dtypes[1])
+    got = _kernels.csr_matvec(*a.segments, a.col, data, vec, a.rows)
+    want = dense_matmul(_core(a), v.astype(object).reshape(5, 1)).ravel()
+    assert list(got) == list(want)
+    assert (got.dtype == object) == (object in dtypes)
+
+
+def test_compress_against_dense(monkeypatch):
+    # S X B with S selecting rows in any order and B one entry per row:
+    # column c scaled by coef[c] into column target[c], or dropped
+    rng = np.random.default_rng(67)
+    n, width = 7, 4
+    for trial in range(6):
+        x = random_exact_op(rng, n, n, 0.6)
+        rows = rng.permutation(n)[:5] if trial % 2 else np.arange(2, n)
+        target = rng.integers(-1, width, size=n)
+        coef = rng.choice([-2, -1, 1, 3], size=n)
+        basis = np.zeros((n, width), dtype=object)
+        for c in range(n):
+            if target[c] >= 0:
+                basis[c, target[c]] = int(coef[c])
+        want = dense_matmul(x.to_dense_fractions()[rows], basis)
+        for chunk in (1, 3, 1 << 12):
+            monkeypatch.setattr(kernel_module, "COMPRESS_ENTRIES", chunk)
+            got = kernel_module.compress(x, rows, target, coef, width)
+            assert got == SparseOp.from_dense(want)
+
+
+def test_permutes_to_against_products():
+    rng = np.random.default_rng(71)
+    n = 6
+    x = random_exact_op(rng, n, n, 0.5)
+    p, q = rng.permutation(n), rng.permutation(n)
+    # row i from row p[i], column c to q[c]: R X Q with R[i, p[i]] = 1 and
+    # Q[c, q[c]] = 1
+    rows_op = SparseOp(n, n, np.arange(n), p, np.ones(n, dtype=np.int64))
+    cols_op = SparseOp(n, n, np.arange(n), q, np.ones(n, dtype=np.int64))
+    permuted = rows_op @ x @ cols_op
+    assert kernel_module.permutes_to(x, p, q, permuted)
+    assert not kernel_module.permutes_to(x, p, q, permuted.scaled(2))
+    off = permuted + SparseOp.from_triplets(n, n, [(int(permuted.row[-1]),
+                                                    int(permuted.col[-1]), 1)])
+    assert not kernel_module.permutes_to(x, p, q, off)
+
+
 def test_dimension_mismatch_raises():
     a = SparseOp.identity(3)
     b = SparseOp.identity(4)
