@@ -9,7 +9,9 @@ defining representations of the exceptional algebras the operator is
 divided by d2, matching the convention in which their characteristic
 identities are stated).  For sl/so/sp adjoints the operator is realized on
 V_N^(x4) with the subspace projector playing the unit, which keeps the
-Kronecker structure of P_13, K_23 etc.  Both realizations carry the
+Kronecker structure of P_13, K_23 etc.; its row basis (``RowBasis``) runs
+every product whose left factor lies in the unit's image on the
+representative rows and expands the result.  Both realizations carry the
 coordinate involution sigma behind the swap, P = sigma unit, whose
 eigenspace blocks (``SwapBlock``) carry C+ and C-.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .kernel import (
     SparseOp,
     Vec,
     compress,
+    expand,
     kron,
     permutes_to,
     trace_word,
@@ -39,6 +42,166 @@ from .rootdata import RootSystem, series_rank
 
 class CasimirError(Exception):
     pass
+
+
+class RowBasisError(CasimirError):
+    """A fact a row basis rests on fails; ``witness`` is [row, col] of an
+    entry where it fails."""
+
+    def __init__(self, detail: str, witness: list):
+        super().__init__(f"{detail} at {witness}")
+        self.detail = detail
+        self.witness = witness
+
+
+def _first_difference(a: SparseOp, b: SparseOp) -> Optional[list]:
+    """None if a == b (same shape); else [row, col] of an entry where they
+    differ."""
+    if a == b:
+        return None
+    diff = a - b
+    return [int(diff.row[0]), int(diff.col[0])]
+
+
+@dataclass(eq=False)
+class RowBasis:
+    """Representative rows of a projector ``unit`` and their integer
+    expansion.
+
+    S selects the coordinates ``rows`` and B = ``expansion`` (n x len(rows))
+    writes every row of the unit's image in terms of them.  ``check``
+    proves three facts exactly: S B = 1, B (S unit) = unit and unit B = B.
+    Then X = B (S X) holds exactly when unit X = X, and for such an X,
+    X @ Y = B ((S X) @ Y): a product whose left factor lies in the image
+    runs on len(rows) rows and is expanded (``kernel.expand``), and B is
+    injective.  The facts are checked on first use and remembered.
+    """
+
+    unit: SparseOp
+    rows: np.ndarray
+    expansion: SparseOp
+    _head: Optional[SparseOp] = field(default=None, init=False, repr=False)
+
+    @staticmethod
+    def of_pairs(unit: SparseOp, pair_rows: np.ndarray,
+                 pair_expansion: SparseOp) -> "RowBasis":
+        """The basis of a unit on V^2 (x) V^2 that is the product of one
+        projector on each site pair, from the basis (S_2, B_2) of that
+        projector: rows (r1, r2) for representatives r1, r2 and
+        B = kron(B_2, B_2)."""
+        d = pair_expansion.rows
+        rows = (pair_rows[:, None] * d + pair_rows[None, :]).ravel()
+        return RowBasis(unit, rows, kron(pair_expansion, pair_expansion))
+
+    def select(self, x: SparseOp) -> SparseOp:
+        """S x: the representative rows of x."""
+        return compress(x, self.rows, np.arange(x.cols, dtype=np.int64),
+                        None, x.cols)
+
+    def expand(self, m: SparseOp) -> SparseOp:
+        """B m."""
+        return expand(self.expansion, m)
+
+    @property
+    def head(self) -> SparseOp:
+        """S unit, once the facts hold (RowBasisError otherwise)."""
+        if self._head is None:
+            self._head = self._checked_head()
+        return self._head
+
+    def _checked_head(self) -> SparseOp:
+        b, m = self.expansion, self.expansion.cols
+        k = min(len(self.rows), m)
+        idx = np.arange(k, dtype=np.int64)
+        eye = SparseOp(len(self.rows), m, idx, idx,
+                       np.ones(k, dtype=np.int64), _canonical=True)
+        where = _first_difference(self.select(b), eye)
+        if where is None and len(self.rows) != m:
+            where = [k, k]
+        if where is not None:
+            raise RowBasisError("S B != 1", where)
+        # unit B = B, transposed so the product runs on the len(rows) rows
+        # of B^T
+        bt = b.transpose()
+        where = _first_difference(bt @ self.unit.transpose(), bt)
+        if where is not None:
+            raise RowBasisError("unit B != B", where[::-1])
+        head = self.select(self.unit)
+        where = _first_difference(self.expand(head), self.unit)
+        if where is not None:
+            raise RowBasisError("B S unit != unit", where)
+        return head
+
+    def image_mismatch(self, x: SparseOp) -> Tuple[SparseOp, Optional[list]]:
+        """(S x, witness): the witness is None when x == B (S x), that is
+        unit x = x, and else [row, col] of an entry where they differ."""
+        self.head
+        sx = self.select(x)
+        return sx, _first_difference(self.expand(sx), x)
+
+    def lift(self, x: SparseOp, name: str = "X") -> SparseOp:
+        """S x, once x == B (S x) holds (RowBasisError naming ``name``
+        otherwise)."""
+        sx, where = self.image_mismatch(x)
+        if where is not None:
+            raise RowBasisError(f"{name} is not in the unit's image", where)
+        return sx
+
+    def matmul(self, x: SparseOp, y: SparseOp, name: str = "X") -> SparseOp:
+        """x @ y as B ((S x) @ y), for an x in the unit's image."""
+        return self.expand(self.lift(x, name) @ y)
+
+
+UnitLike = Union[SparseOp, RowBasis]
+
+
+def image_powers(unit: UnitLike, x: SparseOp, top: int) -> List[SparseOp]:
+    """[x^2, ..., x^top] for an x in the image of the unit.  With a row
+    basis, x is checked once and each power is B ((S x^(k-1)) @ x), the
+    rows S x^k = (S x^(k-1)) x running from S x."""
+    out = []
+    if isinstance(unit, SparseOp):
+        power = x
+        for _ in range(top - 1):
+            power = power @ x
+            out.append(power)
+        return out
+    rows = unit.lift(x)
+    for _ in range(top - 1):
+        rows = rows @ x
+        out.append(unit.expand(rows))
+    return out
+
+
+def pair_basis(kind: str, n: int) -> Tuple[np.ndarray, SparseOp]:
+    """Representatives S_2 and expansion B_2 of the projector of one site
+    pair (i, j) of V_N (x) V_N, coordinate i N + j: for "so" the
+    antisymmetric part (representatives i < j; row (j, i) is -1 times row
+    (i, j), and the diagonal rows vanish), for "sp" the symmetric part
+    (i <= j; row (j, i) equals row (i, j)), for "sl" the traceless part
+    (every (i, j) but (N-1, N-1), whose row is -1 times the sum of the
+    other diagonal rows)."""
+    i, j = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    if kind == "sl":
+        reps = np.flatnonzero((i != n - 1) | (j != n - 1))
+    else:
+        reps = np.flatnonzero(i < j if kind == "so" else i <= j)
+    col = np.arange(len(reps), dtype=np.int64)
+    ri, rj = i[reps], j[reps]
+    rows, cols, data = [reps], [col], [np.ones(len(reps), dtype=np.int64)]
+    if kind == "sl":
+        diag = ri == rj
+        rows.append(np.full(int(diag.sum()), n * n - 1, dtype=np.int64))
+        cols.append(col[diag])
+        data.append(-np.ones(int(diag.sum()), dtype=np.int64))
+    else:
+        off = ri != rj
+        rows.append(rj[off] * n + ri[off])
+        cols.append(col[off])
+        data.append(np.full(int(off.sum()), -1 if kind == "so" else 1,
+                            dtype=np.int64))
+    return reps, SparseOp(n * n, len(reps), np.concatenate(rows),
+                          np.concatenate(cols), np.concatenate(data))
 
 
 @dataclass
@@ -57,17 +220,35 @@ class SplitCasimir:
     sigma: Optional[np.ndarray] = field(default=None, repr=False,
                                         compare=False)
     _parts: Optional[Tuple[SparseOp, SparseOp]] = field(default=None, repr=False)
+    # (kind, N) of ``pair_basis`` when the unit is a projector on
+    # V_N^2 (x) V_N^2; None when it is the identity
+    pair: Optional[Tuple[str, int]] = None
+    _basis: Optional[RowBasis] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def algebra(self) -> LieAlgebra:
         return self.rep_pair[0].algebra
 
+    def basis(self) -> UnitLike:
+        """The row basis of ``unit`` (``RowBasis``, facts checked on first
+        use) on the V^(x4) realisations; ``unit`` itself elsewhere, where
+        it is the identity.  Pass it where a unit goes."""
+        if self.pair is None:
+            return self.unit
+        if self._basis is None:
+            self._basis = RowBasis.of_pairs(self.unit, *pair_basis(*self.pair))
+        return self._basis
+
     def parts(self) -> Tuple[SparseOp, SparseOp]:
-        """(C_plus, C_minus) = (1/2)(1 +- P) Chat."""
+        """(C_plus, C_minus) = (1/2)(1 +- P) Chat, with P Chat formed on
+        the unit's representative rows where it has a row basis."""
         if self._parts is None:
             if self.swap is None:
                 raise CasimirError("no permutation operator: rep1 != rep2")
-            pc = self.swap @ self.operator
+            basis = self.basis()
+            pc = (self.swap @ self.operator if isinstance(basis, SparseOp)
+                  else basis.matmul(self.swap, self.operator, "P"))
             half = Fraction(1, 2)
             self._parts = ((self.operator + pc).scaled(half),
                            (self.operator - pc).scaled(half))
@@ -217,12 +398,14 @@ def swap_block(sc: SplitCasimir, sign: int,
         where = _permuted_mismatch(op, target, row_perm, col_perm)
         if where is not None:
             raise SwapBlockError(detail, where)
-    if not sc.unit.is_identity():
-        unit_chat = sc.unit @ sc.operator
-        if unit_chat != sc.operator:
-            diff = unit_chat - sc.operator
-            raise SwapBlockError("unit Chat != Chat",
-                                 [int(diff.row[0]), int(diff.col[0])])
+    basis = sc.basis()
+    if isinstance(basis, RowBasis):
+        # unit Chat = Chat iff Chat == B (S Chat)
+        _, where = basis.image_mismatch(sc.operator)
+        if where is not None:
+            raise SwapBlockError("unit Chat != Chat", where)
+    elif not basis.is_identity():
+        raise CasimirError("a unit other than the identity needs a row basis")
     idx = np.arange(n)
     reps = np.flatnonzero(idx <= s if sign > 0 else idx < s)
     return SwapBlock(sign, reps, s[reps], n)
@@ -346,7 +529,7 @@ def sl_adjoint_tensor(n: int) -> TensorAdjoint:
     adj = rep.algebra.adjoint_rep()
     # P13 P24 swaps the site pairs (12) and (34): the swap of V_N^2 (x) V_N^2
     sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p,
-                      swap_permutation(n * n))
+                      swap_permutation(n * n), pair=("sl", n))
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
            "K12": k12, "K13": k13, "K14": k14, "K23": k23, "K24": k24,
            "K34": k34}
@@ -375,7 +558,8 @@ def sosp_adjoint_tensor(n: int, eps: int) -> TensorAdjoint:
     _, rep = build_classical(*series_rank("so" if eps == 1 else "sp", n))
     adj = rep.algebra.adjoint_rep()
     sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p,
-                      swap_permutation(n * n))
+                      swap_permutation(n * n),
+                      pair=("so" if eps == 1 else "sp", n))
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
            "K13": k13, "K24": k24}
     return TensorAdjoint(sc, ops)

@@ -12,7 +12,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .casimir import SwapBlock, SwapBlockError, swap_block
+from .casimir import (
+    RowBasis,
+    SwapBlock,
+    SwapBlockError,
+    UnitLike,
+    image_powers,
+    swap_block,
+)
 from .catalog import adjoint_context, parse_name
 from .kernel import (
     SparseOp,
@@ -168,9 +175,12 @@ def _resolve_method(method: str, dim: int) -> str:
     return method
 
 
-def _loop_unit(unit: Optional[SparseOp]) -> Optional[SparseOp]:
-    """``unit`` for a randomized loop: None for the identity (every
-    Chevalley adjoint), whose matvecs the loop then skips."""
+def _loop_unit(unit: Optional[UnitLike]) -> Optional[SparseOp]:
+    """``unit`` (the projector of a row basis) for a randomized loop: None
+    for the identity (every Chevalley adjoint), whose matvecs the loop then
+    skips."""
+    if isinstance(unit, RowBasis):
+        return unit.unit
     return None if unit is None or unit.is_identity() else unit
 
 
@@ -183,7 +193,7 @@ def _subspace_random(unit: Optional[SparseOp], dim: int,
     return _apply_unit(unit, Vec.random_exact(dim, rng))
 
 
-def _unit_block(unit: Optional[SparseOp], block: SwapBlock
+def _unit_block(unit: Optional[UnitLike], block: SwapBlock
                 ) -> Optional[SparseOp]:
     """The block of ``unit``, or None for the identity."""
     unit = _loop_unit(unit)
@@ -196,7 +206,7 @@ def _broken_block(target: str, method: str, err: SwapBlockError
                               detail=str(err))
 
 
-def _probe(target: str, method: str, dim: int, unit: Optional[SparseOp],
+def _probe(target: str, method: str, dim: int, unit: Optional[UnitLike],
            residual: Callable[[Vec], Vec], trials: int, seed: int,
            block: Optional[SwapBlock] = None) -> VerificationReport:
     """Randomized-exact zero test: ``residual`` of ``trials`` random
@@ -213,15 +223,17 @@ def _probe(target: str, method: str, dim: int, unit: Optional[SparseOp],
 
 
 def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
-                    unit: Optional[SparseOp] = None, target: str = "",
+                    unit: Optional[UnitLike] = None, target: str = "",
                     trials: int = RANDOM_TRIALS, seed: int = 0,
                     block: Optional[SwapBlock] = None) -> VerificationReport:
-    """Check prod_i (op - r_i * unit) = 0 on the image of ``unit``.
+    """Check prod_i (op - r_i * unit) = 0 on the image of ``unit``, which
+    may be given by its row basis (``SplitCasimir.basis``).
 
     exact_full builds prod_i (op - r_i * unit) * unit as one sparse operator
-    chain: it is zero iff the identity holds on every basis vector, and a
-    FAIL names the first nonzero column.  randomized_exact applies the
-    factors to random subspace vectors.
+    chain (``kernel.product_of_shifts``; on the unit's representative rows
+    for a row basis): it is zero iff the identity holds on every basis
+    vector, and a FAIL names the first nonzero column.  randomized_exact
+    applies the factors to random subspace vectors.
 
     With a swap ``block`` (randomized_exact only), ``op`` is the block
     S X B of an operator X that vanishes on the other block, such as C+-
@@ -279,7 +291,7 @@ def verify_adjoint_identity(name: str, method: str = "auto",
                             seed: int = 0) -> VerificationReport:
     ctx = adjoint_context(name)
     return verify_identity(ctx.sc.operator, adjoint_identity(name), method,
-                           unit=ctx.sc.unit,
+                           unit=ctx.sc.basis(),
                            target=f"{name} adjoint identity", seed=seed)
 
 
@@ -290,7 +302,7 @@ def verify_antisymmetric_identity(name: str, method: str = "auto",
     target = f"{name} C- universal identity"
     if method == "exact_full":
         return verify_identity(sc.parts()[1], antisymmetric_identity(), method,
-                               unit=sc.unit, target=target, seed=seed)
+                               unit=sc.basis(), target=target, seed=seed)
     try:
         block = swap_block(sc, -1)
     except SwapBlockError as err:
@@ -305,7 +317,7 @@ def verify_antisymmetric_identity(name: str, method: str = "auto",
 # ---------------------------------------------------------------------------
 
 def minimal_polynomial(op: SparseOp, degree_bound: int,
-                       unit: Optional[SparseOp] = None, starts: int = 3,
+                       unit: Optional[UnitLike] = None, starts: int = 3,
                        seed: int = 0, confirm: bool = True) -> dict:
     """Least monic polynomial annihilating op (restricted to the image of
     ``unit``), by exact Krylov linear dependence from several random starts,
@@ -318,7 +330,7 @@ def minimal_polynomial(op: SparseOp, degree_bound: int,
     dim = op.rows
     poly: Optional[List[Fraction]] = None
     for _ in range(starts):
-        v = _subspace_random(unit, dim, rng)
+        v = _subspace_random(_loop_unit(unit), dim, rng)
         if v.is_zero():
             continue
         p = _krylov_min_poly(op, v, degree_bound)
@@ -519,7 +531,8 @@ def verify_universal_sym_identity(name: str, method: str = "auto",
         cp, _ = ctx.sc.parts()
         rhs = cp.scaled(Fraction(-1, 6)) \
             + (ctx.ops["I"] + ctx.ops["P"] + ctx.big_k).scaled(mu)
-        ok = (cp @ cp) == rhs
+        (cp2,) = image_powers(ctx.sc.basis(), cp, 2)
+        ok = cp2 == rhs
         rep = VerificationReport(target, "PASS" if ok else "FAIL", method)
     else:
         try:
@@ -571,8 +584,8 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
         cp, _ = ctx.sc.parts()
         rhs = combine([(mu1, cp), (mu2, ctx.ops["I"]), (mu2, ctx.ops["P"]),
                        (-2 * mu2, ctx.big_k)])
-        c2 = cp @ cp
-        ok = combine([(1, c2 @ cp), (Fraction(1, 2), c2)]) == rhs
+        c2, c3 = image_powers(ctx.sc.basis(), cp, 3)
+        ok = combine([(1, c3), (Fraction(1, 2), c2)]) == rhs
         return VerificationReport(target, "PASS" if ok else "FAIL", method)
     try:
         block, cp, kp, up = _symmetric_block(ctx)

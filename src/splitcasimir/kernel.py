@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (Callable, Iterable, Iterator, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -190,6 +191,41 @@ class Vec:
         return self.scale == other.scale and bool(np.array_equal(self.data, other.data))
 
     __hash__ = None
+
+
+def vec_combine(terms: Iterable[Tuple[ScalarLike, "Vec"]]) -> Vec:
+    """sum_j c_j * v_j from (c_j, v_j) pairs in one pass.
+
+    The integer data of every term, times its multiplier over the common
+    scale gcd, is summed into one array and canonicalised once.  int64
+    data is lifted to object data when sum_j |m_j| max|v_j| reaches
+    ``_INT64_SAFE``, a bound on every entry of the sum and of each partial
+    sum.
+    """
+    terms = [(Fraction(c), v) for c, v in terms]
+    if not terms:
+        raise ValueError("vec_combine needs at least one term")
+    n = len(terms[0][1])
+    if any(len(v) != n for _, v in terms):
+        raise DimensionMismatchError("vector length mismatch")
+    live = [(c * v.scale, v) for c, v in terms if c != 0]
+    if not live:
+        return Vec.zeros(n)
+    s = live[0][0]
+    for sc, _ in live[1:]:
+        s = fraction_gcd(s, sc)
+    mults = [int(sc / s) for sc, _ in live]
+    datas = [v.data for _, v in live]
+    # the max(1, .) terms keep a multiplier past int64 from reaching numpy
+    # even when its vector is all zero
+    datas = _lift(all(d.dtype != object for d in datas)
+                  and sum(abs(m) * max(1, _max_abs(d))
+                          for m, d in zip(mults, datas)) >= _INT64_SAFE,
+                  *datas)
+    acc = datas[0] * mults[0]
+    for m, d in zip(mults[1:], datas[1:]):
+        acc += d if m == 1 else d * m
+    return Vec(acc, s)
 
 
 class SparseOp:
@@ -568,6 +604,55 @@ def compress(op: SparseOp, rows: np.ndarray, target: np.ndarray,
                     op.scale * g if g else Fraction(1), _canonical=True)
 
 
+def expand(b: SparseOp, m: SparseOp) -> SparseOp:
+    """B M by rows, never through spmm: row r of the result is
+    sum_c B[r, c] M[c], gathered from the rows of M.
+
+    Meant for a B with few entries per row, such as the expansion of a row
+    basis: a row of B with one entry copies a row of M in column order, so
+    the result comes out sorted and merged, and only a B with several
+    entries in some row has its gathered rows sorted and merged.
+    """
+    if b.cols != m.rows:
+        raise DimensionMismatchError(
+            f"expand {b.rows}x{b.cols} by {m.rows}x{m.cols}")
+    indptr = m.indptr
+    starts = indptr[b.col]
+    counts = indptr[b.col + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    if total == 0:
+        return SparseOp.zero(b.rows, m.cols)
+    # product p of B entry e reads M entry starts[e] + p - (ends - counts)[e]
+    idx = np.repeat(starts - (ends - counts), counts)
+    idx += np.arange(total)
+    key = np.repeat(b.row * m.cols, counts)
+    key += m.col[idx]
+    # an output entry sums at most row_nnz_max products
+    bd, md = _lift(b.row_nnz_max * max(b.max_abs, 1) * max(m.max_abs, 1)
+                   >= _INT64_SAFE, b.data, m.data)
+    val = md[idx]
+    val *= np.repeat(bd, counts)
+    if b.row_nnz_max > 1:
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        first = np.empty(len(key), dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            idx = np.flatnonzero(first)
+            key, val = key[idx], np.add.reduceat(val, idx)
+            keep = val != 0
+            key, val = key[keep], val[keep]
+    row, col = np.divmod(key, m.cols)
+    g = _gcd_reduce(val)
+    if g > 1:
+        val //= g
+    return SparseOp(b.rows, m.cols, row, col, _shrink_if_safe(val),
+                    b.scale * m.scale * g if g else Fraction(1),
+                    _canonical=True)
+
+
 def permutes_to(op: SparseOp, row_perm: np.ndarray, col_perm: np.ndarray,
                 other: SparseOp) -> bool:
     """Whether op, with row i taken from row row_perm[i] and column c moved
@@ -666,23 +751,52 @@ def apply_two_site(op: SparseOp, v: Vec, sites: Tuple[int, int],
     return Vec(restored, op.scale * v.scale)
 
 
+def unit_chain(op: SparseOp, unit=None
+               ) -> Tuple[SparseOp, SparseOp, Optional[Callable]]:
+    """(M, M @ op, expand) to build polynomials p(op) unit on, once their
+    premises hold exactly; then p(op) unit = expand(sum_k p_k M op^k), with
+    M op^(k+1) = (M op^k) @ op, and expand None for the identity.
+
+    - ``unit`` None: M = 1, and M @ op is op itself.
+    - ``unit`` a SparseOp: M = unit, which must be idempotent and commute
+      with op (``KernelError`` otherwise); M @ op is the op @ unit of that
+      check.
+    - ``unit`` a row basis of a projector (``casimir.RowBasis``): M is the
+      representative rows S unit, and expand is the basis's B.  op must
+      lie in the unit's image, op == B (S op) (one pass; the basis raises
+      its error with a witness otherwise), and commute with the unit,
+      checked on the rows as (S op) @ unit == (S unit) @ op.  Then
+      S (p(op) unit) = (S unit) p(op), and B restores the other rows.
+    """
+    if unit is None:
+        return SparseOp.identity(op.rows), op, None
+    if isinstance(unit, SparseOp):
+        if unit @ unit != unit:
+            raise KernelError("unit is not idempotent")
+        first = op @ unit
+        if first != unit @ op:
+            raise KernelError("unit does not commute with op")
+        return unit, first, None
+    head = unit.head
+    first = head @ op
+    if unit.lift(op, "op") @ unit.unit != first:
+        raise KernelError("unit does not commute with op")
+    return head, first, unit.expand
+
+
 def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],
-                      unit: Optional[SparseOp] = None) -> SparseOp:
+                      unit=None) -> SparseOp:
     """Materialize prod_i (op - r_i * unit) * unit (unit defaults to the
     identity).  The first root acts first, as in ``apply_poly_factors``, so
     column j is that function's image of ``unit`` e_j.
 
-    ``unit`` must be idempotent and commute with ``op``; then every partial
-    product is a polynomial in op times unit, so unit @ acc == acc and a
-    shift needs no product.  The first factor reuses the op @ unit of that
-    check."""
-    if unit is None:
-        unit, op_acc = SparseOp.identity(op.rows), op
-    else:
-        op_acc = op @ unit
-        if unit @ unit != unit or op_acc != unit @ op:
-            raise KernelError("unit must be idempotent and commute with op")
-    acc = unit
+    ``unit`` is None, an idempotent SparseOp that commutes with ``op``, or
+    a row basis of one (see ``unit_chain``, which checks the premises).
+    Every partial product is then a polynomial in op times unit, so a
+    shift needs no product, and the chain M <- M @ op - r M runs from the
+    chain's start: on the representative rows for a row basis, whose
+    expansion gives the result."""
+    acc, first, expand_rows = unit_chain(op, unit)
     for k, r in enumerate(roots):
-        acc = combine([(1, op_acc if k == 0 else op @ acc), (-r, acc)])
-    return acc
+        acc = combine([(1, first if k == 0 else acc @ op), (-r, acc)])
+    return acc if expand_rows is None else expand_rows(acc)

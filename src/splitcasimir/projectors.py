@@ -14,9 +14,10 @@ import numpy as np
 
 from .catalog import AdjointContext, adjoint_context, defining, parse_name
 from .casimir import (
+    UnitLike,
     antisymmetrizer_4,
     e4_operator,
-    invariant_set,
+    image_powers,
     q_minus,
     split_casimir,
 )
@@ -26,7 +27,14 @@ from .identities import (
     defining_identity,
     verify_identity,
 )
-from .kernel import SparseOp, Vec, combine
+from .kernel import (
+    KernelError,
+    SparseOp,
+    Vec,
+    combine,
+    unit_chain,
+    vec_combine,
+)
 
 # member products are checked by factored application beyond this dimension;
 # below it the products are also materialized sparsely as a cross-check
@@ -114,9 +122,10 @@ class ProjectorFamily:
                 lam = [int(x) for x in rng.integers(-r, r + 1, size=len(ops))]
                 mu = [int(x) for x in rng.integers(-r, r + 1, size=len(ops))]
                 images = [p.matvec(v) for p in ops]
-                w = _weighted_sum(mu, images)
-                want = _weighted_sum([a * b for a, b in zip(lam, mu)], images)
-                got = _weighted_sum(lam, (p.matvec(w) for p in ops))
+                w = vec_combine(zip(mu, images))
+                want = vec_combine(
+                    (a * b, y) for a, b, y in zip(lam, mu, images))
+                got = vec_combine(zip(lam, (p.matvec(w) for p in ops)))
                 if got != want:
                     for i, pi in enumerate(ops):
                         for j, y in enumerate(images):
@@ -139,15 +148,6 @@ class ProjectorFamily:
         report["idempotent" if i == j else "orthogonal"] = False
         report["failures"].append(f"P[{self.members[i].label}] "
                                   f"P[{self.members[j].label}] wrong{where}")
-
-
-def _weighted_sum(weights: Sequence[int], vecs) -> Vec:
-    """sum_j weights[j] * vecs[j], summed as the vectors arrive."""
-    acc = None
-    for c, x in zip(weights, vecs):
-        term = x.scaled(c)
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +174,21 @@ def lagrange_basis(roots: Sequence[Fraction]) -> List[List[Fraction]]:
 
 
 def lagrange_family(op: SparseOp, ident: CharIdentity,
-                    unit: Optional[SparseOp] = None,
+                    unit: Optional[UnitLike] = None,
                     expected_dims: Optional[Dict[Fraction, int]] = None,
                     context: str = "") -> ProjectorFamily:
     """P_j = L_j(op) = prod_{i != j} (op - a_i)/(a_j - a_i) over the
     identity's roots.
 
     The identity is checked first (randomized_exact, 4 trials).  All members
-    share one chain of powers W_k = unit @ op^k (k < number of roots):
-    P_j = sum_k L_j[k] W_k (``lagrange_basis``), summed by ``combine``.  That
-    equals the factor-by-factor product exactly when ``unit`` is idempotent
-    and commutes with ``op``; both are checked exactly first.
+    share one chain of powers M_k = M_0 @ op^k (k < number of roots):
+    P_j = sum_k L_j[k] M_k (``lagrange_basis``), summed by ``combine``.  M_0
+    is ``unit``, which must be idempotent and commute with ``op``; for a row
+    basis of the unit (``SplitCasimir.basis``) it is the representative rows
+    S unit, op must also lie in the unit's image, and each member is
+    expanded as B sum_k L_j[k] M_k.  ``kernel.unit_chain`` checks these
+    premises exactly, and each member equals the factor-by-factor product
+    once they hold.
 
     Repeated roots are rejected by CharIdentity itself; non-primitive members
     are the caller's business (see refine_family).
@@ -194,16 +198,18 @@ def lagrange_family(op: SparseOp, ident: CharIdentity,
                           unit=unit, trials=4, target="lagrange precheck")
     if not rep.passed:
         raise ProjectorError("characteristic identity fails; no family")
-    if unit @ unit != unit:
-        raise ProjectorError("unit is not idempotent; no family")
-    powers = [unit, unit @ op]
-    if powers[1] != op @ unit:
-        raise ProjectorError("unit does not commute with op; no family")
+    try:
+        head, first, expand_rows = unit_chain(op, unit)
+    except KernelError as err:
+        raise ProjectorError(f"{err}; no family") from err
+    powers = [head, first]
     while len(powers) < len(ident.roots):
         powers.append(powers[-1] @ op)
     members = []
     for aj, coeffs in zip(ident.roots, lagrange_basis(ident.roots)):
         proj = combine(zip(coeffs, powers))
+        if expand_rows is not None:
+            proj = expand_rows(proj)
         dim = (expected_dims or {}).get(aj)
         if dim is None:
             tr = proj.trace()
@@ -211,7 +217,8 @@ def lagrange_family(op: SparseOp, ident: CharIdentity,
                 raise ProjectorError(f"non-integer trace {tr}")
             dim = int(tr)
         members.append(FamilyMember(f"ev={aj}", proj, dim, eigenvalue=aj))
-    return ProjectorFamily(members, unit, context=context)
+    target = unit if isinstance(unit, SparseOp) else unit.unit
+    return ProjectorFamily(members, target, context=context)
 
 
 def refine_family(family: ProjectorFamily,
@@ -341,7 +348,7 @@ def sl_adjoint_family(n: int) -> ProjectorFamily:
         Fraction(1, n): n * n * (n - 1) * (n + 3) // 4,
         Fraction(-1, n): n * n * (n + 1) * (n - 3) // 4,
     }
-    base = lagrange_family(ctx.sc.operator, ident, unit=unit,
+    base = lagrange_family(ctx.sc.operator, ident, unit=ctx.sc.basis(),
                            expected_dims=dims, context=f"sl({n}) adjoint")
     q = q_minus(n)
     q2 = q @ q
@@ -364,7 +371,7 @@ def sosp_adjoint_family(n: int, eps: int) -> ProjectorFamily:
     ctx = adjoint_context(f"{'so' if eps == 1 else 'sp'}({n})")
     ident = adjoint_identity(ctx.name)
     dims = sosp_dimension_table(m)
-    return lagrange_family(ctx.sc.operator, ident, unit=ctx.ops["I"],
+    return lagrange_family(ctx.sc.operator, ident, unit=ctx.sc.basis(),
                            expected_dims=dims, context=f"{ctx.name} adjoint")
 
 
@@ -393,7 +400,7 @@ def so8_adjoint_family() -> ProjectorFamily:
          Fraction(-1, 3)])
     dims = {Fraction(0): 350, Fraction(-1, 2): 28, Fraction(-1): 1,
             Fraction(1, 6): 300, Fraction(-1, 3): 105}
-    base = lagrange_family(ctx.sc.operator, ident, unit=ctx.ops["I"],
+    base = lagrange_family(ctx.sc.operator, ident, unit=ctx.sc.basis(),
                            expected_dims=dims, context="so(8) adjoint")
     a4 = antisymmetrizer_4(8)
     e4 = e4_operator()
@@ -445,7 +452,7 @@ def universal_symmetric_family(name: str) -> ProjectorFamily:
         mu = universal_mu(dim_g)
         cp2 = cp.scaled(Fraction(-1, 6)) + (unit + swap + k).scaled(mu)
     else:
-        cp2 = cp @ cp
+        (cp2,) = image_powers(ctx.sc.basis(), cp, 2)
     ip = unit + swap
     members = []
     degenerate = []

@@ -21,6 +21,7 @@ from splitcasimir.kernel import (
     kron,
     product_of_shifts,
     trace_word,
+    vec_combine,
 )
 from splitcasimir.identities import CharIdentity, verify_identity
 from splitcasimir.serialize import dumps, loads
@@ -917,6 +918,48 @@ def test_zero_operand_with_multiplier_past_int64():
     assert zero - op == -op
     for got in (Vec.zeros(2) + v, zero + op):
         assert got.data.dtype == np.int64
+
+
+@pytest.mark.parametrize("top", [2 ** 61 - 1, 2 ** 61])
+def test_vec_combine_lifts_at_the_bound(top):
+    # sum_j |m_j| max|v_j| over the common scale 1/2 is 2 top: below 2^62
+    # the sum stays int64, from 2^62 on it runs on Python ints
+    vecs = [Vec(np.array([top, 1], dtype=np.int64)),
+            Vec(np.array([top, 3], dtype=np.int64), Fraction(1, 2))]
+    weights = [Fraction(1, 2), 1]
+    lift = kernel_module._lift
+    ran = []
+
+    def spy(trips, *arrays):
+        out = lift(trips, *arrays)
+        ran.append(out[0].dtype)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_module, "_lift", spy)
+        got = vec_combine(zip(weights, vecs))
+    past = 2 * top >= 2 ** 62
+    assert ran == [np.dtype(object) if past else np.dtype(np.int64)]
+    want = [c * x for c, x in zip(weights[:1] * 2, vecs[0].fractions())]
+    want = [a + b * weights[1] for a, b in zip(want, vecs[1].fractions())]
+    assert got.fractions() == want
+    # the same canonical Vec as pairwise sums of scaled terms
+    assert got == vecs[0].scaled(weights[0]) + vecs[1].scaled(weights[1])
+    assert (got.data.dtype == object) == (max(map(abs, got.data)) >= 2 ** 62)
+
+
+def test_vec_combine_matches_pairwise_sums():
+    rng = np.random.default_rng(11)
+    vecs = [Vec(rng.integers(-50, 51, size=9), Fraction(int(s), 6))
+            for s in rng.integers(1, 12, size=4)]
+    weights = [3, 0, -7, Fraction(5, 4)]
+    want = Vec.zeros(9)
+    for c, v in zip(weights, vecs):
+        want = want + v.scaled(c)
+    assert vec_combine(zip(weights, vecs)) == want
+    assert vec_combine([(0, vecs[0])]) == Vec.zeros(9)
+    with pytest.raises(DimensionMismatchError):
+        vec_combine([(1, vecs[0]), (1, Vec.zeros(3))])
 
 
 def test_reduced_result_that_fits_int64_is_int64():
