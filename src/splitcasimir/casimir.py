@@ -9,10 +9,12 @@ defining representations of the exceptional algebras the operator is
 divided by d2, matching the convention in which their characteristic
 identities are stated).  For sl/so/sp adjoints the operator is realized on
 V_N^(x4) with the subspace projector playing the unit, which keeps the
-Kronecker structure of P_13, K_23 etc.; its row basis (``RowBasis``) runs
-every product whose left factor lies in the unit's image on the
-representative rows and expands the result.  Both realizations carry the
-coordinate involution sigma behind the swap, P = sigma unit, whose
+Kronecker structure of P_13, K_23 etc.  Every split Casimir carries a row
+basis of its unit (``SplitCasimir.basis``), the one form in which a unit
+is passed: ``RowBasis.identity`` for the identity, and for a projector
+its representative rows, on which every product whose left factor lies
+in the unit's image runs before it is expanded.  Both realizations carry
+the coordinate involution sigma behind the swap, P = sigma unit, whose
 eigenspace blocks (``SwapBlock``) carry C+ and C-.
 """
 
@@ -21,15 +23,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebras import LieAlgebra, Representation
 from .classical import _metric_c, build_classical
 from .kernel import (
+    KernelError,
+    ScalarLike,
     SparseOp,
     Vec,
+    combine,
     compress,
     expand,
     kron,
@@ -66,21 +71,30 @@ def _first_difference(a: SparseOp, b: SparseOp) -> Optional[list]:
 @dataclass(eq=False)
 class RowBasis:
     """Representative rows of a projector ``unit`` and their integer
-    expansion.
+    expansion: the one way a unit is passed.
 
     S selects the coordinates ``rows`` and B = ``expansion`` (n x len(rows))
-    writes every row of the unit's image in terms of them.  ``check``
+    writes every row of the unit's image in terms of them.  ``head``
     proves three facts exactly: S B = 1, B (S unit) = unit and unit B = B.
     Then X = B (S X) holds exactly when unit X = X, and for such an X,
     X @ Y = B ((S X) @ Y): a product whose left factor lies in the image
     runs on len(rows) rows and is expanded (``kernel.expand``), and B is
     injective.  The facts are checked on first use and remembered.
+
+    ``RowBasis.identity(n)`` is the basis of the identity (S = B = 1), whose
+    facts hold by construction: its methods return their argument, or op
+    itself, without building, copying or comparing anything.
     """
 
     unit: SparseOp
-    rows: np.ndarray
+    rows: Optional[np.ndarray]
     expansion: SparseOp
     _head: Optional[SparseOp] = field(default=None, init=False, repr=False)
+
+    @staticmethod
+    def identity(n: int) -> "RowBasis":
+        """The basis of the identity on n coordinates."""
+        return _IdentityBasis(SparseOp.identity(n))
 
     @staticmethod
     def of_pairs(unit: SparseOp, pair_rows: np.ndarray,
@@ -151,26 +165,90 @@ class RowBasis:
         """x @ y as B ((S x) @ y), for an x in the unit's image."""
         return self.expand(self.lift(x, name) @ y)
 
-
-UnitLike = Union[SparseOp, RowBasis]
-
-
-def image_powers(unit: UnitLike, x: SparseOp, top: int) -> List[SparseOp]:
-    """[x^2, ..., x^top] for an x in the image of the unit.  With a row
-    basis, x is checked once and each power is B ((S x^(k-1)) @ x), the
-    rows S x^k = (S x^(k-1)) x running from S x."""
-    out = []
-    if isinstance(unit, SparseOp):
-        power = x
+    def powers(self, x: SparseOp, top: int) -> List[SparseOp]:
+        """[x^2, ..., x^top] for an x in the unit's image: x is checked
+        once and each power is B ((S x^(k-1)) @ x), the rows
+        S x^k = (S x^(k-1)) x running from S x."""
+        rows = self.lift(x)
+        out = []
         for _ in range(top - 1):
-            power = power @ x
-            out.append(power)
+            rows = rows @ x
+            out.append(self.expand(rows))
         return out
-    rows = unit.lift(x)
-    for _ in range(top - 1):
-        rows = rows @ x
-        out.append(unit.expand(rows))
-    return out
+
+    def chain(self, op: SparseOp) -> Tuple[SparseOp, SparseOp]:
+        """(S unit, (S unit) @ op), the start of a chain that builds
+        polynomials p(op) unit as B sum_k p_k (S unit) op^k, once its
+        premises hold exactly: op lies in the unit's image, op == B (S op)
+        (one pass; RowBasisError with a witness otherwise), and commutes
+        with the unit, checked on the rows as (S op) @ unit ==
+        (S unit) @ op (KernelError with a witness otherwise).  Then
+        S (p(op) unit) = (S unit) p(op), and B restores the other rows."""
+        head = self.head
+        first = head @ op
+        where = _first_difference(self.lift(op, "op") @ self.unit, first)
+        if where is not None:
+            raise KernelError(f"unit does not commute with op at {where}")
+        return head, first
+
+    def project(self, v: Vec) -> Vec:
+        """unit v."""
+        return self.unit.matvec(v)
+
+    def shift(self, block: Optional[SwapBlock] = None
+              ) -> Optional[SparseOp]:
+        """The unit as the shift of ``kernel.apply_poly_factors``: the
+        unit, or its block S unit B for vectors in ``block`` coordinates;
+        None for the identity, whose matvecs the loop skips."""
+        return self.unit if block is None else block.compress(self.unit)
+
+
+class _IdentityBasis(RowBasis):
+    """The basis of an identity ``unit``: S = B = 1 (``rows`` is None), and
+    every operator lies in the image and commutes with the unit."""
+
+    def __init__(self, unit: SparseOp):
+        super().__init__(unit, None, unit)
+
+    @property
+    def head(self) -> SparseOp:
+        return self.unit
+
+    def select(self, x: SparseOp) -> SparseOp:
+        return x
+
+    def expand(self, m: SparseOp) -> SparseOp:
+        return m
+
+    def image_mismatch(self, x: SparseOp) -> Tuple[SparseOp, Optional[list]]:
+        return x, None
+
+    def chain(self, op: SparseOp) -> Tuple[SparseOp, SparseOp]:
+        return self.unit, op
+
+    def project(self, v: Vec) -> Vec:
+        return v
+
+    def shift(self, block: Optional[SwapBlock] = None
+              ) -> Optional[SparseOp]:
+        return None
+
+
+def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],
+                      unit: RowBasis) -> SparseOp:
+    """Materialize prod_i (op - r_i * unit) * unit for the unit of a row
+    basis.  The first root acts first, as in ``kernel.apply_poly_factors``,
+    so column j is that function's image of ``unit`` e_j.
+
+    ``RowBasis.chain`` checks the premises (op in the unit's image and
+    commuting with it).  Every partial product is then a polynomial in op
+    times unit, so a shift needs no product, and the chain
+    M <- M @ op - r M runs on the representative rows from the chain's
+    start; the basis expands the result."""
+    acc, first = unit.chain(op)
+    for k, r in enumerate(roots):
+        acc = combine([(1, first if k == 0 else acc @ op), (-r, acc)])
+    return unit.expand(acc)
 
 
 def pair_basis(kind: str, n: int) -> Tuple[np.ndarray, SparseOp]:
@@ -230,25 +308,24 @@ class SplitCasimir:
     def algebra(self) -> LieAlgebra:
         return self.rep_pair[0].algebra
 
-    def basis(self) -> UnitLike:
-        """The row basis of ``unit`` (``RowBasis``, facts checked on first
-        use) on the V^(x4) realisations; ``unit`` itself elsewhere, where
-        it is the identity.  Pass it where a unit goes."""
-        if self.pair is None:
-            return self.unit
+    def basis(self) -> RowBasis:
+        """The row basis of ``unit``: ``pair_basis`` on the V^(x4)
+        realisations (facts checked on first use), the identity's basis
+        (as ``RowBasis.identity``, around ``unit`` itself) elsewhere, where
+        the unit is the identity.  Pass it where a unit goes."""
         if self._basis is None:
-            self._basis = RowBasis.of_pairs(self.unit, *pair_basis(*self.pair))
+            self._basis = (_IdentityBasis(self.unit) if self.pair is None
+                           else RowBasis.of_pairs(self.unit,
+                                                  *pair_basis(*self.pair)))
         return self._basis
 
     def parts(self) -> Tuple[SparseOp, SparseOp]:
         """(C_plus, C_minus) = (1/2)(1 +- P) Chat, with P Chat formed on
-        the unit's representative rows where it has a row basis."""
+        the unit's representative rows (``RowBasis.matmul``)."""
         if self._parts is None:
             if self.swap is None:
                 raise CasimirError("no permutation operator: rep1 != rep2")
-            basis = self.basis()
-            pc = (self.swap @ self.operator if isinstance(basis, SparseOp)
-                  else basis.matmul(self.swap, self.operator, "P"))
+            pc = self.basis().matmul(self.swap, self.operator, "P")
             half = Fraction(1, 2)
             self._parts = ((self.operator + pc).scaled(half),
                            (self.operator - pc).scaled(half))
@@ -398,14 +475,10 @@ def swap_block(sc: SplitCasimir, sign: int,
         where = _permuted_mismatch(op, target, row_perm, col_perm)
         if where is not None:
             raise SwapBlockError(detail, where)
-    basis = sc.basis()
-    if isinstance(basis, RowBasis):
-        # unit Chat = Chat iff Chat == B (S Chat)
-        _, where = basis.image_mismatch(sc.operator)
-        if where is not None:
-            raise SwapBlockError("unit Chat != Chat", where)
-    elif not basis.is_identity():
-        raise CasimirError("a unit other than the identity needs a row basis")
+    # unit Chat = Chat iff Chat == B (S Chat)
+    _, where = sc.basis().image_mismatch(sc.operator)
+    if where is not None:
+        raise SwapBlockError("unit Chat != Chat", where)
     idx = np.arange(n)
     reps = np.flatnonzero(idx <= s if sign > 0 else idx < s)
     return SwapBlock(sign, reps, s[reps], n)

@@ -16,8 +16,7 @@ from .casimir import (
     RowBasis,
     SwapBlock,
     SwapBlockError,
-    UnitLike,
-    image_powers,
+    product_of_shifts,
     swap_block,
 )
 from .catalog import adjoint_context, parse_name
@@ -26,7 +25,7 @@ from .kernel import (
     Vec,
     apply_poly_factors,
     combine,
-    product_of_shifts,
+    vec_combine,
 )
 from .vogel import mu_prime_of_dim, vogel_point
 
@@ -175,65 +174,41 @@ def _resolve_method(method: str, dim: int) -> str:
     return method
 
 
-def _loop_unit(unit: Optional[UnitLike]) -> Optional[SparseOp]:
-    """``unit`` (the projector of a row basis) for a randomized loop: None
-    for the identity (every Chevalley adjoint), whose matvecs the loop then
-    skips."""
-    if isinstance(unit, RowBasis):
-        return unit.unit
-    return None if unit is None or unit.is_identity() else unit
-
-
-def _apply_unit(unit: Optional[SparseOp], v: Vec) -> Vec:
-    return v if unit is None else unit.matvec(v)
-
-
-def _subspace_random(unit: Optional[SparseOp], dim: int,
-                     rng: np.random.Generator) -> Vec:
-    return _apply_unit(unit, Vec.random_exact(dim, rng))
-
-
-def _unit_block(unit: Optional[UnitLike], block: SwapBlock
-                ) -> Optional[SparseOp]:
-    """The block of ``unit``, or None for the identity."""
-    unit = _loop_unit(unit)
-    return None if unit is None else block.compress(unit)
-
-
 def _broken_block(target: str, method: str, err: SwapBlockError
                   ) -> VerificationReport:
     return VerificationReport(target, "FAIL", method, witness=err.witness,
                               detail=str(err))
 
 
-def _probe(target: str, method: str, dim: int, unit: Optional[UnitLike],
+def _probe(target: str, method: str, dim: int, unit: RowBasis,
            residual: Callable[[Vec], Vec], trials: int, seed: int,
            block: Optional[SwapBlock] = None) -> VerificationReport:
     """Randomized-exact zero test: ``residual`` of ``trials`` random
-    vectors v on the image of ``unit`` (of their ``block`` coordinates when
-    a block is given); a FAIL names the first v with a nonzero residual."""
-    unit = _loop_unit(unit)
+    vectors v on the image of the row basis ``unit`` (of their ``block``
+    coordinates when a block is given); a FAIL names the first v with a
+    nonzero residual."""
     rng = np.random.default_rng(seed)
     for t in range(trials):
-        v = _subspace_random(unit, dim, rng)
+        v = unit.project(Vec.random_exact(dim, rng))
         if not residual(v if block is None else block.restrict(v)).is_zero():
             return VerificationReport(target, "FAIL", method, t + 1,
                                       witness=v.fractions())
     return VerificationReport(target, "PASS", method, trials)
 
 
-def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
-                    unit: Optional[UnitLike] = None, target: str = "",
+def verify_identity(op: SparseOp, ident: CharIdentity, unit: RowBasis,
+                    method: str = "auto", target: str = "",
                     trials: int = RANDOM_TRIALS, seed: int = 0,
                     block: Optional[SwapBlock] = None) -> VerificationReport:
-    """Check prod_i (op - r_i * unit) = 0 on the image of ``unit``, which
-    may be given by its row basis (``SplitCasimir.basis``).
+    """Check prod_i (op - r_i * unit) = 0 on the image of the unit of the
+    row basis ``unit`` (``SplitCasimir.basis``; ``RowBasis.identity`` for a
+    plain operator).
 
     exact_full builds prod_i (op - r_i * unit) * unit as one sparse operator
-    chain (``kernel.product_of_shifts``; on the unit's representative rows
-    for a row basis): it is zero iff the identity holds on every basis
-    vector, and a FAIL names the first nonzero column.  randomized_exact
-    applies the factors to random subspace vectors.
+    chain (``casimir.product_of_shifts``, on the unit's representative
+    rows): it is zero iff the identity holds on every basis vector, and a
+    FAIL names the first nonzero column.  randomized_exact applies the
+    factors to random subspace vectors.
 
     With a swap ``block`` (randomized_exact only), ``op`` is the block
     S X B of an operator X that vanishes on the other block, such as C+-
@@ -247,17 +222,15 @@ def verify_identity(op: SparseOp, ident: CharIdentity, method: str = "auto",
     if method == "exact_full":
         if block is not None:
             raise ValueError("a swap block is checked randomized_exact only")
-        residual = product_of_shifts(op, roots, unit=unit)
+        residual = product_of_shifts(op, roots, unit)
         if residual.nnz:
             j = int(residual.col.min())
             return VerificationReport(target, "FAIL", method, j + 1,
                                       witness=[j])
         return VerificationReport(target, "PASS", method, dim)
-    shift = _loop_unit(unit)
-    if block is not None:
-        if 0 not in roots:
-            raise ValueError("a swap-block identity needs the root 0")
-        shift = _unit_block(unit, block)
+    if block is not None and 0 not in roots:
+        raise ValueError("a swap-block identity needs the root 0")
+    shift = unit.shift(block)
     return _probe(target, method, dim, unit,
                   lambda a: apply_poly_factors(op, roots, a, unit=shift),
                   trials, seed, block)
@@ -268,7 +241,7 @@ def _symmetric_block(ctx):
     it; raises SwapBlockError."""
     block = swap_block(ctx.sc, 1, ctx.big_k)
     return (block, block.compress(ctx.sc.operator),
-            block.compress(ctx.big_k), _unit_block(ctx.sc.unit, block))
+            block.compress(ctx.big_k), ctx.sc.basis().shift(block))
 
 
 def verify_defining_identity(name: str, method: str = "auto",
@@ -279,19 +252,20 @@ def verify_defining_identity(name: str, method: str = "auto",
     if parse_name(name).family == "e8":
         ctx = adjoint_context("e8")
         return verify_identity(ctx.sc.operator, adjoint_identity("e8"),
-                               method, unit=ctx.sc.unit,
+                               ctx.sc.basis(), method,
                                target="e8 defining(=adjoint) identity",
                                seed=seed)
     sc = split_casimir(rep, rep)
-    return verify_identity(sc.operator, defining_identity(name), method,
-                           target=f"{name} defining identity", seed=seed)
+    return verify_identity(sc.operator, defining_identity(name), sc.basis(),
+                           method, target=f"{name} defining identity",
+                           seed=seed)
 
 
 def verify_adjoint_identity(name: str, method: str = "auto",
                             seed: int = 0) -> VerificationReport:
     ctx = adjoint_context(name)
-    return verify_identity(ctx.sc.operator, adjoint_identity(name), method,
-                           unit=ctx.sc.basis(),
+    return verify_identity(ctx.sc.operator, adjoint_identity(name),
+                           ctx.sc.basis(), method,
                            target=f"{name} adjoint identity", seed=seed)
 
 
@@ -301,14 +275,14 @@ def verify_antisymmetric_identity(name: str, method: str = "auto",
     method = _resolve_method(method, sc.operator.rows)
     target = f"{name} C- universal identity"
     if method == "exact_full":
-        return verify_identity(sc.parts()[1], antisymmetric_identity(), method,
-                               unit=sc.basis(), target=target, seed=seed)
+        return verify_identity(sc.parts()[1], antisymmetric_identity(),
+                               sc.basis(), method, target=target, seed=seed)
     try:
         block = swap_block(sc, -1)
     except SwapBlockError as err:
         return _broken_block(target, method, err)
     return verify_identity(block.compress(sc.operator),
-                           antisymmetric_identity(), method, unit=sc.unit,
+                           antisymmetric_identity(), sc.basis(), method,
                            target=target, seed=seed, block=block)
 
 
@@ -316,12 +290,13 @@ def verify_antisymmetric_identity(name: str, method: str = "auto",
 # minimal polynomial discovery (independent cross-check)
 # ---------------------------------------------------------------------------
 
-def minimal_polynomial(op: SparseOp, degree_bound: int,
-                       unit: Optional[UnitLike] = None, starts: int = 3,
-                       seed: int = 0, confirm: bool = True) -> dict:
-    """Least monic polynomial annihilating op (restricted to the image of
-    ``unit``), by exact Krylov linear dependence from several random starts,
-    then a confirmation check at the discovered degree.
+def minimal_polynomial(op: SparseOp, degree_bound: int, unit: RowBasis,
+                       starts: int = 3, seed: int = 0,
+                       confirm: bool = True) -> dict:
+    """Least monic polynomial annihilating op restricted to the image of
+    the unit of the row basis ``unit`` (``RowBasis.identity`` for all of
+    op's space), by exact Krylov linear dependence from several random
+    starts, then a confirmation check at the discovered degree.
 
     Returns {"coeffs": [c_0..c_k] (monic, c_k = 1), "roots": [...] or None,
     "confirmed": bool}.
@@ -330,7 +305,7 @@ def minimal_polynomial(op: SparseOp, degree_bound: int,
     dim = op.rows
     poly: Optional[List[Fraction]] = None
     for _ in range(starts):
-        v = _subspace_random(_loop_unit(unit), dim, rng)
+        v = unit.project(Vec.random_exact(dim, rng))
         if v.is_zero():
             continue
         p = _krylov_min_poly(op, v, degree_bound)
@@ -346,7 +321,7 @@ def minimal_polynomial(op: SparseOp, degree_bound: int,
     if confirm:
         if roots is not None and len(roots) == len(poly) - 1:
             rep = verify_identity(op, CharIdentity(sorted(set(roots))),
-                                  unit=unit, target="minpoly confirm")
+                                  unit, target="minpoly confirm")
             confirmed = rep.passed and len(set(roots)) == len(roots)
         else:
             confirmed = False
@@ -531,7 +506,7 @@ def verify_universal_sym_identity(name: str, method: str = "auto",
         cp, _ = ctx.sc.parts()
         rhs = cp.scaled(Fraction(-1, 6)) \
             + (ctx.ops["I"] + ctx.ops["P"] + ctx.big_k).scaled(mu)
-        (cp2,) = image_powers(ctx.sc.basis(), cp, 2)
+        (cp2,) = ctx.sc.basis().powers(cp, 2)
         ok = cp2 == rhs
         rep = VerificationReport(target, "PASS" if ok else "FAIL", method)
     else:
@@ -544,15 +519,16 @@ def verify_universal_sym_identity(name: str, method: str = "auto",
         # on the + block, (I + P) v = 2 unit v
         def residual(a: Vec) -> Vec:
             c1 = cp.matvec(a)
-            rhs = c1.scaled(Fraction(-1, 6)) + (
-                _apply_unit(up, a).scaled(2) + kp.matvec(a)).scaled(mu)
-            return cp.matvec(c1) - rhs
-        rep = _probe(target, method, dim, ctx.sc.unit, residual, trials, seed,
-                     block)
+            return vec_combine([
+                (1, cp.matvec(c1)), (Fraction(1, 6), c1),
+                (-2 * mu, a if up is None else up.matvec(a)),
+                (-mu, kp.matvec(a))])
+        rep = _probe(target, method, dim, ctx.sc.basis(), residual, trials,
+                     seed, block)
     if not rep.passed:
         return rep
     quartic = symmetric_part_identity(name)
-    rep2 = verify_identity(cp, quartic, method, unit=ctx.sc.unit,
+    rep2 = verify_identity(cp, quartic, ctx.sc.basis(), method,
                            target=f"{name} C+ quartic", seed=seed,
                            trials=trials, block=block)
     if not rep2.passed:
@@ -584,7 +560,7 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
         cp, _ = ctx.sc.parts()
         rhs = combine([(mu1, cp), (mu2, ctx.ops["I"]), (mu2, ctx.ops["P"]),
                        (-2 * mu2, ctx.big_k)])
-        c2, c3 = image_powers(ctx.sc.basis(), cp, 3)
+        c2, c3 = ctx.sc.basis().powers(cp, 3)
         ok = combine([(1, c3), (Fraction(1, 2), c2)]) == rhs
         return VerificationReport(target, "PASS" if ok else "FAIL", method)
     try:
@@ -596,8 +572,9 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
     def residual(a: Vec) -> Vec:
         c1 = cp.matvec(a)
         c2 = cp.matvec(c1)
-        rhs = c1.scaled(mu1) + (_apply_unit(up, a) - kp.matvec(a)).scaled(
-            2 * mu2)
-        return cp.matvec(c2) + c2.scaled(Fraction(1, 2)) - rhs
-    return _probe(target, method, dim, ctx.sc.unit, residual, trials, seed,
+        return vec_combine([
+            (1, cp.matvec(c2)), (Fraction(1, 2), c2), (-mu1, c1),
+            (-2 * mu2, a if up is None else up.matvec(a)),
+            (2 * mu2, kp.matvec(a))])
+    return _probe(target, method, dim, ctx.sc.basis(), residual, trials, seed,
                   block)

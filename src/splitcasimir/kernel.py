@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import (Callable, Iterable, Iterator, Optional, Sequence, Tuple,
-                    Union)
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -608,10 +607,10 @@ def expand(b: SparseOp, m: SparseOp) -> SparseOp:
     """B M by rows, never through spmm: row r of the result is
     sum_c B[r, c] M[c], gathered from the rows of M.
 
-    Meant for a B with few entries per row, such as the expansion of a row
-    basis: a row of B with one entry copies a row of M in column order, so
-    the result comes out sorted and merged, and only a B with several
-    entries in some row has its gathered rows sorted and merged.
+    Meant for a B with few entries per row, such as an integer basis of a
+    projector's image: a row of B with one entry copies a row of M in column
+    order, so the result comes out sorted and merged, and only a B with
+    several entries in some row has its gathered rows sorted and merged.
     """
     if b.cols != m.rows:
         raise DimensionMismatchError(
@@ -749,54 +748,3 @@ def apply_two_site(op: SparseOp, v: Vec, sites: Tuple[int, int],
     inverse = np.argsort(axes)
     restored = np.ascontiguousarray(np.transpose(out_cube, inverse)).ravel()
     return Vec(restored, op.scale * v.scale)
-
-
-def unit_chain(op: SparseOp, unit=None
-               ) -> Tuple[SparseOp, SparseOp, Optional[Callable]]:
-    """(M, M @ op, expand) to build polynomials p(op) unit on, once their
-    premises hold exactly; then p(op) unit = expand(sum_k p_k M op^k), with
-    M op^(k+1) = (M op^k) @ op, and expand None for the identity.
-
-    - ``unit`` None: M = 1, and M @ op is op itself.
-    - ``unit`` a SparseOp: M = unit, which must be idempotent and commute
-      with op (``KernelError`` otherwise); M @ op is the op @ unit of that
-      check.
-    - ``unit`` a row basis of a projector (``casimir.RowBasis``): M is the
-      representative rows S unit, and expand is the basis's B.  op must
-      lie in the unit's image, op == B (S op) (one pass; the basis raises
-      its error with a witness otherwise), and commute with the unit,
-      checked on the rows as (S op) @ unit == (S unit) @ op.  Then
-      S (p(op) unit) = (S unit) p(op), and B restores the other rows.
-    """
-    if unit is None:
-        return SparseOp.identity(op.rows), op, None
-    if isinstance(unit, SparseOp):
-        if unit @ unit != unit:
-            raise KernelError("unit is not idempotent")
-        first = op @ unit
-        if first != unit @ op:
-            raise KernelError("unit does not commute with op")
-        return unit, first, None
-    head = unit.head
-    first = head @ op
-    if unit.lift(op, "op") @ unit.unit != first:
-        raise KernelError("unit does not commute with op")
-    return head, first, unit.expand
-
-
-def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],
-                      unit=None) -> SparseOp:
-    """Materialize prod_i (op - r_i * unit) * unit (unit defaults to the
-    identity).  The first root acts first, as in ``apply_poly_factors``, so
-    column j is that function's image of ``unit`` e_j.
-
-    ``unit`` is None, an idempotent SparseOp that commutes with ``op``, or
-    a row basis of one (see ``unit_chain``, which checks the premises).
-    Every partial product is then a polynomial in op times unit, so a
-    shift needs no product, and the chain M <- M @ op - r M runs from the
-    chain's start: on the representative rows for a row basis, whose
-    expansion gives the result."""
-    acc, first, expand_rows = unit_chain(op, unit)
-    for k, r in enumerate(roots):
-        acc = combine([(1, first if k == 0 else acc @ op), (-r, acc)])
-    return acc if expand_rows is None else expand_rows(acc)

@@ -14,10 +14,9 @@ import numpy as np
 
 from .catalog import AdjointContext, adjoint_context, defining, parse_name
 from .casimir import (
-    UnitLike,
+    RowBasis,
     antisymmetrizer_4,
     e4_operator,
-    image_powers,
     q_minus,
     split_casimir,
 )
@@ -32,7 +31,6 @@ from .kernel import (
     SparseOp,
     Vec,
     combine,
-    unit_chain,
     vec_combine,
 )
 
@@ -173,33 +171,30 @@ def lagrange_basis(roots: Sequence[Fraction]) -> List[List[Fraction]]:
     return basis
 
 
-def lagrange_family(op: SparseOp, ident: CharIdentity,
-                    unit: Optional[UnitLike] = None,
+def lagrange_family(op: SparseOp, ident: CharIdentity, unit: RowBasis,
                     expected_dims: Optional[Dict[Fraction, int]] = None,
                     context: str = "") -> ProjectorFamily:
-    """P_j = L_j(op) = prod_{i != j} (op - a_i)/(a_j - a_i) over the
-    identity's roots.
+    """P_j = L_j(op) unit = prod_{i != j} (op - a_i)/(a_j - a_i) unit over
+    the identity's roots, for the unit of the row basis ``unit``
+    (``SplitCasimir.basis``; ``RowBasis.identity`` for a plain operator).
 
     The identity is checked first (randomized_exact, 4 trials).  All members
-    share one chain of powers M_k = M_0 @ op^k (k < number of roots):
-    P_j = sum_k L_j[k] M_k (``lagrange_basis``), summed by ``combine``.  M_0
-    is ``unit``, which must be idempotent and commute with ``op``; for a row
-    basis of the unit (``SplitCasimir.basis``) it is the representative rows
-    S unit, op must also lie in the unit's image, and each member is
-    expanded as B sum_k L_j[k] M_k.  ``kernel.unit_chain`` checks these
-    premises exactly, and each member equals the factor-by-factor product
-    once they hold.
+    share one chain of powers M_k = M_0 @ op^k (k < number of roots) on the
+    representative rows, from M_0 = S unit: P_j = B sum_k L_j[k] M_k
+    (``lagrange_basis``), summed by ``combine``.  ``RowBasis.chain`` checks
+    the premises exactly (op lies in the unit's image and commutes with
+    it), and each member equals the factor-by-factor product once they
+    hold.  For the identity, M_0 is the identity and M_1 is op itself.
 
     Repeated roots are rejected by CharIdentity itself; non-primitive members
     are the caller's business (see refine_family).
     """
-    unit = unit if unit is not None else SparseOp.identity(op.rows)
-    rep = verify_identity(op, ident, method="randomized_exact",
-                          unit=unit, trials=4, target="lagrange precheck")
+    rep = verify_identity(op, ident, unit, method="randomized_exact",
+                          trials=4, target="lagrange precheck")
     if not rep.passed:
         raise ProjectorError("characteristic identity fails; no family")
     try:
-        head, first, expand_rows = unit_chain(op, unit)
+        head, first = unit.chain(op)
     except KernelError as err:
         raise ProjectorError(f"{err}; no family") from err
     powers = [head, first]
@@ -207,9 +202,7 @@ def lagrange_family(op: SparseOp, ident: CharIdentity,
         powers.append(powers[-1] @ op)
     members = []
     for aj, coeffs in zip(ident.roots, lagrange_basis(ident.roots)):
-        proj = combine(zip(coeffs, powers))
-        if expand_rows is not None:
-            proj = expand_rows(proj)
+        proj = unit.expand(combine(zip(coeffs, powers)))
         dim = (expected_dims or {}).get(aj)
         if dim is None:
             tr = proj.trace()
@@ -217,8 +210,7 @@ def lagrange_family(op: SparseOp, ident: CharIdentity,
                 raise ProjectorError(f"non-integer trace {tr}")
             dim = int(tr)
         members.append(FamilyMember(f"ev={aj}", proj, dim, eigenvalue=aj))
-    target = unit if isinstance(unit, SparseOp) else unit.unit
-    return ProjectorFamily(members, target, context=context)
+    return ProjectorFamily(members, unit.unit, context=context)
 
 
 def refine_family(family: ProjectorFamily,
@@ -257,7 +249,7 @@ def defining_family(name: str) -> ProjectorFamily:
     sc = split_casimir(rep, rep)
     ident = defining_identity(name)
     dims = _defining_dims(an, rep.dim_module)
-    fam = lagrange_family(sc.operator, ident, expected_dims=dims,
+    fam = lagrange_family(sc.operator, ident, sc.basis(), expected_dims=dims,
                           context=f"{name} defining")
     return fam
 
@@ -452,7 +444,7 @@ def universal_symmetric_family(name: str) -> ProjectorFamily:
         mu = universal_mu(dim_g)
         cp2 = cp.scaled(Fraction(-1, 6)) + (unit + swap + k).scaled(mu)
     else:
-        (cp2,) = image_powers(ctx.sc.basis(), cp, 2)
+        (cp2,) = ctx.sc.basis().powers(cp, 2)
     ip = unit + swap
     members = []
     degenerate = []

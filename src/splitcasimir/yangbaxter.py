@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .catalog import defining, invariants, parse_name
-from .casimir import split_casimir, split_parts, swap_operator
+from .casimir import RowBasis, split_casimir, split_parts, swap_operator
 from .identities import VerificationReport, defining_identity
 from .kernel import SparseOp, Vec, apply_two_site, combine
 from .projectors import lagrange_basis
@@ -122,7 +122,8 @@ def _mobius(factors: Sequence[Tuple[SparseOp, Sequence[Fraction],
 
 def _minimal_roots(op: SparseOp, bound: int = 8) -> List[Fraction]:
     from .identities import minimal_polynomial
-    mp = minimal_polynomial(op, bound, confirm=False)
+    mp = minimal_polynomial(op, bound, RowBasis.identity(op.rows),
+                            confirm=False)
     if mp["roots"] is None:
         raise YangBaxterError("operator minimal polynomial did not split")
     return sorted(set(mp["roots"]))

@@ -166,8 +166,8 @@ def test_tensor_and_struct_adjoint_same_identity():
     ta = sl_adjoint_tensor(3)
     alg, _ = build_classical("A", 2)
     sc_struct = adjoint_split_casimir(alg)
-    r1 = minimal_polynomial(ta.casimir.operator, 6, unit=ta.casimir.unit)
-    r2 = minimal_polynomial(sc_struct.operator, 6)
+    r1 = minimal_polynomial(ta.casimir.operator, 6, ta.casimir.basis())
+    r2 = minimal_polynomial(sc_struct.operator, 6, sc_struct.basis())
     assert sorted(r1["roots"]) == sorted(r2["roots"])
 
 
@@ -371,7 +371,7 @@ def test_zero_check_sl2_adjoint_cminus_identity():
     alg, _ = defining("sl(2)")
     sc = adjoint_split_casimir(alg)
     _, cm = sc.parts()
-    rep = verify_identity(cm, CharIdentity([0, Fraction(-1, 2)]),
+    rep = verify_identity(cm, CharIdentity([0, Fraction(-1, 2)]), sc.basis(),
                           method="randomized_exact", trials=20, seed=4)
     assert rep.status == "PASS"
     assert rep.trials == 20

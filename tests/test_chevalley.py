@@ -187,10 +187,11 @@ def test_g2_two_constructions_agree_on_invariants():
 
     assert det_sign(chev) == det_sign(octo)
 
+    sc_chev, sc_octo = adjoint_split_casimir(chev), adjoint_split_casimir(octo)
     roots_chev = sorted(minimal_polynomial(
-        adjoint_split_casimir(chev).operator, 6)["roots"])
+        sc_chev.operator, 6, sc_chev.basis())["roots"])
     roots_octo = sorted(minimal_polynomial(
-        adjoint_split_casimir(octo).operator, 6)["roots"])
+        sc_octo.operator, 6, sc_octo.basis())["roots"])
     assert roots_chev == roots_octo == sorted(
         [Fraction(0), Fraction(-1, 2), Fraction(-1), Fraction(1, 4),
          Fraction(-5, 12)])

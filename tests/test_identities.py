@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from splitcasimir import identities
-from splitcasimir.casimir import SplitCasimir, split_casimir, swap_block
+from splitcasimir.casimir import (
+    RowBasis,
+    SplitCasimir,
+    split_casimir,
+    swap_block,
+)
 from splitcasimir.catalog import adjoint_context, defining
 from splitcasimir.identities import (
     CharIdentity,
@@ -104,18 +109,21 @@ def test_adjoint_identities_pass(name):
 
 def test_identity_failure_is_reported_not_raised():
     op = SparseOp.identity(4)
-    rep = verify_identity(op, CharIdentity([0, 2]), target="bogus")
+    rep = verify_identity(op, CharIdentity([0, 2]), RowBasis.identity(4),
+                          target="bogus")
     assert rep.status == "FAIL"
     assert rep.witness is not None
 
 
-def _per_basis_vector(op, ident, unit):
-    """Oracle: the identity's factors applied to each unit e_j in turn."""
+def _per_basis_vector(op, ident, basis):
+    """Oracle: the identity's factors applied to each unit e_j in turn, for
+    the unit of a row basis."""
     dim = op.rows
+    unit = basis.unit
     for j in range(dim):
         e = Vec.zeros(dim)
         e.data[j] = 1
-        v = unit.matvec(e) if unit is not None else e
+        v = unit.matvec(e)
         if v.is_zero():
             continue
         if not apply_poly_factors(op, ident.roots, v, unit=unit).is_zero():
@@ -131,18 +139,17 @@ def _per_basis_vector(op, ident, unit):
 def test_exact_full_equals_per_basis_vector_oracle(name, rep, drop):
     if rep == "defining":
         _, drep = defining(name)
-        op, ident, unit = (split_casimir(drep, drep).operator,
-                           defining_identity(name), None)
+        sc, ident = split_casimir(drep, drep), defining_identity(name)
     else:
-        ctx = adjoint_context(name)
-        op, ident, unit = ctx.sc.operator, adjoint_identity(name), ctx.sc.unit
+        sc, ident = adjoint_context(name).sc, adjoint_identity(name)
+    op, basis = sc.operator, sc.basis()
     if drop is not None:
         roots = list(ident.roots)
         del roots[drop]
         ident = CharIdentity(roots)
-    got = verify_identity(op, ident, method="exact_full", unit=unit)
+    got = verify_identity(op, ident, basis, method="exact_full")
     assert (got.status, got.trials, got.witness) == \
-        _per_basis_vector(op, ident, unit)
+        _per_basis_vector(op, ident, basis)
     assert got.status == ("PASS" if drop is None else "FAIL")
 
 
@@ -160,9 +167,10 @@ def test_exact_full_chain_lifts_past_int64(drop):
     if drop is not None:
         del roots[drop]
     ident = CharIdentity(roots)
-    got = verify_identity(op, ident, method="exact_full")
+    basis = RowBasis.identity(3)
+    got = verify_identity(op, ident, basis, method="exact_full")
     assert (got.status, got.trials, got.witness) == \
-        _per_basis_vector(op, ident, None)
+        _per_basis_vector(op, ident, basis)
     assert got.status == ("PASS" if drop is None else "FAIL")
 
 
@@ -172,11 +180,11 @@ def test_unknown_method_raises(method):
     # under a label it did not earn
     with pytest.raises(ValueError):
         verify_identity(SparseOp.identity(4), CharIdentity([1]),
-                        method=method)
+                        RowBasis.identity(4), method=method)
 
 
 def test_minimal_polynomial_identity_operator():
-    mp = minimal_polynomial(SparseOp.identity(5), 3)
+    mp = minimal_polynomial(SparseOp.identity(5), 3, RowBasis.identity(5))
     assert mp["roots"] == [Fraction(1)]
     assert mp["coeffs"] == [Fraction(-1), Fraction(1)]  # x - 1
     assert mp["confirmed"]
@@ -187,7 +195,7 @@ def test_minimal_polynomial_random_diagonal():
     rng = np.random.default_rng(31)
     vals = [int(rng.integers(-4, 5)) for _ in range(8)]
     op = SparseOp.from_triplets(8, 8, [(i, i, v) for i, v in enumerate(vals)])
-    mp = minimal_polynomial(op, 8, seed=5)
+    mp = minimal_polynomial(op, 8, RowBasis.identity(8), seed=5)
     assert sorted(mp["roots"]) == sorted(set(Fraction(v) for v in vals))
     assert mp["confirmed"]
 
@@ -195,7 +203,7 @@ def test_minimal_polynomial_random_diagonal():
 def test_minimal_polynomial_degree_bound_exceeded():
     op = SparseOp.from_triplets(4, 4, [(i, i, i) for i in range(4)]
                                 + [(0, 0, 7)])
-    mp = minimal_polynomial(op, 2, seed=1)
+    mp = minimal_polynomial(op, 2, RowBasis.identity(4), seed=1)
     assert mp["confirmed"] is False
     assert "degree bound" in mp.get("detail", "")
 
@@ -203,7 +211,7 @@ def test_minimal_polynomial_degree_bound_exceeded():
 def test_minimal_polynomial_matches_paper_g2():
     _, rep = defining("g2")
     sc = split_casimir(rep, rep)
-    mp = minimal_polynomial(sc.operator, 6)
+    mp = minimal_polynomial(sc.operator, 6, sc.basis())
     assert sorted(mp["roots"]) == sorted(defining_identity("g2").roots)
     assert mp["confirmed"]
 
@@ -211,7 +219,7 @@ def test_minimal_polynomial_matches_paper_g2():
 def test_discovered_roots_match_paper_for_small_adjoints():
     for name in ["sl(4)", "so(7)", "sp(4)", "g2"]:
         ctx = adjoint_context(name)
-        mp = minimal_polynomial(ctx.sc.operator, 8, unit=ctx.sc.unit, seed=2)
+        mp = minimal_polynomial(ctx.sc.operator, 8, ctx.sc.basis(), seed=2)
         assert sorted(set(mp["roots"])) == sorted(adjoint_identity(name).roots)
 
 
@@ -235,7 +243,7 @@ def test_antisym_restriction_divides_x_x_half():
     for name in ["sl(3)", "so(5)", "g2"]:
         ctx = adjoint_context(name)
         _, cm = ctx.sc.parts()
-        mp = minimal_polynomial(cm, 4, unit=ctx.sc.unit, seed=3)
+        mp = minimal_polynomial(cm, 4, ctx.sc.basis(), seed=3)
         assert set(mp["roots"]) <= {Fraction(0), Fraction(-1, 2)}
 
 
@@ -309,9 +317,8 @@ def test_perturbed_root_fails_on_composed_part(name):
     sc = adjoint_context(name).sc
     ident = CharIdentity([0, Fraction(-1, 3)])  # C-(C- + 1/2) = 0 is true
     block = swap_block(sc, -1)
-    got = verify_identity(block.compress(sc.operator), ident,
-                          "randomized_exact", unit=sc.unit, trials=4, seed=5,
-                          block=block)
+    got = verify_identity(block.compress(sc.operator), ident, sc.basis(),
+                          "randomized_exact", trials=4, seed=5, block=block)
     want = _first_failure(sc.parts()[1], ident.roots, sc.unit, 4, 5)
     assert (got.status, got.trials, got.witness) == want
     assert got.status == "FAIL" and got.witness is not None
@@ -323,8 +330,8 @@ def test_block_identity_needs_the_root_zero():
     block = swap_block(sc, -1)
     with pytest.raises(ValueError):
         verify_identity(block.compress(sc.operator),
-                        CharIdentity([Fraction(-1, 2)]), "randomized_exact",
-                        block=block)
+                        CharIdentity([Fraction(-1, 2)]), sc.basis(),
+                        "randomized_exact", block=block)
 
 
 def _break(monkeypatch, name, **changes):
@@ -440,10 +447,12 @@ def test_randomized_part_checks_never_build_the_parts(monkeypatch, name):
 
 def test_identity_unit_is_never_applied(monkeypatch):
     ctx = adjoint_context("g2")
-    unit = ctx.sc.unit
+    basis = ctx.sc.basis()
+    unit = basis.unit
     assert unit.is_identity()
     ident = adjoint_identity("g2")
-    want = verify_identity(ctx.sc.operator, ident, "randomized_exact",
+    want = verify_identity(ctx.sc.operator, ident,
+                           RowBasis.identity(unit.rows), "randomized_exact",
                            trials=4)
     matvec = SparseOp.matvec
 
@@ -451,8 +460,8 @@ def test_identity_unit_is_never_applied(monkeypatch):
         assert self is not unit, "identity unit applied"
         return matvec(self, v)
     monkeypatch.setattr(SparseOp, "matvec", guarded)
-    got = verify_identity(ctx.sc.operator, ident, "randomized_exact",
-                          unit=unit, trials=4)
+    got = verify_identity(ctx.sc.operator, ident, basis, "randomized_exact",
+                          trials=4)
     assert got == want and got.passed
     assert verify_universal_sym_identity("g2", "randomized_exact",
                                          trials=4).passed

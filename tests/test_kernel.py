@@ -19,10 +19,10 @@ from splitcasimir.kernel import (
     apply_poly_factors,
     combine,
     kron,
-    product_of_shifts,
     trace_word,
     vec_combine,
 )
+from splitcasimir.casimir import RowBasis, RowBasisError, product_of_shifts
 from splitcasimir.identities import CharIdentity, verify_identity
 from splitcasimir.serialize import dumps, loads
 
@@ -240,13 +240,14 @@ def test_trace_word_cyclic_invariance():
 
 def test_zero_check_zero_operator():
     rep = verify_identity(SparseOp.zero(6, 6), CharIdentity([0]),
-                          method="randomized_exact", trials=5, seed=1)
+                          RowBasis.identity(6), method="randomized_exact",
+                          trials=5, seed=1)
     assert rep.status == "PASS" and rep.trials == 5
 
 
 def test_zero_check_identity_has_witness():
     ident = SparseOp.identity(4)
-    rep = verify_identity(ident, CharIdentity([0]),
+    rep = verify_identity(ident, CharIdentity([0]), RowBasis.identity(4),
                           method="randomized_exact", trials=1, seed=1)
     assert rep.status == "FAIL"
     assert not Vec.from_fractions(rep.witness).is_zero()
@@ -255,8 +256,8 @@ def test_zero_check_identity_has_witness():
 def test_zero_check_tiny_scale_is_nonzero():
     # exact arithmetic has no tolerance: (1 + 10^-12) I - I is not zero
     near = SparseOp.identity(3, scale=1 + Fraction(1, 10 ** 12))
-    rep = verify_identity(near, CharIdentity([1]), method="randomized_exact",
-                          trials=4, seed=2)
+    rep = verify_identity(near, CharIdentity([1]), RowBasis.identity(3),
+                          method="randomized_exact", trials=4, seed=2)
     assert rep.status == "FAIL" and rep.trials == 1
     w = Vec.from_fractions(rep.witness)
     assert not (near.matvec(w) - w).is_zero()
@@ -426,7 +427,7 @@ def test_poly_of_op_and_shifts():
     ident = np.full((4, 4), Fraction(0), dtype=object)
     for i in range(4):
         ident[i, i] = Fraction(1)
-    shifts = product_of_shifts(a, [1, -2])
+    shifts = product_of_shifts(a, [1, -2], RowBasis.identity(4))
     want = dense_matmul(dense - ident, dense + 2 * ident)
     assert np.array_equal(shifts.to_dense_fractions(), want)
 
@@ -443,21 +444,35 @@ def test_product_of_shifts_with_unit_pins_factor_order():
     du, da = unit.to_dense_fractions(), a.to_dense_fractions()
     assert np.array_equal(dense_matmul(du, du), du)
     assert not np.array_equal(dense_matmul(da, du), dense_matmul(du, da))
+    # U's rows below k vanish, and row i < k is row i of U: its row basis
+    # selects rows 0..k-1 and expands them by [[I_k], [0]]
+    idx = np.arange(k)
+    basis = RowBasis(unit, idx, SparseOp(n, k, idx, idx, np.ones(k, int)))
     r1, r2 = Fraction(2, 3), Fraction(-5, 2)
-    # a unit that does not commute with the operator is refused
-    with pytest.raises(KernelError):
-        product_of_shifts(a, [r1, r2], unit=unit)
-    # so is one that commutes but is not idempotent
-    with pytest.raises(KernelError):
-        product_of_shifts(a, [r1, r2], unit=a)
-    # U X U + (1 - U) Y (1 - U) commutes with U
+    # an operator in U's image (U A) that does not commute with U is refused
+    ua = unit @ a
+    assert ua @ unit != ua
+    with pytest.raises(KernelError, match="does not commute"):
+        product_of_shifts(ua, [r1, r2], basis)
+    # so is the basis of a unit A that is not idempotent
+    with pytest.raises(RowBasisError) as err:
+        product_of_shifts(a, [r1, r2],
+                          RowBasis(a, np.arange(n), SparseOp.identity(n)))
+    assert err.value.detail == "unit B != B" and len(err.value.witness) == 2
+    # U X U + (1 - U) Y (1 - U) commutes with U, but leaves U's image
     ident = SparseOp.identity(n)
-    co = unit @ a @ unit + (ident - unit) @ random_exact_op(
+    off = unit @ a @ unit + (ident - unit) @ random_exact_op(
         rng, n, n, 0.6) @ (ident - unit)
+    do = off.to_dense_fractions()
+    assert np.array_equal(dense_matmul(do, du), dense_matmul(du, do))
+    with pytest.raises(RowBasisError, match="not in the unit's image"):
+        product_of_shifts(off, [r1, r2], basis)
+    # U X U commutes with U and lies in its image
+    co = unit @ a @ unit
     dc = co.to_dense_fractions()
     assert np.array_equal(dense_matmul(dc, du), dense_matmul(du, dc))
     want = dense_matmul(dense_matmul(dc - r2 * du, dc - r1 * du), du)
-    got = product_of_shifts(co, [r1, r2], unit=unit)
+    got = product_of_shifts(co, [r1, r2], basis)
     assert np.array_equal(got.to_dense_fractions(), want)
     assert not got.is_zero()
     # column j is the factor-by-factor image of unit e_j
@@ -474,7 +489,9 @@ def test_product_of_shifts_reuses_the_commutation_product(monkeypatch):
     from splitcasimir.catalog import adjoint_context
     from splitcasimir.identities import adjoint_identity
     sc = adjoint_context("sp(4)").sc
-    op, unit = sc.operator, sc.unit
+    op, unit, basis = sc.operator, sc.unit, sc.basis()
+    # the basis facts are checked once per context, before the count
+    basis.head
     ident = SparseOp.identity(op.rows)
     roots = adjoint_identity("sp(4)").roots[1:]
     want = {}
@@ -490,12 +507,14 @@ def test_product_of_shifts_reuses_the_commutation_product(monkeypatch):
         calls.append(1)
         return matmul(self, other)
     monkeypatch.setattr(SparseOp, "__matmul__", counted)
-    got = product_of_shifts(op, roots, unit=unit)
-    # unit @ unit, op @ unit and unit @ op, then one product per later root
-    assert len(calls) == 3 + len(roots) - 1
+    got = product_of_shifts(op, roots, basis)
+    # (S unit) @ op and (S op) @ unit on the representative rows, then one
+    # product per later root
+    assert len(calls) == 2 + len(roots) - 1
     assert got == want["unit"] and not got.is_zero()
     calls.clear()
-    assert product_of_shifts(op, roots) == want["identity"]
+    assert product_of_shifts(op, roots,
+                             RowBasis.identity(op.rows)) == want["identity"]
     assert len(calls) == len(roots) - 1
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitcasimir.catalog import adjoint_context, defining
-from splitcasimir.casimir import split_casimir
+from splitcasimir.casimir import RowBasis, RowBasisError, split_casimir
 from splitcasimir.identities import (
     CharIdentity,
     adjoint_identity,
@@ -55,13 +55,13 @@ def test_defining_families(name, dims):
 def test_lagrange_family_precheck_refuses_wrong_identity():
     op = SparseOp.identity(4).scaled(3)
     with pytest.raises(ProjectorError):
-        lagrange_family(op, CharIdentity([0, 1]))
+        lagrange_family(op, CharIdentity([0, 1]), RowBasis.identity(4))
 
 
 def test_lagrange_on_diagonal_oracle():
     op = SparseOp.from_triplets(5, 5, [(i, i, v) for i, v in
                                        enumerate([2, 2, 5, 5, 5])])
-    fam = lagrange_family(op, CharIdentity([2, 5]))
+    fam = lagrange_family(op, CharIdentity([2, 5]), RowBasis.identity(5))
     assert _dims(fam) == [2, 3]
     assert fam.verify()["all_pass"]
 
@@ -80,32 +80,41 @@ def _chain_member(op, roots, aj, unit):
     ("sl(4)", "adjoint"), ("so(7)", "adjoint"), ("sp(4)", "defining")])
 def test_shared_powers_equal_chain_products(name, kind):
     if kind == "adjoint":
-        ctx = adjoint_context(name)
-        op, unit, ident = ctx.sc.operator, ctx.ops["I"], adjoint_identity(name)
+        sc, ident = adjoint_context(name).sc, adjoint_identity(name)
     else:
         _, rep = defining(name)
-        op = split_casimir(rep, rep).operator
-        unit, ident = SparseOp.identity(op.rows), defining_identity(name)
-    fam = lagrange_family(op, ident, unit=unit)
+        sc, ident = split_casimir(rep, rep), defining_identity(name)
+    op, basis = sc.operator, sc.basis()
+    fam = lagrange_family(op, ident, basis)
     assert [m.eigenvalue for m in fam.members] == ident.roots
     for m in fam.members:
-        assert m.operator == _chain_member(op, ident.roots, m.eigenvalue, unit)
+        assert m.operator == _chain_member(op, ident.roots, m.eigenvalue,
+                                           basis.unit)
 
 
 def test_lagrange_family_rejects_non_idempotent_unit():
     # the zero op satisfies op (op - unit) = 0 for any unit, so the identity
-    # check passes and the idempotency check is what refuses unit = 2 I
-    with pytest.raises(ProjectorError, match="idempotent"):
-        lagrange_family(SparseOp.zero(3, 3), CharIdentity([0, 1]),
-                        unit=SparseOp.identity(3).scaled(2))
+    # check passes and the basis fact unit B = B is what refuses unit = 2 I
+    # (rows 0..2, B = I)
+    basis = RowBasis(SparseOp.identity(3).scaled(2), np.arange(3),
+                     SparseOp.identity(3))
+    with pytest.raises(RowBasisError) as err:
+        lagrange_family(SparseOp.zero(3, 3), CharIdentity([0, 1]), basis)
+    assert err.value.detail == "unit B != B"
+    assert err.value.witness == [0, 0]
 
 
 def test_lagrange_family_rejects_non_commuting_unit():
-    # unit = [[1, 1], [0, 0]] is idempotent but does not commute with op
-    op = SparseOp.from_triplets(2, 2, [(0, 0, 2), (1, 1, 5)])
+    # unit = [[1, 1], [0, 0]] is idempotent, with row basis S = row 0 and
+    # B = [[1], [0]]; op = unit diag(2, 5) = [[2, 5], [0, 0]] lies in its
+    # image, but op unit = [[2, 2], [0, 0]] != unit op
     unit = SparseOp.from_triplets(2, 2, [(0, 0, 1), (0, 1, 1)])
-    with pytest.raises(ProjectorError, match="commute"):
-        lagrange_family(op, CharIdentity([2, 5]), unit=unit)
+    op = unit @ SparseOp.from_triplets(2, 2, [(0, 0, 2), (1, 1, 5)])
+    basis = RowBasis(unit, np.arange(1), SparseOp.from_triplets(
+        2, 1, [(0, 0, 1)]))
+    with pytest.raises(ProjectorError,
+                       match=r"does not commute with op at \[0, 1\]"):
+        lagrange_family(op, CharIdentity([2, 5]), basis)
 
 
 def test_sl_adjoint_seven_projectors():
@@ -181,7 +190,7 @@ def test_exceptional_adjoint_families(name, dims):
     # Lagrange projectors of the adjoint identity
     ctx = adjoint_context(name)
     lag = lagrange_family(ctx.sc.operator, adjoint_identity(name),
-                          unit=ctx.sc.unit)
+                          ctx.sc.basis())
     by_ev = {}
     for m in fam.members:
         by_ev.setdefault(m.eigenvalue, []).append((1, m.operator))

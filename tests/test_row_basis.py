@@ -11,18 +11,16 @@ from splitcasimir import _kernels
 from splitcasimir.casimir import (
     RowBasis,
     RowBasisError,
-    image_powers,
+    adjoint_split_casimir,
     pair_basis,
+    product_of_shifts,
     sosp_adjoint_tensor,
 )
 from splitcasimir.catalog import adjoint_context
+from splitcasimir.classical import build_classical
 from splitcasimir.identities import adjoint_identity, minimal_polynomial
-from splitcasimir.kernel import (
-    KernelError,
-    SparseOp,
-    combine,
-    product_of_shifts,
-)
+from splitcasimir.kernel import KernelError, SparseOp, combine
+from splitcasimir.rootdata import series_rank
 from splitcasimir.projectors import (
     ProjectorError,
     lagrange_basis,
@@ -66,17 +64,23 @@ def test_row_products_equal_full_row_products(name):
     for rs in (roots, roots[1:]):
         got = product_of_shifts(op, rs, unit=basis)
         assert got == _full_row_shifts(op, unit, rs)
-        assert got == product_of_shifts(op, rs, unit=unit)
+        # the identity basis runs the chain on every row
+        assert got == product_of_shifts(op, rs,
+                                        RowBasis.identity(op.rows)) @ unit
     assert not product_of_shifts(op, roots[1:], unit=basis).is_zero()
     c2 = cp @ cp
-    assert image_powers(basis, cp, 3) == [c2, c2 @ cp]
+    assert basis.powers(cp, 3) == [c2, c2 @ cp]
 
 
 def test_minimal_polynomial_takes_the_basis():
+    # on the unit's image, the V^(x4) realisation has the minimal polynomial
+    # of the structure-constant one, whose basis is the identity
     sc = adjoint_context("sp(4)").sc
-    want = minimal_polynomial(sc.operator, 8, unit=sc.unit, seed=2)
+    alg, _ = build_classical(*series_rank("sp", 4))
+    struct = adjoint_split_casimir(alg)
+    want = minimal_polynomial(struct.operator, 8, struct.basis(), seed=2)
     assert want["confirmed"]
-    assert minimal_polynomial(sc.operator, 8, unit=sc.basis(), seed=2) == want
+    assert minimal_polynomial(sc.operator, 8, sc.basis(), seed=2) == want
 
 
 @pytest.mark.parametrize("kind,n", [("sl", 4), ("so", 5), ("sp", 4)])
@@ -199,3 +203,45 @@ def test_row_chain_refuses_an_op_that_does_not_commute():
     assert basis.lift(x) is not None
     with pytest.raises(KernelError, match="commute"):
         product_of_shifts(x, [Fraction(0)], unit=basis)
+
+
+def test_identity_basis_adds_no_product_and_no_row_pass(monkeypatch):
+    # the identity counterpart of test_identity_unit_is_never_applied: the
+    # chain of a defining family starts from 1 and op itself, so only the
+    # powers op^2 .. op^(roots - 1) are products, and an exact check on an
+    # identity basis never selects or expands rows
+    from splitcasimir import casimir, kernel
+    from splitcasimir.catalog import defining
+    from splitcasimir.identities import (
+        defining_identity,
+        verify_adjoint_identity,
+        verify_universal_sym_identity,
+    )
+    matmul = SparseOp.__matmul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+    for name in ("g2", "e7"):
+        _, rep = defining(name)
+        sc = casimir.split_casimir(rep, rep)
+        roots = defining_identity(name).roots
+        basis = sc.basis()
+        monkeypatch.setattr(SparseOp, "__matmul__", counted)
+        fam = lagrange_family(sc.operator, defining_identity(name), basis)
+        monkeypatch.undo()
+        assert len(calls) == len(roots) - 2, name
+        assert len(fam.members) == len(roots)
+        assert fam.completeness_target is basis.unit
+        calls.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows selected or expanded")
+    for module in (casimir, kernel):
+        monkeypatch.setattr(module, "compress", refuse)
+        monkeypatch.setattr(module, "expand", refuse)
+    rep = verify_universal_sym_identity("g2", "exact_full")
+    assert (rep.status, rep.method) == ("PASS", "exact_full")
+    rep = verify_adjoint_identity("f4", "exact_full")
+    assert (rep.status, rep.method) == ("PASS", "exact_full")
