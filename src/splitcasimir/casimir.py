@@ -285,39 +285,33 @@ def pair_basis(kind: str, n: int) -> Tuple[np.ndarray, SparseOp]:
 @dataclass
 class SplitCasimir:
     """Split Casimir operator with the structural operators of its ambient
-    space: ``unit`` is the identity of the (sub)space the operator lives on,
-    ``swap`` the adjoint-space permutation P used to split it, and
-    ``sigma`` the coordinate involution behind it, P = sigma unit, as an
-    index array: (sigma w)[i] = w[sigma[i]]."""
+    space: ``row_basis`` is the row basis of ``unit``, the identity of the
+    (sub)space the operator lives on; ``swap`` the adjoint-space
+    permutation P used to split it, and ``sigma`` the coordinate involution
+    behind it, P = sigma unit, as an index array: (sigma w)[i] = w[sigma[i]]."""
 
     operator: SparseOp
     rep_pair: Tuple[Representation, Representation]
     convention: str  # killing | d2_normalized
-    unit: SparseOp
+    row_basis: RowBasis
     swap: Optional[SparseOp] = None
     sigma: Optional[np.ndarray] = field(default=None, repr=False,
                                         compare=False)
     _parts: Optional[Tuple[SparseOp, SparseOp]] = field(default=None, repr=False)
-    # (kind, N) of ``pair_basis`` when the unit is a projector on
-    # V_N^2 (x) V_N^2; None when it is the identity
-    pair: Optional[Tuple[str, int]] = None
-    _basis: Optional[RowBasis] = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     @property
     def algebra(self) -> LieAlgebra:
         return self.rep_pair[0].algebra
 
+    @property
+    def unit(self) -> SparseOp:
+        return self.row_basis.unit
+
     def basis(self) -> RowBasis:
-        """The row basis of ``unit``: ``pair_basis`` on the V^(x4)
-        realisations (facts checked on first use), the identity's basis
-        (as ``RowBasis.identity``, around ``unit`` itself) elsewhere, where
-        the unit is the identity.  Pass it where a unit goes."""
-        if self._basis is None:
-            self._basis = (_IdentityBasis(self.unit) if self.pair is None
-                           else RowBasis.of_pairs(self.unit,
-                                                  *pair_basis(*self.pair)))
-        return self._basis
+        """The row basis of the unit: ``RowBasis.of_pairs`` on the V^(x4)
+        realisations (facts checked on first use), ``RowBasis.identity``
+        elsewhere.  Pass it where a unit goes."""
+        return self.row_basis
 
     def parts(self) -> Tuple[SparseOp, SparseOp]:
         """(C_plus, C_minus) = (1/2)(1 +- P) Chat, with P Chat formed on
@@ -506,7 +500,7 @@ def split_casimir(rep1: Representation, rep2: Representation) -> SplitCasimir:
         convention = "d2_normalized"
         op = op.scaled(Fraction(1) / rep1.d2())
     d1, d2m = rep1.dim_module, rep2.dim_module
-    unit = SparseOp.identity(d1 * d2m)
+    unit = RowBasis.identity(d1 * d2m)
     if d1 != d2m:
         return SplitCasimir(op, (rep1, rep2), convention, unit)
     return SplitCasimir(op, (rep1, rep2), convention, unit, swap_operator(d1),
@@ -601,8 +595,9 @@ def sl_adjoint_tensor(n: int) -> TensorAdjoint:
     _, rep = build_classical(*series_rank("sl", n))
     adj = rep.algebra.adjoint_rep()
     # P13 P24 swaps the site pairs (12) and (34): the swap of V_N^2 (x) V_N^2
-    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p,
-                      swap_permutation(n * n), pair=("sl", n))
+    sc = SplitCasimir(cas, (adj, adj), "killing",
+                      RowBasis.of_pairs(unit, *pair_basis("sl", n)), big_p,
+                      swap_permutation(n * n))
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
            "K12": k12, "K13": k13, "K14": k14, "K23": k23, "K24": k24,
            "K34": k34}
@@ -628,11 +623,12 @@ def sosp_adjoint_tensor(n: int, eps: int) -> TensorAdjoint:
         Fraction(2, n - 2 * eps))
     big_p = unit @ (p13 @ p24) @ unit
     big_k = unit @ (k13 @ k24) @ unit
-    _, rep = build_classical(*series_rank("so" if eps == 1 else "sp", n))
+    kind = "so" if eps == 1 else "sp"
+    _, rep = build_classical(*series_rank(kind, n))
     adj = rep.algebra.adjoint_rep()
-    sc = SplitCasimir(cas, (adj, adj), "killing", unit, big_p,
-                      swap_permutation(n * n),
-                      pair=("so" if eps == 1 else "sp", n))
+    sc = SplitCasimir(cas, (adj, adj), "killing",
+                      RowBasis.of_pairs(unit, *pair_basis(kind, n)), big_p,
+                      swap_permutation(n * n))
     ops = {"I": unit, "P": big_p, "K": big_k, "P13": p13, "P24": p24,
            "K13": k13, "K24": k24}
     return TensorAdjoint(sc, ops)

@@ -72,7 +72,8 @@ class _Recorder:
         dt = time.perf_counter() - t0
         if hasattr(out, "status"):
             self.add(target, out.status, getattr(out, "method", ""),
-                     getattr(out, "detail", "") or "", expected, seconds=dt)
+                     getattr(out, "detail", "") or "", expected,
+                     out.to_dict().get("witness"), seconds=dt)
         elif isinstance(out, bool):
             self.add(target, "PASS" if out else "FAIL", expected=expected,
                      seconds=dt)

@@ -1,22 +1,21 @@
 """Exceptional algebras in their minimal fundamental representations.
 
-g2 comes from octonion derivations (7-dim module), f4 from derivations of
-the exceptional Jordan algebra J3 (26-dim), e6 from adding the traceless
-Jordan multiplications (27-dim), e7 from its Chevalley basis acting on the
-weight basis of the minuscule orbit (56-dim): every simple e_i moves a
-weight to the next with coefficient 1, f = e^T, and no sign is chosen.
-e8's minimal fundamental representation is the adjoint and lives in
-`chevalley`.
+g2 comes from octonion derivations (7-dim module) and f4 from derivations
+of the exceptional Jordan algebra J3 (26-dim).  e6 and e7 act through
+their Chevalley bases on the weight basis of a minuscule Weyl orbit (27-
+and 56-dim, ``_minuscule_module``): every simple e_i moves a weight to the
+next with coefficient 1, f = e^T, and no sign is chosen.  e8's minimal
+fundamental representation is the adjoint and lives in `chevalley`.
 
-Everything up to e6 starts from the integer octonion table.  The Jordan
-product of J3 is an integer bilinear map on 3x3 octonion matrices, halved
-once and read in the J3 basis (`j3_tensor`); the trace-form metric, d_ijk
-and the e6 multiplications L_z are index arithmetic on that tensor.  The
-derivations of f_ijk (g2) and of d_ijk (f4), and the invariant symplectic
-form of the e7 module, are the nullspace of one sparse constraint operator
-each, and the structure constants of g2, f4 and e6 come from all generator
-commutators at once through a readout map
-(`algebras.structure_from_generators`).
+g2 and f4 start from the integer octonion table.  The Jordan product of J3
+is an integer bilinear map on 3x3 octonion matrices, halved once and read
+in the J3 basis (`j3_tensor`); the trace-form metric and d_ijk are index
+arithmetic on that tensor.  The derivations of f_ijk (g2) and of d_ijk
+(f4), and the invariant symplectic form of the e7 module, are the
+nullspace of one sparse constraint operator each, and the structure
+constants of g2 and f4 come from all generator commutators at once through
+a readout map (`algebras.structure_from_generators`).  e6 and e7 share the
+structure constants of their Chevalley adjoints.
 
 The J3 basis keeps the second diagonal element unnormalized
 (diag(1, 1, -2) instead of the orthonormal 1/sqrt(3) version) so every
@@ -45,7 +44,7 @@ from .algebras import (
     structure_from_generators,
 )
 from .chevalley import build_chevalley_adjoint, chevalley_constants
-from .kernel import SparseOp, combine, kron, vec_columns
+from .kernel import SparseOp, kron
 from .rootdata import root_system
 
 
@@ -301,53 +300,13 @@ def build_f4_defining() -> Tuple[LieAlgebra, Representation]:
 
 
 # ---------------------------------------------------------------------------
-# e6 = der(J3) + traceless Jordan multiplications, acting on all of J3
+# e6 and e7: minuscule modules over the Chevalley basis
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def build_e6_defining() -> Tuple[LieAlgebra, Representation]:
-    """der(J3) + L(J3_0) on J3 in coordinates [b_0..b_25, I3]: the f4
-    generators with a zero identity row and column, then L_i = b_i o (.),
-    whose column j is row i * 27 + j of `j3_tensor`.
-
-    The readout takes the L_i coefficient of M from M[i, 26] (L_i I3 = b_i
-    and derivations kill I3), and the f4 coefficients from
-    M - sum_i M[i, 26] L_i through the f4 readout."""
-    f4_gens, f4_readout = j3_derivations()
-    t = j3_tensor()
-    i, j = np.divmod(t.row, 27)
-    l_gens = []
-    for z in range(26):
-        own = i == z
-        l_gens.append(SparseOp(27, 27, t.col[own], j[own], t.data[own],
-                               t.scale))
-    d_gens = [SparseOp(27, 27, g.row, g.col, g.data, g.scale)
-              for g in f4_gens]
-    gens = d_gens + l_gens
-    idx = np.arange(26)
-    column = SparseOp(26, 729, idx, idx * 27 + 26, np.ones(26, np.int64))
-    r, c = np.divmod(f4_readout.col, 26)
-    lowered = SparseOp(52, 729, f4_readout.row, r * 27 + c,
-                       f4_readout.data, f4_readout.scale)
-    derivs = lowered - lowered @ vec_columns(l_gens) @ column
-    readout = combine([
-        (1, SparseOp(78, 729, derivs.row, derivs.col, derivs.data,
-                     derivs.scale)),
-        (1, SparseOp(78, 729, column.row + 52, column.col, column.data))])
-    struct = structure_from_generators(gens, readout)
-    alg = algebra_from_struct("e6", "E", 6, 78, struct,
-                              root_data=root_system("E", 6))
-    rep = Representation(alg, 27, gens, "defining")
-    return alg, rep
-
-
-# ---------------------------------------------------------------------------
-# e7: 56-dim minuscule module over the Chevalley basis
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def build_e7_defining() -> Tuple[LieAlgebra, Representation]:
-    """e7 on the Weyl orbit of its minuscule fundamental weight.
+def _minuscule_module(rank: int, size: int
+                      ) -> Tuple[LieAlgebra, Representation]:
+    """e_rank on the Weyl orbit of its minuscule fundamental weight, which
+    must have ``size`` weights.
 
     Every <mu, alpha_i^vee> of a minuscule weight is -1, 0 or 1, so
     h_i = diag<mu, alpha_i^vee>, e_i v_mu = v_(mu + alpha_i) with unit
@@ -355,21 +314,21 @@ def build_e7_defining() -> Tuple[LieAlgebra, Representation]:
     non-simple root gamma gets e_gamma = [e_a, e_(gamma - a)] / N_(a, gamma - a)
     for the first simple a that leaves a positive root, and f_gamma =
     e_gamma^T."""
-    alg, _ = build_chevalley_adjoint("E", 7)
+    alg, _ = build_chevalley_adjoint("E", rank)
     rs = alg.root_data
-    r = rs.rank
-    cc = chevalley_constants("E", 7)
+    cc = chevalley_constants("E", rank)
     # a minuscule weight of a simply-laced type sits at a node of mark 1 in
     # the highest root
     node = rs.highest_root.index(1)
-    minuscule = rs.weyl_orbit(tuple(int(i == node) for i in range(r)))
-    if len(minuscule) != 56:
-        raise ConstructionError("the minuscule Weyl orbit is not 56 weights")
+    minuscule = rs.weyl_orbit(tuple(int(i == node) for i in range(rank)))
+    if len(minuscule) != size:
+        raise ConstructionError(
+            f"the minuscule Weyl orbit is not {size} weights")
     widx = {w: k for k, w in enumerate(minuscule)}
-    simples = rs.positive_roots[:r]
+    simples = rs.positive_roots[:rank]
     gens = [SparseOp.from_triplets(
-        56, 56, [(widx[w], widx[w], w[i]) for w in minuscule if w[i]])
-        for i in range(r)]
+        size, size, [(widx[w], widx[w], w[i]) for w in minuscule if w[i]])
+        for i in range(rank)]
     e_mats: Dict[Tuple[int, ...], SparseOp] = {}
     for root in rs.positive_roots:
         if root in simples:
@@ -377,7 +336,7 @@ def build_e7_defining() -> Tuple[LieAlgebra, Representation]:
             moves = ((widx.get(tuple(x + y for x, y in zip(w, up))), k)
                      for k, w in enumerate(minuscule))
             e = SparseOp.from_triplets(
-                56, 56, [(j, k, 1) for j, k in moves if j is not None])
+                size, size, [(j, k, 1) for j, k in moves if j is not None])
         else:
             a, b = next((a, b) for a in simples
                         for b in [tuple(x - y for x, y in zip(root, a))]
@@ -386,8 +345,20 @@ def build_e7_defining() -> Tuple[LieAlgebra, Representation]:
                 Fraction(1, cc.n_pos(a, b)))
         e_mats[root] = e
         gens += [e, e.transpose()]
-    rep = Representation(alg, 56, gens, "defining")
+    rep = Representation(alg, size, gens, "defining")
     return alg, rep
+
+
+@lru_cache(maxsize=1)
+def build_e6_defining() -> Tuple[LieAlgebra, Representation]:
+    """e6 on its 27-dim minuscule module (``_minuscule_module``)."""
+    return _minuscule_module(6, 27)
+
+
+@lru_cache(maxsize=1)
+def build_e7_defining() -> Tuple[LieAlgebra, Representation]:
+    """e7 on its 56-dim minuscule module (``_minuscule_module``)."""
+    return _minuscule_module(7, 56)
 
 
 def invariant_antisymmetric_form(rep: Representation) -> SparseOp:

@@ -16,6 +16,7 @@ from .casimir import (
     RowBasis,
     SwapBlock,
     SwapBlockError,
+    _first_difference,
     product_of_shifts,
     swap_block,
 )
@@ -507,8 +508,9 @@ def verify_universal_sym_identity(name: str, method: str = "auto",
         rhs = cp.scaled(Fraction(-1, 6)) \
             + (ctx.ops["I"] + ctx.ops["P"] + ctx.big_k).scaled(mu)
         (cp2,) = ctx.sc.basis().powers(cp, 2)
-        ok = cp2 == rhs
-        rep = VerificationReport(target, "PASS" if ok else "FAIL", method)
+        where = _first_difference(cp2, rhs)
+        rep = VerificationReport(target, "PASS" if where is None else "FAIL",
+                                 method, witness=where)
     else:
         try:
             block, cp, kp, up = _symmetric_block(ctx)
@@ -561,8 +563,10 @@ def verify_classical_generic_identity(name: str, method: str = "auto",
         rhs = combine([(mu1, cp), (mu2, ctx.ops["I"]), (mu2, ctx.ops["P"]),
                        (-2 * mu2, ctx.big_k)])
         c2, c3 = ctx.sc.basis().powers(cp, 3)
-        ok = combine([(1, c3), (Fraction(1, 2), c2)]) == rhs
-        return VerificationReport(target, "PASS" if ok else "FAIL", method)
+        where = _first_difference(combine([(1, c3), (Fraction(1, 2), c2)]),
+                                  rhs)
+        return VerificationReport(target, "PASS" if where is None else "FAIL",
+                                  method, witness=where)
     try:
         block, cp, kp, up = _symmetric_block(ctx)
     except SwapBlockError as err:

@@ -22,7 +22,7 @@ class CheckRecord:
     method: str = ""
     observed: str = ""
     expected: str = ""
-    witness: Optional[str] = None
+    witness: Optional[List[str]] = None
     seconds: Optional[float] = None
 
     def to_dict(self) -> dict:

@@ -24,7 +24,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .catalog import defining, invariants, parse_name
-from .casimir import RowBasis, split_casimir, split_parts, swap_operator
+from .casimir import (
+    RowBasis,
+    _first_difference,
+    split_casimir,
+    split_parts,
+    swap_operator,
+)
 from .identities import VerificationReport, defining_identity
 from .kernel import SparseOp, Vec, apply_two_site, combine
 from .projectors import lagrange_basis
@@ -120,13 +126,22 @@ def _mobius(factors: Sequence[Tuple[SparseOp, Sequence[Fraction],
     return evaluate, poles
 
 
-def _minimal_roots(op: SparseOp, bound: int = 8) -> List[Fraction]:
+def _minimal_roots(op: SparseOp, unit: RowBasis, bound: int = 8
+                   ) -> List[Fraction]:
+    """The distinct eigenvalues of op on the image of the row basis
+    ``unit`` (that of the split Casimir op is built from)."""
     from .identities import minimal_polynomial
-    mp = minimal_polynomial(op, bound, RowBasis.identity(op.rows),
-                            confirm=False)
+    mp = minimal_polynomial(op, bound, unit, confirm=False)
     if mp["roots"] is None:
         raise YangBaxterError("operator minimal polynomial did not split")
     return sorted(set(mp["roots"]))
+
+
+def _casimir_parts(rep) -> Tuple[SparseOp, SparseOp, RowBasis]:
+    """(C+, C-, row basis) of the split Casimir on rep (x) rep; the
+    operator itself is not kept alive past the call."""
+    sc = split_casimir(rep, rep)
+    return (*split_parts(sc), sc.basis())
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +199,9 @@ def _g2_forms():
         return out.scaled(Fraction(1) / (u - 1))
 
     def casimir_rational():
-        cp, cm = split_parts(split_casimir(rep, rep))
-        return _mobius([(cp, _minimal_roots(cp), -3, 0),
-                        (cm, _minimal_roots(cm), -3, 1)])
+        cp, cm, basis = _casimir_parts(rep)
+        return _mobius([(cp, _minimal_roots(cp, basis), -3, 0),
+                        (cm, _minimal_roots(cm, basis), -3, 1)])
 
     return {"spectral": lambda: (spectral, [Fraction(1), Fraction(4),
                                             Fraction(6)]),
@@ -208,12 +223,12 @@ def _f4_forms(beta: Optional[Fraction]):
         return out.scaled(Fraction(1) / (u - 1))
 
     def casimir_rational():
-        cp, cm = split_parts(split_casimir(rep, rep))
+        cp, cm, basis = _casimir_parts(rep)
         p1 = kop.scaled(Fraction(1, 26))
         scp = cp + p1.scaled(beta)
         acp = cm - p1.scaled(beta)
-        return _mobius([(scp, _minimal_roots(scp), -6, 0),
-                        (acp, _minimal_roots(acp), -6, 1)])
+        return _mobius([(scp, _minimal_roots(scp, basis), -6, 0),
+                        (acp, _minimal_roots(acp, basis), -6, 1)])
 
     return {"spectral": lambda: (spectral, [Fraction(1), Fraction(4),
                                             Fraction(6), Fraction(9)]),
@@ -245,8 +260,7 @@ def _e6_forms():
 
 def _e7_forms(beta: Optional[Fraction]):
     alg, rep = defining("e7")
-    sc = split_casimir(rep, rep)
-    cp, cm = split_parts(sc)
+    cp, cm, basis = _casimir_parts(rep)
     inv = invariants("e7")
     ident, perm, p1 = inv["I"], inv["P"], inv["P1"]
     p133 = (ident + perm).scaled(Fraction(1, 16)) - cp
@@ -269,8 +283,8 @@ def _e7_forms(beta: Optional[Fraction]):
         scp = cp - p1.scaled(beta / 6)
         acp = cm + p1.scaled(beta / 6)
         # each factor is -(p + u) / (p - u), so the two signs cancel
-        return _mobius([(scp, _minimal_roots(scp), 6, Fraction(1, 4)),
-                        (acp, _minimal_roots(acp), 6, 0)])
+        return _mobius([(scp, _minimal_roots(scp, basis), 6, Fraction(1, 4)),
+                        (acp, _minimal_roots(acp, basis), 6, 0)])
 
     return {"spectral": lambda: (spectral, [Fraction(-9), Fraction(-5),
                                             Fraction(1)]),
@@ -321,7 +335,8 @@ def _check_poles(fam: RMatrixFamily, *us) -> None:
 def verify_ybe(fam: RMatrixFamily, u, v, trials: int = 8,
                seed: int = 0) -> VerificationReport:
     """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) on V^(x3), applied
-    exactly to random integer vectors factor by factor."""
+    exactly to random integer vectors factor by factor; a FAIL names the
+    first vector with a nonzero residual."""
     u, v = Fraction(u), Fraction(v)
     _check_poles(fam, u, v, u + v)
     r_u = fam.evaluate(u)
@@ -341,27 +356,31 @@ def verify_ybe(fam: RMatrixFamily, u, v, trials: int = 8,
         if not diff.is_zero():
             return VerificationReport(
                 f"{fam.case} YBE({fam.form}) at ({u},{v})", "FAIL", "exact",
-                t + 1, detail=f"residual {diff.max_abs_value()}")
+                t + 1, witness=w.fractions(),
+                detail=f"residual {diff.max_abs_value()}")
     return VerificationReport(f"{fam.case} YBE({fam.form}) at ({u},{v})",
                               "PASS", "exact", trials)
 
 
 def verify_unitarity(fam: RMatrixFamily, u) -> VerificationReport:
-    """P R(u) P R(-u) = 1, checked as an exact operator equality."""
+    """P R(u) P R(-u) = 1, checked as an exact operator equality; a FAIL
+    names [row, col] of an entry where it fails."""
     u = Fraction(u)
     _check_poles(fam, u, -u)
     d = fam.site_dim
     perm = swap_operator(d)
     prod = perm @ fam.evaluate(u) @ perm @ fam.evaluate(-u)
-    ok = prod == SparseOp.identity(d * d)
+    where = _first_difference(prod, SparseOp.identity(d * d))
     return VerificationReport(f"{fam.case} unitarity({fam.form}) at u={u}",
-                              "PASS" if ok else "FAIL", "exact")
+                              "PASS" if where is None else "FAIL", "exact",
+                              witness=where)
 
 
 def verify_form_equivalence(case: str, samples: Sequence = (),
                             ) -> VerificationReport:
     """Spectral and Casimir-rational forms agree entrywise at sampled u;
-    for f4/e7 both shift values of beta must also coincide."""
+    for f4/e7 both shift values of beta must also coincide.  A FAIL names
+    [row, col] of an entry where they differ."""
     an = parse_name(case)
     samples = [Fraction(s) for s in samples] or \
         [u for u, _ in DEFAULT_SAMPLES]
@@ -378,13 +397,15 @@ def verify_form_equivalence(case: str, samples: Sequence = (),
             continue
         a = spect.evaluate(u)
         b = cas.evaluate(u)
-        if a != b:
+        where = _first_difference(a, b)
+        if where is not None:
             return VerificationReport(
-                f"{case} form equivalence", "FAIL", "exact",
+                f"{case} form equivalence", "FAIL", "exact", witness=where,
                 detail=f"spectral != casimir at u = {u}")
-        if cas2 is not None and b != cas2.evaluate(u):
+        where = None if cas2 is None else _first_difference(b, cas2.evaluate(u))
+        if where is not None:
             return VerificationReport(
-                f"{case} form equivalence", "FAIL", "exact",
+                f"{case} form equivalence", "FAIL", "exact", witness=where,
                 detail=f"beta values disagree at u = {u}")
     return VerificationReport(f"{case} form equivalence", "PASS", "exact",
                               len(samples))
@@ -393,7 +414,8 @@ def verify_form_equivalence(case: str, samples: Sequence = (),
 def verify_classical_ybe(name: str, samples: Sequence = (), trials: int = 4,
                          seed: int = 0) -> VerificationReport:
     """r(u) = Chat/u solves the classical YBE; reduces to the Kono-Drinfeld
-    relations, checked exactly on V^(x3) by two-site application."""
+    relations, checked exactly on V^(x3) by two-site application.  A FAIL
+    names the first vector with a nonzero residual."""
     alg, rep = defining(name)
     sc = split_casimir(rep, rep)
     c = sc.operator
@@ -421,6 +443,7 @@ def verify_classical_ybe(name: str, samples: Sequence = (), trials: int = 4,
                      + comm((0, 1), w_u, (1, 2), w_v, w))
             if not total.is_zero():
                 return VerificationReport(
-                    f"{name} classical YBE", "FAIL", "exact", t + 1)
+                    f"{name} classical YBE", "FAIL", "exact", t + 1,
+                    witness=w.fractions())
     return VerificationReport(f"{name} classical YBE", "PASS", "exact",
                               trials * len(samples))

@@ -512,7 +512,7 @@ _PINNED = {
     "sp(6)": "46327f66164fd81796e06b0a76a8450073aab2b12482654c20f53c3732f84bdf",
     "g2": "73239d4e7a2e0fa70ca3a1d28f9bbac3e42b4ad20a4733bc63beb71edf90074c",
     "f4": "023e5afd0d64b50bcf1264835aadd621c8cb8181d594c3fd5799649875373d7d",
-    "e6": "ca07865e846cf2374224aaaf039dc9c240dbd537b2d8a1dd3bec2bc7606d3e39",
+    "e6": "74978d24ebc25c440ec8e949ce5eae0191874f761738f47908682cb74924f427",
     "e7": "035a329aad30957ac2929666f00a06a56b8b37b1582449011e1aa0135dd95b57",
     "sl(2) defining x adjoint":
         "aeaf8e0c159a8986b0711c057e169557f7467ad1da91216fa22fd5048920aca6",

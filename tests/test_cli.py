@@ -23,6 +23,25 @@ def test_reports_are_byte_identical_for_same_config_and_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("method", ["exact_full", "randomized_exact"])
+def test_failed_record_keeps_the_witness(monkeypatch, method):
+    # a wrong sl(2) root fails the defining identity; the report's record
+    # carries the witness as VerificationReport.to_dict writes it
+    from fractions import Fraction
+
+    from splitcasimir import identities
+    wrong = identities.CharIdentity([Fraction(-3, 8), Fraction(1, 7)])
+    monkeypatch.setattr(identities, "defining_identity", lambda _: wrong)
+    want = identities.verify_defining_identity("sl(2)", method).to_dict()
+    assert want["status"] == "FAIL" and want["witness"]
+    report = run_suite(SuiteConfig(["sl(2)"], ["identities"], method=method))
+    records = json.loads(emit(report, "json"))["records"]
+    (failed,) = [r for r in records if r["status"] == "FAIL"]
+    assert failed["target"] == "sl(2) defining identity"
+    assert failed["witness"] == want["witness"]
+    assert all("witness" not in r for r in records if r["status"] == "PASS")
+
+
 def test_json_round_trip():
     config = SuiteConfig(["sl(2)"], ["construct"])
     report = run_suite(config)

@@ -29,6 +29,7 @@ from splitcasimir.exceptional import (
     octonion_f,
     octonion_table,
 )
+from splitcasimir.catalog import chevalley, defining
 from splitcasimir.classical import build_classical
 from splitcasimir.kernel import SparseOp, combine, kron, vec_columns
 from splitcasimir.serialize import dumps
@@ -273,6 +274,16 @@ def test_e6_trace_form_proportional_to_killing():
     assert rep.d2() == Fraction(1, 4)
 
 
+def test_e6_acts_on_a_weight_basis_of_the_chevalley_e6():
+    alg, rep = build_e6_defining()
+    assert defining("e6")[0] is chevalley("e6")[0] is alg
+    for h in rep.generators[:6]:
+        assert np.array_equal(h.row, h.col)
+    # the weights are the 27 distinct diagonals of h_1..h_6
+    cartan = [h.to_dense_fractions() for h in rep.generators[:6]]
+    assert len({tuple(h[k, k] for h in cartan) for k in range(27)}) == 27
+
+
 def test_e7_construction_and_symplectic_form():
     alg, rep = build_e7_defining()
     assert alg.dim == 133
@@ -334,7 +345,8 @@ def _digest(ops):
 
 
 # sha256 of `serialize.dumps` of each construction output, as built by the
-# per-pair Fraction constructions these builds replaced
+# per-pair Fraction constructions these builds replaced; e6 shares the struct
+# and Killing form of the Chevalley E6 (`test_chevalley`)
 _PINNED = {
     "g2.struct": "a8e8cafa938faf34f9a6516e7db921b0b28c3a53c7a53db0f371fd4dd2077112",
     "g2.killing": "fe45340b65919adfa04937aa128ceb3059de2d2f5579d886c8251f503c5d4285",
@@ -342,13 +354,12 @@ _PINNED = {
     "f4.struct": "dcf6389bf6a9a896512a0eaaeb8055c0a98e2893ad3c31d88fb9bdba4c0e49bc",
     "f4.killing": "ed11e75ea07de488edfe436a7af28f2ff71606b4b43ff4270b3c4c93cd141483",
     "f4.generators": "c1e6abdbebef1f2b702eff9b70e215d6c589cc6dc8e6bd0a6e5d1cdd9f4b7fdd",
-    "e6.struct": "7de4788f6abe56c5c61ee91fc86ad197116285ca188924795249e61c0758f059",
-    "e6.killing": "2fd53046f47b947c4e762e21dcd36dc5ab61dbd9b3e4ea46ec7c949d53eee045",
-    "e6.generators": "c876c616c8546c9de5101e530436f3bb56d04335c015608d1cb69809d419f6b2",
+    "e6.struct": "50758d7ffa7c6267f0d9df7a5ef8875547f725b2ef23efaf7b9a090079a57d07",
+    "e6.killing": "bc4b35c79280e16354872914b21ff04b911275575a7a7ccf358edcf2653afb91",
+    "e6.generators": "a38d7df3456948255e22795f33b1ab5be609b56a5b39b1d18104915b5814d5c6",
     "f4.gram": "d8e132cbf95fee7c7e1dbb5682bcfda3ab09e9dfbb1ece7b5d0756104ba262e3",
     "f4.d": "0b2f47b2ac4358faa89f31529f40d1334a6b68ae70e1a73d7a020aa59e932c80",
     "f4.D": "f620b0831f99932cc4010ae7bb4154a81e2a6aae95b290577d45e8d442d9bceb",
-    "e6.L": "767b08e43921051137ca9bf0cdb1856b978dc793a7b230b68d0ce13b0af7cb01",
     "e7.J": "288dc7f9af49b9ec4eb5bd683672f8f2772821dc6c7663c31d8c0f4d2544ab0d",
     "e7.generators": "534af2e1365e22e800f539ce8930f0d1cd4d8af40018e10bd350dcf0dd7adff8",
 }
@@ -367,7 +378,6 @@ def test_construction_outputs_are_pinned():
         26, 26, [(i, i, g) for i, g in enumerate(gram)])])
     got["f4.d"] = _digest([d])
     got["f4.D"] = _digest([casimir._f4_d_operator()])
-    got["e6.L"] = _digest(build_e6_defining()[1].generators[52:])
     got["e7.J"] = _digest([invariant_antisymmetric_form(build_e7_defining()[1])])
     got["e7.generators"] = _digest(build_e7_defining()[1].generators)
     assert got == _PINNED

@@ -216,6 +216,18 @@ def test_minimal_polynomial_matches_paper_g2():
     assert mp["confirmed"]
 
 
+def test_e6_minuscule_module_satisfies_the_paper_identity():
+    # the 27 built on the minuscule Weyl orbit: the cubic holds on every
+    # basis vector, and Krylov rediscovers its roots {-13/9, -1/9, 2/9}
+    rep = verify_defining_identity("e6", "exact_full")
+    assert (rep.status, rep.method, rep.trials) == ("PASS", "exact_full", 729)
+    _, mod = defining("e6")
+    sc = split_casimir(mod, mod)
+    mp = minimal_polynomial(sc.operator, 8, sc.basis())
+    assert sorted(mp["roots"]) == sorted(defining_identity("e6").roots)
+    assert mp["confirmed"]
+
+
 def test_discovered_roots_match_paper_for_small_adjoints():
     for name in ["sl(4)", "so(7)", "sp(4)", "g2"]:
         ctx = adjoint_context(name)
@@ -432,6 +444,11 @@ def test_wrong_k_fails_the_composed_right_hand_side(monkeypatch, name, check,
     assert rep.status == "FAIL"
     if method == "randomized_exact":
         assert rep.witness is not None and rep.trials == 1
+    else:
+        # doubling K moves the right-hand side by a multiple of K, so the
+        # two sides differ exactly on K's entries
+        row, col = rep.witness
+        assert np.any((ctx.big_k.row == row) & (ctx.big_k.col == col))
 
 
 @pytest.mark.parametrize("name", ["g2", "e6"])

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from splitcasimir.kernel import SparseOp, Vec, apply_two_site
 from splitcasimir.yangbaxter import (
     DEFAULT_SAMPLES,
     PoleError,
+    RMatrixFamily,
     UnsupportedCaseError,
     build_rmatrix,
     function_of_op,
@@ -264,3 +267,96 @@ def test_invariant_set_built_once_per_process(monkeypatch):
     assert catalog.invariants("so(12)") is inv
     with pytest.raises(TypeError):
         inv["K"] = inv["I"]
+
+
+# mutations: every Yang-Baxter verdict must be able to FAIL, with a witness
+
+_BUMP = Fraction(1, 7)
+
+
+def _bumped(fam, when=lambda fam: True):
+    """fam with R(u) + (1/7) E_00 (where ``when`` holds for fam)."""
+    if not when(fam):
+        return fam
+    n = fam.site_dim ** 2
+    bump = SparseOp.from_triplets(n, n, [(0, 0, _BUMP)])
+    return RMatrixFamily(fam.case, fam.form, fam.site_dim, fam.poles,
+                         fam.beta, _eval=lambda u: fam.evaluate(u) + bump)
+
+
+def _ybe_residual(r_u, r_uv, r_v, w, d):
+    lhs = apply_two_site(r_v, w, (1, 2), 3, d)
+    lhs = apply_two_site(r_uv, lhs, (0, 2), 3, d)
+    lhs = apply_two_site(r_u, lhs, (0, 1), 3, d)
+    rhs = apply_two_site(r_u, w, (0, 1), 3, d)
+    rhs = apply_two_site(r_uv, rhs, (0, 2), 3, d)
+    return lhs - apply_two_site(r_v, rhs, (1, 2), 3, d)
+
+
+def _trial_vector(n, seed, trial):
+    rng = np.random.default_rng(seed)
+    for _ in range(trial):
+        w = Vec.random_exact(n, rng)
+    return w
+
+
+@pytest.mark.parametrize("case", ["sl(2)", "g2"])
+def test_bumped_rmatrix_fails_ybe_with_its_trial_vector(case):
+    fam = _bumped(build_rmatrix(case, "spectral"))
+    u, v = Fraction(1, 2), Fraction(1, 3)
+    rep = verify_ybe(fam, u, v, trials=4, seed=3)
+    assert (rep.status, rep.method) == ("FAIL", "exact")
+    d = fam.site_dim
+    w = _trial_vector(d ** 3, 3, rep.trials)
+    assert rep.witness == w.fractions()
+    residual = _ybe_residual(fam.evaluate(u), fam.evaluate(u + v),
+                             fam.evaluate(v), w, d)
+    assert not residual.is_zero()
+
+
+@pytest.mark.parametrize("case", ["sl(3)", "g2"])
+def test_bumped_rmatrix_fails_unitarity_at_an_entry(case):
+    fam = _bumped(build_rmatrix(case, "spectral"))
+    u = Fraction(2, 5)
+    rep = verify_unitarity(fam, u)
+    assert (rep.status, rep.method) == ("FAIL", "exact")
+    from splitcasimir.casimir import swap_operator
+    p = swap_operator(fam.site_dim)
+    prod = p @ fam.evaluate(u) @ p @ fam.evaluate(-u)
+    row, col = rep.witness
+    assert prod.to_dense_fractions()[row, col] != int(row == col)
+
+
+@pytest.mark.parametrize("case, when, detail", [
+    ("sl(3)", lambda fam: fam.form == "casimir_rational", "spectral !="),
+    # only the second beta value is bumped: the forms agree at beta = 1/2
+    ("f4", lambda fam: fam.beta == Fraction(4, 3), "beta values disagree"),
+])
+def test_bumped_form_fails_form_equivalence_at_an_entry(monkeypatch, case,
+                                                       when, detail):
+    real = yangbaxter.build_rmatrix
+    monkeypatch.setattr(yangbaxter, "build_rmatrix",
+                        lambda *args, **kw: _bumped(real(*args, **kw), when))
+    u = Fraction(1, 2)
+    rep = verify_form_equivalence(case, samples=[u])
+    assert (rep.status, rep.method) == ("FAIL", "exact")
+    assert rep.detail.startswith(detail)
+    # the unbumped forms agree, so they differ only at the bump
+    assert rep.witness == [0, 0]
+
+
+@pytest.mark.parametrize("case", ["sl(2)", "g2"])
+def test_non_invariant_casimir_fails_classical_ybe(monkeypatch, case):
+    real = yangbaxter.split_casimir
+
+    def bumped(rep1, rep2):
+        sc = real(rep1, rep2)
+        n = sc.operator.rows
+        bump = SparseOp.from_triplets(n, n, [(0, 0, _BUMP)])
+        return dataclasses.replace(sc, operator=sc.operator + bump)
+    monkeypatch.setattr(yangbaxter, "split_casimir", bumped)
+    samples = [(Fraction(1, 2), Fraction(1, 3))]
+    rep = verify_classical_ybe(case, samples=samples, trials=4, seed=2)
+    assert (rep.status, rep.method) == ("FAIL", "exact")
+    d = catalog.defining(case)[1].dim_module
+    assert rep.witness == _trial_vector(d ** 3, 2, rep.trials).fractions()
