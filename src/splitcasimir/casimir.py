@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebras import LieAlgebra, Representation
+from .algebras import LieAlgebra, Representation, symmetric_block_inverse
 from .classical import _metric_c, build_classical
 from .kernel import (
     KernelError,
@@ -550,7 +550,6 @@ def k_two_site(a: int, b: int, n_sites: int, d: int,
         ident = SparseOp.identity(d)
         k2 = _outer_vec(ident, ident)
     else:
-        from .algebras import symmetric_block_inverse
         k2 = _outer_vec(symmetric_block_inverse(metric), metric)
     return two_site(k2, a, b, n_sites, d)
 
@@ -685,8 +684,11 @@ def invariant_set(rep: Representation) -> Dict[str, SparseOp]:
     """Named invariant operators on V (x) V for one representation.
 
     Always I and P; K whenever the module (or the algebra, for adjoints)
-    carries an invariant symmetric metric; F/D for g2 and f4; P1 (the
-    singlet projector from the symplectic form) for e7.
+    carries an invariant symmetric metric; F for g2 and D, F for f4 (the
+    squares of the invariant 3-form and of the cubic, `_cubic_square`, and
+    the square of the generators); J and P1 (the singlet projector from
+    the symplectic form) for e7.  The exceptional tensors come from
+    `exceptional.invariant_tensor` on the module's weight basis.
     """
     alg = rep.algebra
     d = rep.dim_module
@@ -695,17 +697,12 @@ def invariant_set(rep: Representation) -> Dict[str, SparseOp]:
         out["K"] = _outer_vec(alg.killing_inv, alg.killing)
         return out
     if rep.module_metric is not None:
-        from .algebras import symmetric_block_inverse
         out["K"] = _outer_vec(symmetric_block_inverse(rep.module_metric),
                               rep.module_metric)
     if alg.name == "g2":
-        # F = f f^T with f_ijk as a 49 x 7 operator (f is fully antisymmetric,
-        # so f_klm = f_lmk)
-        from .exceptional import octonion_f_tensor
-        f_op = octonion_f_tensor()
-        out["F"] = f_op @ f_op.transpose()
+        out["F"] = _cubic_square(rep, -1, Fraction(6))
     if alg.name == "f4":
-        out["D"] = _f4_d_operator()
+        out["D"] = _cubic_square(rep, 1, Fraction(56, 3))
         out["F"] = _t_squared_operator(rep)
     if alg.name == "e7":
         # J @ J = -1, so J^-1 = -J and P1 = (1/56) vec(J) vec(J)^T
@@ -721,16 +718,24 @@ def _outer_vec(m_up: SparseOp, m_down: SparseOp) -> SparseOp:
     return vec_columns([m_up]) @ vec_columns([m_down]).transpose()
 
 
-def _f4_d_operator() -> SparseOp:
-    """(D)^{i1i2}_{j1j2} = dhat^{i1i2m} dhat_{j1j2m} in the rational basis:
-    sum_m (8/(g_i1 g_i2 g_m)) d_{i1i2m} d_{j1j2m}, that is
-    diag(8/(g_i g_j)) A diag(1/g_m) A^T with A = d_ijm as a 676 x 26
-    operator."""
-    from .exceptional import j3_structure
-    gram, a = j3_structure()
-    ginv = SparseOp.from_triplets(26, 26, [(i, i, Fraction(1, g))
-                                           for i, g in enumerate(gram)])
-    return (kron(ginv, ginv) @ a @ ginv @ a.transpose()).scaled(8)
+def _cubic_square(rep: Representation, sign: int, norm: Fraction
+                  ) -> SparseOp:
+    """(X)^{i1i2}_{j1j2} = c t^{i1i2m} t_{mj1j2} for the invariant 3-tensor
+    t of the module (symmetric for sign 1, antisymmetric for -1), indices
+    raised with the module metric g: c (g^-1 (x) g^-1) T g^-1 T^t with
+    T = t_ijm as an n^2 x n operator (t_ijm = t_mij).  c is fixed by
+    c t_{abm} t^{ab}_l = norm g_ml, which leaves X free of the scales of t
+    and g; its trace is norm * n."""
+    from .exceptional import invariant_tensor
+    g = rep.module_metric
+    ginv = symmetric_block_inverse(g)
+    t = invariant_tensor(rep, 3, sign)
+    raised = kron(ginv, ginv) @ t
+    square = t.transpose() @ raised
+    c = norm * rep.dim_module / (ginv @ square).trace()
+    if square.scaled(c) != g.scaled(norm):
+        raise CasimirError("t.t is not proportional to the module metric")
+    return (raised @ ginv @ t.transpose()).scaled(c)
 
 
 def _t_squared_operator(rep: Representation) -> SparseOp:
@@ -738,7 +743,6 @@ def _t_squared_operator(rep: Representation) -> SparseOp:
     -(1/d2) kappa^{ab} (T_a gbar)^{i1i2} (g T_b)_{j1j2}, that is
     -(1/d2) R kappa^-1 L^T with the columns vec(T_a gbar) of R and
     vec(g T_b) of L."""
-    from .algebras import symmetric_block_inverse
     g = rep.module_metric
     ginv = symmetric_block_inverse(g)
     raised = vec_columns([t @ ginv for t in rep.generators])

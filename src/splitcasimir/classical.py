@@ -4,7 +4,7 @@ sl(N) uses the true basis {e_ij (i != j), h_k = e_kk - e_k+1,k+1}.
 so/sp are built in the unified metric form M_ij = e_ij - eps e_ji with c the
 identity (eps = +1) or the standard symplectic form (eps = -1).  Structure
 constants come from the generator matrices through a readout map
-(`algebras.structure_from_generators`), as for the exceptional builds.
+(`algebras.structure_from_generators`).
 """
 
 from __future__ import annotations

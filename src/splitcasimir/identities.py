@@ -181,19 +181,28 @@ def _broken_block(target: str, method: str, err: SwapBlockError
                               detail=str(err))
 
 
+def trial_witness(seed: int, draw: int, residual: Vec) -> list:
+    """The witness of a failed randomized trial: [seed, draw, coordinate].
+    The trial vector is draw number ``draw`` (from 1) of
+    ``Vec.random_exact`` on ``np.random.default_rng(seed)``, and
+    ``coordinate`` is the first at which its residual is nonzero."""
+    return [seed, draw, int(np.flatnonzero(residual.data)[0])]
+
+
 def _probe(target: str, method: str, dim: int, unit: RowBasis,
            residual: Callable[[Vec], Vec], trials: int, seed: int,
            block: Optional[SwapBlock] = None) -> VerificationReport:
     """Randomized-exact zero test: ``residual`` of ``trials`` random
     vectors v on the image of the row basis ``unit`` (of their ``block``
     coordinates when a block is given); a FAIL names the first v with a
-    nonzero residual."""
+    nonzero residual by `trial_witness` (v is the projected draw)."""
     rng = np.random.default_rng(seed)
     for t in range(trials):
         v = unit.project(Vec.random_exact(dim, rng))
-        if not residual(v if block is None else block.restrict(v)).is_zero():
+        res = residual(v if block is None else block.restrict(v))
+        if not res.is_zero():
             return VerificationReport(target, "FAIL", method, t + 1,
-                                      witness=v.fractions())
+                                      witness=trial_witness(seed, t + 1, res))
     return VerificationReport(target, "PASS", method, trials)
 
 

@@ -31,7 +31,7 @@ from .casimir import (
     split_parts,
     swap_operator,
 )
-from .identities import VerificationReport, defining_identity
+from .identities import VerificationReport, defining_identity, trial_witness
 from .kernel import SparseOp, Vec, apply_two_site, combine
 from .projectors import lagrange_basis
 
@@ -336,7 +336,8 @@ def verify_ybe(fam: RMatrixFamily, u, v, trials: int = 8,
                seed: int = 0) -> VerificationReport:
     """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) on V^(x3), applied
     exactly to random integer vectors factor by factor; a FAIL names the
-    first vector with a nonzero residual."""
+    first vector with a nonzero residual by its seed and draw number, and
+    the first nonzero coordinate of the residual (`trial_witness`)."""
     u, v = Fraction(u), Fraction(v)
     _check_poles(fam, u, v, u + v)
     r_u = fam.evaluate(u)
@@ -356,7 +357,7 @@ def verify_ybe(fam: RMatrixFamily, u, v, trials: int = 8,
         if not diff.is_zero():
             return VerificationReport(
                 f"{fam.case} YBE({fam.form}) at ({u},{v})", "FAIL", "exact",
-                t + 1, witness=w.fractions(),
+                t + 1, witness=trial_witness(seed, t + 1, diff),
                 detail=f"residual {diff.max_abs_value()}")
     return VerificationReport(f"{fam.case} YBE({fam.form}) at ({u},{v})",
                               "PASS", "exact", trials)
@@ -415,7 +416,9 @@ def verify_classical_ybe(name: str, samples: Sequence = (), trials: int = 4,
                          seed: int = 0) -> VerificationReport:
     """r(u) = Chat/u solves the classical YBE; reduces to the Kono-Drinfeld
     relations, checked exactly on V^(x3) by two-site application.  A FAIL
-    names the first vector with a nonzero residual."""
+    names the first vector with a nonzero residual by `trial_witness`; its
+    draw number, and the report's trials, count the vectors of every
+    sample before it."""
     alg, rep = defining(name)
     sc = split_casimir(rep, rep)
     c = sc.operator
@@ -423,7 +426,7 @@ def verify_classical_ybe(name: str, samples: Sequence = (), trials: int = 4,
     samples = [(Fraction(u), Fraction(v)) for u, v in samples] \
         or DEFAULT_SAMPLES[:2]
     rng = np.random.default_rng(seed)
-    for u, v in samples:
+    for k, (u, v) in enumerate(samples):
         if 0 in (u, v, u + v):
             raise PoleError("classical r(u) = C/u needs nonzero arguments")
         w_u, w_uv, w_v = (Fraction(1) / u, Fraction(1) / (u + v),
@@ -442,8 +445,9 @@ def verify_classical_ybe(name: str, samples: Sequence = (), trials: int = 4,
                      + comm((0, 2), w_uv, (1, 2), w_v, w)
                      + comm((0, 1), w_u, (1, 2), w_v, w))
             if not total.is_zero():
+                drawn = k * trials + t + 1
                 return VerificationReport(
-                    f"{name} classical YBE", "FAIL", "exact", t + 1,
-                    witness=w.fractions())
+                    f"{name} classical YBE", "FAIL", "exact", drawn,
+                    witness=trial_witness(seed, drawn, total))
     return VerificationReport(f"{name} classical YBE", "PASS", "exact",
                               trials * len(samples))

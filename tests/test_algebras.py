@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from splitcasimir import algebras, classical
 from splitcasimir.algebras import (
+    ConstructionError,
     Representation,
     _check_brackets,
     algebra_from_struct,
@@ -23,12 +24,19 @@ from splitcasimir.algebras import (
     check_representation,
     killing_from_struct,
     sparse_nullspace,
+    structure_from_generators,
     symmetric_block_inverse,
     trace_form,
 )
 from splitcasimir.classical import _metric_c, build_classical, build_so_sp
 from splitcasimir.catalog import defining
-from splitcasimir.kernel import SparseOp, _pair_trace, combine, kron
+from splitcasimir.kernel import (
+    SparseOp,
+    _pair_trace,
+    combine,
+    kron,
+    vec_columns,
+)
 from splitcasimir.serialize import dumps
 
 
@@ -161,6 +169,41 @@ def test_combine_equals_termwise_sum(name):
                 if c != 0:
                     acc = acc + op.scaled(Fraction(c))
             assert got == acc
+
+
+@pytest.mark.parametrize("name", ["so(7)", "sp(6)"])
+def test_lower_bracket_entries_expand_fresh_commutators(name):
+    # the build evaluates each commutator once per pair a < b; every entry
+    # at (b, a) must still expand [T_b, T_a], computed here anew
+    alg, rep = defining(name)
+    gens, dim = rep.generators, alg.dim
+    coeffs = {}
+    for r, d, v in alg.struct.entries():
+        coeffs.setdefault(r, []).append((v, gens[d]))
+    for b in range(dim):
+        for a in range(b):
+            comm = gens[b] @ gens[a] - gens[a] @ gens[b]
+            terms = coeffs.get(b * dim + a)
+            if terms is None:
+                assert comm.is_zero()
+            else:
+                assert combine(terms) == comm
+
+
+def test_perturbed_generator_leaves_the_span():
+    # a diagonal entry is invisible to the so(5) readout (it reads strict
+    # upper triangles), so only the span check can reject it
+    alg, rep = build_classical("B", 2)
+    gens = rep.generators
+    iu, ju = np.triu_indices(5, 1)
+    readout = SparseOp(10, 25, np.arange(10), iu * 5 + ju,
+                       np.ones(10, dtype=np.int64))
+    bad = list(gens)
+    bad[5] = gens[5] + SparseOp.from_triplets(5, 5, [(0, 0, 1)])
+    assert readout @ vec_columns(bad) == SparseOp.identity(10)
+    with pytest.raises(ConstructionError, match="left the span"):
+        structure_from_generators(bad, readout)
+    assert structure_from_generators(gens, readout) == alg.struct
 
 
 def _brackets_pairwise(struct, gens):

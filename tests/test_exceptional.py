@@ -1,4 +1,5 @@
-"""Octonion, Jordan-algebra and minuscule constructions."""
+"""Minuscule modules, their folds and the invariant tensors on weight
+bases."""
 
 import hashlib
 from fractions import Fraction
@@ -6,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splitcasimir import casimir
 from splitcasimir.algebras import (
     ConstructionError,
     Representation,
@@ -15,143 +15,95 @@ from splitcasimir.algebras import (
     check_jacobi,
     check_killing,
     check_representation,
-    structure_from_generators,
+    symmetric_block_inverse,
 )
 from splitcasimir.exceptional import (
+    _folded_module,
     build_e6_defining,
     build_e7_defining,
     build_f4_defining,
     build_g2_defining,
     invariant_antisymmetric_form,
-    j3_derivations,
-    j3_structure,
-    j3_tensor,
-    octonion_f,
-    octonion_table,
+    invariant_tensor,
 )
-from splitcasimir.catalog import chevalley, defining
+from splitcasimir.catalog import chevalley, defining, invariants
 from splitcasimir.classical import build_classical
-from splitcasimir.kernel import SparseOp, combine, kron, vec_columns
+from splitcasimir.kernel import SparseOp, kron, trace_word
 from splitcasimir.serialize import dumps
 
 
-def test_octonion_f_identities():
-    f = octonion_f()
-
-    def fv(i, j, k):
-        return f.get((i, j, k), 0)
-
-    for i in range(1, 8):
-        for l in range(1, 8):
-            total = sum(fv(i, j, k) * fv(j, k, l)
-                        for j in range(1, 8) for k in range(1, 8))
-            assert total == 6 * (i == l)
-    for j in range(1, 8):
-        for l in range(1, 8):
-            for r in range(1, 8):
-                total = sum(fv(i, j, k) * fv(k, l, m) * fv(m, r, i)
-                            for i in range(1, 8) for k in range(1, 8)
-                            for m in range(1, 8))
-                assert total == 3 * fv(j, l, r)
+def _integer(op):
+    """op as (dense int64 data, scale)."""
+    m = np.zeros((op.rows, op.cols), dtype=np.int64)
+    m[op.row, op.col] = op.data
+    return m, op.scale
 
 
-def test_octonion_multiplication_is_alternative_on_basis():
-    # x(xy) = (xx)y for basis units: a consequence of alternativity
-    table = octonion_table()
-
-    def mul(x, y):
-        return np.einsum("i,j,ijk->k", x, y, table)
-
-    units = np.eye(8, dtype=np.int64)
-    for x in units:
-        for y in units:
-            assert np.array_equal(mul(x, mul(x, y)), mul(mul(x, x), y))
-
-
-# Fraction oracle: octonion products and J3 Jordan products on 3x3 grids
-# of octonion 8-vectors, read in the basis [b_0..b_25, I3]
-
-def _oct_mul(x, y):
-    f = octonion_f()
-    out = [Fraction(0)] * 8
-    for i in range(8):
-        if not x[i]:
-            continue
-        for j in range(8):
-            if not y[j]:
-                continue
-            p = x[i] * y[j]
-            if i == 0:
-                out[j] += p
-            elif j == 0:
-                out[i] += p
-            elif i == j:
-                out[0] -= p
-            else:
-                for k in range(1, 8):
-                    out[k] += f.get((i, j, k), 0) * p
-    return out
+def _check_cubic(rep, sign, square, cube):
+    """The invariant 3-tensor t of rep (``sign``: 1 symmetric, -1
+    antisymmetric), raised with the module metric g as a dense integer
+    oracle, satisfies c t_abm t^ab_l = square g_ml for one c, and then
+    c t_ijk t^k_lm t^mi_r = cube t_jlr."""
+    n = rep.dim_module
+    g, sg = _integer(rep.module_metric)
+    ginv_op = symmetric_block_inverse(rep.module_metric)
+    assert rep.module_metric @ ginv_op == SparseOp.identity(n)
+    gi, sgi = _integer(ginv_op)
+    t_op = invariant_tensor(rep, 3, sign)
+    t, st = _integer(t_op)
+    t = t.reshape(n, n, n)
+    # every permutation is stored, with the sign of the permutation
+    for perm, s in (((1, 0, 2), sign), ((0, 2, 1), sign), ((2, 0, 1), 1)):
+        assert np.array_equal(t.transpose(perm), s * t)
+    tt = np.einsum("abm,ax,by,xyl->ml", t, gi, gi, t, optimize=True)
+    ttt = np.einsum("ijk,kK,Klm,mM,Mrn,ni->jlr", t, gi, t, gi, t, gi,
+                    optimize=True)
+    m, l = int(rep.module_metric.row[0]), int(rep.module_metric.col[0])
+    c = (square * g[m, l] * sg) / (int(tt[m, l]) * st ** 2 * sgi ** 2)
+    scale2 = c * st ** 2 * sgi ** 2
+    assert all(scale2 * int(x) == square * sg * int(y)
+               for x, y in zip(tt.ravel(), g.ravel()))
+    scale3 = c * st ** 3 * sgi ** 3
+    assert all(scale3 * int(x) == cube * st * int(y)
+               for x, y in zip(ttt.ravel(), t.ravel()))
+    return c
 
 
-def _j3_diag(*xs):
-    m = [[[Fraction(0)] * 8 for _ in range(3)] for _ in range(3)]
-    for a, x in enumerate(xs):
-        m[a][a][0] = Fraction(x)
-    return m
+def test_d_tensor_identities_metric_raised():
+    """c d.d = (56/3) g and c d.d.d = -8 d for the f4 cubic, raised with
+    the module metric (not diagonal on the weight basis)."""
+    _check_cubic(build_f4_defining()[1], 1, Fraction(56, 3), -8)
 
 
-def _j3_basis():
-    basis = [None] * 27
-    basis[0] = _j3_diag(1, -1, 0)
-    basis[17] = _j3_diag(1, 1, -2)
-    basis[26] = _j3_diag(1, 1, 1)
-    for offset, (a, b) in {1: (0, 1), 9: (0, 2), 18: (1, 2)}.items():
-        for k in range(8):
-            m = _j3_diag(0, 0, 0)
-            unit = (k + 1) % 8
-            m[a][b][unit] = Fraction(1)
-            m[b][a][unit] = Fraction(1 if unit == 0 else -1)
-            basis[offset + k] = m
-    return basis
+def test_f_tensor_identities_metric_raised():
+    """c_f f.f = 6 g and c_f f.f.f = 3 f for the g2 3-form."""
+    _check_cubic(build_g2_defining()[1], -1, Fraction(6), 3)
 
 
-def _jordan(x, y):
-    out = _j3_diag(0, 0, 0)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                p = _oct_mul(x[a][c], y[c][b])
-                q = _oct_mul(y[a][c], x[c][b])
-                for k in range(8):
-                    out[a][b][k] += (p[k] + q[k]) / 2
-    return out
+@pytest.mark.parametrize("name, rank, sign, dim", [
+    ("g2", 3, 1, 0), ("f4", 3, -1, 0), ("e7", 2, 1, 0)])
+def test_missing_invariant_tensor_raises_with_its_dimension(name, rank, sign,
+                                                            dim):
+    # the e7 56 carries no invariant symmetric form, the g2 7 no symmetric
+    # cubic and the f4 26 no 3-form
+    with pytest.raises(ConstructionError, match=f"has dim {dim}$"):
+        invariant_tensor(defining(name)[1], rank, sign)
 
 
-def _j3_coords(x):
-    x0, x1, x2 = (x[a][a][0] for a in range(3))
-    out = [Fraction(0)] * 27
-    out[0] = (x0 - x1) / 2
-    out[17] = (x0 + x1 - 2 * x2) / 6
-    out[26] = (x0 + x1 + x2) / 3
-    for offset, (a, b) in {1: (0, 1), 9: (0, 2), 18: (1, 2)}.items():
-        for k in range(8):
-            out[offset + k] = x[a][b][(k + 1) % 8]
-    return out
+def test_traces_of_the_cubic_squares():
+    # basis-free: Tr D = (56/3) 26, Tr F = 6 * 7
+    f4, g2 = invariants("f4"), invariants("g2")
+    assert trace_word([f4["D"]]) == Fraction(1456, 3)
+    assert trace_word([f4["D"], f4["D"]]) == Fraction(81536, 9)
+    assert trace_word([g2["F"]]) == 42
+    assert trace_word([g2["F"], g2["F"]]) == 252
 
 
-def test_integer_tables_match_fraction_oracle():
-    table = octonion_table()
-    units = [[Fraction(int(i == a)) for i in range(8)] for a in range(8)]
-    for a in range(8):
-        for b in range(8):
-            assert _oct_mul(units[a], units[b]) == list(table[a, b])
-    basis = _j3_basis()
-    dense = j3_tensor().to_dense_fractions()
-    for i in range(27):
-        for j in range(i, 27):
-            want = _j3_coords(_jordan(basis[i], basis[j]))
-            assert list(dense[i * 27 + j]) == want
-            assert list(dense[j * 27 + i]) == want
+def _assert_invariant_metric(rep):
+    g = rep.module_metric
+    assert g == g.transpose()
+    for t in rep.generators:
+        assert (t.transpose() @ g + g @ t).is_zero()
 
 
 def test_g2_construction():
@@ -163,63 +115,7 @@ def test_g2_construction():
     assert check_killing(alg)
     assert check_adjoint_casimir_is_identity(alg)
     assert check_representation(rep)
-    # derivations are antisymmetric 7x7 matrices
-    for t in rep.generators:
-        assert (t + t.transpose()).is_zero()
-
-
-def test_j3_gram_is_diagonal_2_except_rescaled_entry():
-    gram, _ = j3_structure()
-    assert gram[17] == 6
-    assert all(gram[i] == 2 for i in range(26) if i != 17)
-
-
-def test_d_tensor_identities_metric_raised():
-    """Hat-basis (orthonormal) component identities d.d = 56/3 and
-    d.d.d = -8 d, contracted with the rational metric (2/g per raised
-    index)."""
-    gram, d_op = j3_structure()
-    d = {(r // 26, r % 26, k): v for r, k, v in d_op.entries()}
-
-    def dv(i, j, k):
-        return d.get((i, j, k), Fraction(0))
-
-    # d^{i1i2,m} d_{i1i2,l} = (56/3) * (g_mm/2) delta_ml  (two raisings)
-    for m in range(26):
-        for l in range(m, 26):
-            tot = Fraction(0)
-            for i1 in range(26):
-                for i2 in range(26):
-                    a = dv(i1, i2, m)
-                    if a:
-                        b = dv(i1, i2, l)
-                        if b:
-                            tot += (Fraction(2, gram[i1])
-                                    * Fraction(2, gram[i2]) * a * b)
-            want = Fraction(56, 3) * Fraction(gram[m], 2) if m == l else 0
-            assert tot == want
-
-    # d.d.d = -8 d on a sampled index set (three raisings)
-    import numpy as np
-    rng = np.random.default_rng(2)
-    samples = {(int(rng.integers(0, 26)), int(rng.integers(0, 26)),
-                int(rng.integers(0, 26))) for _ in range(25)}
-    for (j, l, r) in samples:
-        tot = Fraction(0)
-        for i in range(26):
-            for k in range(26):
-                a = dv(i, j, k)
-                if not a:
-                    continue
-                for m in range(26):
-                    b = dv(k, l, m)
-                    if not b:
-                        continue
-                    c = dv(m, r, i)
-                    if c:
-                        tot += (a * b * c * Fraction(2, gram[k])
-                                * Fraction(2, gram[m]) * Fraction(2, gram[i]))
-        assert tot == -8 * dv(j, l, r)
+    _assert_invariant_metric(rep)
 
 
 def test_f4_construction():
@@ -231,31 +127,32 @@ def test_f4_construction():
     assert check_killing(alg)
     assert check_adjoint_casimir_is_identity(alg)
     assert check_representation(rep)
-    # derivations kill the trace form: g D antisymmetric
-    gram, _ = j3_structure()
-    g_op = SparseOp.from_triplets(26, 26, [(i, i, gram[i]) for i in range(26)])
-    for t in rep.generators[:8]:
-        gd = g_op @ t
-        assert (gd + gd.transpose()).is_zero()
+    _assert_invariant_metric(rep)
 
 
-@pytest.mark.parametrize("build", [build_g2_defining, build_f4_defining])
-def test_lower_bracket_entries_expand_fresh_commutators(build):
-    # the build evaluates each commutator once per pair a < b; every entry
-    # at (b, a) must still expand [T_b, T_a], computed here anew
-    alg, rep = build()
-    gens, dim = rep.generators, alg.dim
-    coeffs = {}
-    for r, d, v in alg.struct.entries():
-        coeffs.setdefault(r, []).append((v, gens[d]))
-    for b in range(dim):
-        for a in range(b):
-            comm = gens[b] @ gens[a] - gens[a] @ gens[b]
-            terms = coeffs.get(b * dim + a)
-            if terms is None:
-                assert comm.is_zero()
-            else:
-                assert combine(terms) == comm
+@pytest.mark.parametrize("name, n, nonzero, zero", [
+    ("g2", 7, 6, 1), ("f4", 26, 24, 2)])
+def test_folded_modules_act_on_weight_bases_of_the_chevalley_algebras(
+        name, n, nonzero, zero):
+    alg, rep = defining(name)
+    assert alg is chevalley(name)[0]
+    assert rep.dim_module == n
+    r = alg.rank
+    for h in rep.generators[:r]:
+        assert np.array_equal(h.row, h.col)
+    # the weights are the diagonals of h_1..h_r
+    cartan = [h.to_dense_fractions() for h in rep.generators[:r]]
+    weights = [tuple(h[k, k] for h in cartan) for k in range(n)]
+    assert len({w for w in weights if any(w)}) == nonzero
+    assert sum(not any(w) for w in weights) == zero
+
+
+def test_swapped_f4_orbits_break_the_folded_cartan_relations():
+    # {1} and {3} exchanged: E_0 becomes e_3, whose node is joined to the
+    # orbit {2, 4}, so [H_2, E_0] = -2 E_0 where F4 has A_02 = 0
+    with pytest.raises(ConstructionError,
+                       match=r"\[H_2, E_0\] = 0 E_0 fails"):
+        _folded_module("F", 4, ("E", 6, 27), ((3,), (1,), (2, 4), (0, 5)))
 
 
 def test_e6_construction():
@@ -324,19 +221,6 @@ def test_symplectic_form_checks_raise(gens, message):
         invariant_antisymmetric_form(rep)
 
 
-def test_perturbed_generator_leaves_the_span():
-    # a diagonal entry is invisible to the f4 readout (it reads strict upper
-    # triangles), so only the span check can reject it
-    gens, readout = j3_derivations()
-    bad = list(gens)
-    bad[5] = gens[5] + SparseOp.from_triplets(26, 26, [(0, 0, 1)])
-    assert readout @ vec_columns(bad) == SparseOp.identity(52)
-    with pytest.raises(ConstructionError, match="left the span"):
-        structure_from_generators(bad, readout)
-    assert structure_from_generators(gens, readout) == \
-        build_f4_defining()[0].struct
-
-
 def _digest(ops):
     h = hashlib.sha256()
     for op in ops:
@@ -344,22 +228,27 @@ def _digest(ops):
     return h.hexdigest()
 
 
-# sha256 of `serialize.dumps` of each construction output, as built by the
-# per-pair Fraction constructions these builds replaced; e6 shares the struct
-# and Killing form of the Chevalley E6 (`test_chevalley`)
+# sha256 of `serialize.dumps` of each construction output.  g2, f4 and e6
+# share the struct and Killing form of their Chevalley builds
+# (`test_chevalley`); the e7 generators and J are those of the J3-free
+# builds these replaced, and the g2 and f4 entries are those of the weight
+# bases of the folded modules.
 _PINNED = {
-    "g2.struct": "a8e8cafa938faf34f9a6516e7db921b0b28c3a53c7a53db0f371fd4dd2077112",
-    "g2.killing": "fe45340b65919adfa04937aa128ceb3059de2d2f5579d886c8251f503c5d4285",
-    "g2.generators": "08e0a59a8a2f08c4efeca307965739ed5724ed27461e346d68119b69bbda91cf",
-    "f4.struct": "dcf6389bf6a9a896512a0eaaeb8055c0a98e2893ad3c31d88fb9bdba4c0e49bc",
-    "f4.killing": "ed11e75ea07de488edfe436a7af28f2ff71606b4b43ff4270b3c4c93cd141483",
-    "f4.generators": "c1e6abdbebef1f2b702eff9b70e215d6c589cc6dc8e6bd0a6e5d1cdd9f4b7fdd",
+    "g2.struct": "8403bcaf67043921db10b0a158222c440fd469ca29c706494311fc1b504b8db5",
+    "g2.killing": "ea6b3e34460225c0315b24e26229866542fa9e4c8051683b50a9ef3afccf69d3",
+    "g2.generators": "6e329fe7367cc68a13185a5879e807b803b7a1bf321c028d6c60821c2a04d449",
+    "g2.gram": "88ebc55a3e0d09afaf20eccda1b83eadf4c14bed3edbbbb72ad6675d8ace4b9e",
+    "g2.f": "b719dc3e82cae17e00f468cae4aaef604b8bf2d5de3e444b1cb2c06cc7aef26f",
+    "g2.F": "c091fee4d6bb50e7d0dfce06490e10829802d22cbe9a0a3e4fbceaf6f3b37ffd",
+    "f4.struct": "25988f2c283472e2b6d58df4d2531fa4fbc62e7a8d86634be679f56bb0663a2e",
+    "f4.killing": "a1781cb01536ced1fce57389e7c7c45921f67604092d2c02105b1dc56e0f0a80",
+    "f4.generators": "3735caadbfc8623c6c93ad59e2703f63fea851aebfa29939ab2b0bc230176a88",
+    "f4.gram": "4c5d04d569529a6cde2a3b6ccc0c2e232d22bbdb991fee04722949d6f44b92dc",
+    "f4.d": "be7f96c05fa4096a8b7f20a6b3ea9759b9b96b482c20e6e6a25e26bca952c859",
+    "f4.D": "cf1f2c280229a2809c8ec0b13addfcc4b23c41580187c1173ae9c216dbdf37a3",
     "e6.struct": "50758d7ffa7c6267f0d9df7a5ef8875547f725b2ef23efaf7b9a090079a57d07",
     "e6.killing": "bc4b35c79280e16354872914b21ff04b911275575a7a7ccf358edcf2653afb91",
     "e6.generators": "a38d7df3456948255e22795f33b1ab5be609b56a5b39b1d18104915b5814d5c6",
-    "f4.gram": "d8e132cbf95fee7c7e1dbb5682bcfda3ab09e9dfbb1ece7b5d0756104ba262e3",
-    "f4.d": "0b2f47b2ac4358faa89f31529f40d1334a6b68ae70e1a73d7a020aa59e932c80",
-    "f4.D": "f620b0831f99932cc4010ae7bb4154a81e2a6aae95b290577d45e8d442d9bceb",
     "e7.J": "288dc7f9af49b9ec4eb5bd683672f8f2772821dc6c7663c31d8c0f4d2544ab0d",
     "e7.generators": "534af2e1365e22e800f539ce8930f0d1cd4d8af40018e10bd350dcf0dd7adff8",
 }
@@ -373,11 +262,12 @@ def test_construction_outputs_are_pinned():
         got[f"{name}.struct"] = _digest([alg.struct])
         got[f"{name}.killing"] = _digest([alg.killing])
         got[f"{name}.generators"] = _digest(rep.generators)
-    gram, d = j3_structure()
-    got["f4.gram"] = _digest([SparseOp.from_triplets(
-        26, 26, [(i, i, g) for i, g in enumerate(gram)])])
-    got["f4.d"] = _digest([d])
-    got["f4.D"] = _digest([casimir._f4_d_operator()])
+        if rep.module_metric is not None:
+            got[f"{name}.gram"] = _digest([rep.module_metric])
+    got["g2.f"] = _digest([invariant_tensor(build_g2_defining()[1], 3, -1)])
+    got["g2.F"] = _digest([invariants("g2")["F"]])
+    got["f4.d"] = _digest([invariant_tensor(build_f4_defining()[1], 3, 1)])
+    got["f4.D"] = _digest([invariants("f4")["D"]])
     got["e7.J"] = _digest([invariant_antisymmetric_form(build_e7_defining()[1])])
     got["e7.generators"] = _digest(build_e7_defining()[1].generators)
     assert got == _PINNED

@@ -314,13 +314,17 @@ def test_generic_classical_identity_on_both_methods(name, method):
     assert (rep.status, rep.method) == ("PASS", method)
 
 
-def _first_failure(op, roots, unit, trials, seed):
-    """Oracle: the randomized loop on a built operator, unit applied."""
+def _first_failure(op, roots, unit, trials, seed, block):
+    """Oracle: the randomized loop on a built operator, unit applied; a
+    FAIL names the seed, the draw and the first nonzero coordinate of the
+    residual's block coordinates."""
     rng = np.random.default_rng(seed)
     for t in range(trials):
         v = unit.matvec(Vec.random_exact(op.cols, rng))
-        if not apply_poly_factors(op, roots, v, unit=unit).is_zero():
-            return "FAIL", t + 1, v.fractions()
+        res = apply_poly_factors(op, roots, v, unit=unit)
+        if not res.is_zero():
+            nonzero = np.flatnonzero(block.restrict(res).data)
+            return "FAIL", t + 1, [seed, t + 1, int(nonzero[0])]
     return "PASS", trials, None
 
 
@@ -331,7 +335,7 @@ def test_perturbed_root_fails_on_composed_part(name):
     block = swap_block(sc, -1)
     got = verify_identity(block.compress(sc.operator), ident, sc.basis(),
                           "randomized_exact", trials=4, seed=5, block=block)
-    want = _first_failure(sc.parts()[1], ident.roots, sc.unit, 4, 5)
+    want = _first_failure(sc.parts()[1], ident.roots, sc.unit, 4, 5, block)
     assert (got.status, got.trials, got.witness) == want
     assert got.status == "FAIL" and got.witness is not None
 

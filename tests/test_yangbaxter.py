@@ -300,18 +300,49 @@ def _trial_vector(n, seed, trial):
     return w
 
 
+def _assert_first_nonzero(residual, coordinate):
+    values = residual.fractions()
+    assert values[coordinate] != 0
+    assert not any(values[:coordinate])
+
+
+def _assert_ybe_witness(rep, fam, u, v, seed):
+    """rep is a FAIL whose witness [seed, draw, coordinate] regenerates a
+    trial vector with a residual first nonzero at the coordinate."""
+    assert (rep.status, rep.method) == ("FAIL", "exact")
+    got_seed, draw, coordinate = rep.witness
+    assert (got_seed, draw) == (seed, rep.trials)
+    d = fam.site_dim
+    w = _trial_vector(d ** 3, seed, draw)
+    residual = _ybe_residual(fam.evaluate(u), fam.evaluate(u + v),
+                             fam.evaluate(v), w, d)
+    _assert_first_nonzero(residual, coordinate)
+
+
 @pytest.mark.parametrize("case", ["sl(2)", "g2"])
 def test_bumped_rmatrix_fails_ybe_with_its_trial_vector(case):
     fam = _bumped(build_rmatrix(case, "spectral"))
     u, v = Fraction(1, 2), Fraction(1, 3)
     rep = verify_ybe(fam, u, v, trials=4, seed=3)
-    assert (rep.status, rep.method) == ("FAIL", "exact")
-    d = fam.site_dim
-    w = _trial_vector(d ** 3, 3, rep.trials)
-    assert rep.witness == w.fractions()
-    residual = _ybe_residual(fam.evaluate(u), fam.evaluate(u + v),
-                             fam.evaluate(v), w, d)
-    assert not residual.is_zero()
+    _assert_ybe_witness(rep, fam, u, v, 3)
+    # the witness is three numbers, not the trial vector
+    assert len(rep.to_dict()["witness"]) == 3
+
+
+def test_scaled_d_fails_the_f4_ybe(monkeypatch):
+    # D scaled by 1 + 1/1000 in the f4 spectral R-matrix
+    real = yangbaxter.invariants
+
+    def scaled(name):
+        inv = dict(real(name))
+        if name == "f4":
+            inv["D"] = inv["D"].scaled(Fraction(1001, 1000))
+        return inv
+    monkeypatch.setattr(yangbaxter, "invariants", scaled)
+    fam = build_rmatrix("f4", "spectral")
+    u, v = Fraction(1, 2), Fraction(1, 3)
+    rep = verify_ybe(fam, u, v, seed=0)
+    _assert_ybe_witness(rep, fam, u, v, 0)
 
 
 @pytest.mark.parametrize("case", ["sl(3)", "g2"])
@@ -358,5 +389,22 @@ def test_non_invariant_casimir_fails_classical_ybe(monkeypatch, case):
     samples = [(Fraction(1, 2), Fraction(1, 3))]
     rep = verify_classical_ybe(case, samples=samples, trials=4, seed=2)
     assert (rep.status, rep.method) == ("FAIL", "exact")
-    d = catalog.defining(case)[1].dim_module
-    assert rep.witness == _trial_vector(d ** 3, 2, rep.trials).fractions()
+    seed, draw, coordinate = rep.witness
+    assert (seed, draw) == (2, rep.trials)
+    # the residual of the regenerated vector, as verify_classical_ybe forms
+    # it from the bumped Casimir
+    _, rep1 = catalog.defining(case)
+    c = yangbaxter.split_casimir(rep1, rep1).operator
+    d = rep1.dim_module
+    w = _trial_vector(d ** 3, seed, draw)
+    u, v = samples[0]
+
+    def comm(sa, wa, sb, wb):
+        ab = apply_two_site(c, apply_two_site(c, w, sb, 3, d), sa, 3, d)
+        ba = apply_two_site(c, apply_two_site(c, w, sa, 3, d), sb, 3, d)
+        return (ab - ba).scaled(wa * wb)
+
+    total = (comm((0, 1), 1 / u, (0, 2), 1 / (u + v))
+             + comm((0, 2), 1 / (u + v), (1, 2), 1 / v)
+             + comm((0, 1), 1 / u, (1, 2), 1 / v))
+    _assert_first_nonzero(total, coordinate)
