@@ -79,7 +79,10 @@ class RowBasis:
     Then X = B (S X) holds exactly when unit X = X, and for such an X,
     X @ Y = B ((S X) @ Y): a product whose left factor lies in the image
     runs on len(rows) rows and is expanded (``kernel.expand``), and B is
-    injective.  The facts are checked on first use and remembered.
+    injective.  Vectors of the image are B a for a = S unit v
+    (``restrict``), and x acts on them as (S x) B acts on a
+    (``compress``): the randomized checks run there.  The facts are
+    checked on first use and remembered.
 
     ``RowBasis.identity(n)`` is the basis of the identity (S = B = 1), whose
     facts hold by construction: its methods return their argument, or op
@@ -161,6 +164,16 @@ class RowBasis:
             raise RowBasisError(f"{name} is not in the unit's image", where)
         return sx
 
+    def compress(self, x: SparseOp, name: str = "X") -> SparseOp:
+        """(S x) B, the operator an x in the unit's image induces on the
+        image in the coordinates of the representative rows, once
+        x == B (S x) holds (RowBasisError naming ``name`` otherwise, as in
+        ``lift``).  Then x B = B ((S x) B), and B is injective, so a
+        statement about x on the image holds exactly when it holds for
+        (S x) B on the rows: x u = w for u = B a and w = B c exactly when
+        ((S x) B) a = c."""
+        return self.lift(x, name) @ self.expansion
+
     def matmul(self, x: SparseOp, y: SparseOp, name: str = "X") -> SparseOp:
         """x @ y as B ((S x) @ y), for an x in the unit's image."""
         return self.expand(self.lift(x, name) @ y)
@@ -195,12 +208,16 @@ class RowBasis:
         """unit v."""
         return self.unit.matvec(v)
 
-    def shift(self, block: Optional[SwapBlock] = None
-              ) -> Optional[SparseOp]:
-        """The unit as the shift of ``kernel.apply_poly_factors``: the
-        unit, or its block S unit B for vectors in ``block`` coordinates;
+    def restrict(self, v: Vec) -> Vec:
+        """S unit v = (S unit) v, the representative rows of unit v (which
+        is B times them), in one matvec on len(rows) rows."""
+        return self.head.matvec(v)
+
+    def shift(self, block: SwapBlock) -> Optional[SparseOp]:
+        """The unit's block S unit B, the shift of
+        ``kernel.apply_poly_factors`` for vectors in ``block`` coordinates;
         None for the identity, whose matvecs the loop skips."""
-        return self.unit if block is None else block.compress(self.unit)
+        return block.compress(self.unit)
 
 
 class _IdentityBasis(RowBasis):
@@ -226,11 +243,16 @@ class _IdentityBasis(RowBasis):
     def chain(self, op: SparseOp) -> Tuple[SparseOp, SparseOp]:
         return self.unit, op
 
+    def compress(self, x: SparseOp, name: str = "X") -> SparseOp:
+        return x
+
     def project(self, v: Vec) -> Vec:
         return v
 
-    def shift(self, block: Optional[SwapBlock] = None
-              ) -> Optional[SparseOp]:
+    def restrict(self, v: Vec) -> Vec:
+        return v
+
+    def shift(self, block: SwapBlock) -> Optional[SparseOp]:
         return None
 
 
@@ -298,6 +320,10 @@ class SplitCasimir:
     sigma: Optional[np.ndarray] = field(default=None, repr=False,
                                         compare=False)
     _parts: Optional[Tuple[SparseOp, SparseOp]] = field(default=None, repr=False)
+    # outcome of the sign-independent facts of ``swap_block``: None until
+    # they are checked, then () if they hold, else (detail, witness)
+    _swap_fault: Optional[tuple] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -444,11 +470,36 @@ def swap_block(sc: SplitCasimir, sign: int,
     Chat Pi acts on the block as S Chat B and vanishes on the other one,
     the unit keeps both blocks, and K vanishes on the - block.
 
-    Raises SwapBlockError naming the first fact that fails and where.
+    The facts that read neither the sign nor K are checked once per split
+    Casimir, and only their outcome is kept.  Raises SwapBlockError naming
+    the first fact that fails and where.
     """
     s = sc.sigma
     if s is None:
         raise CasimirError("no permutation operator: rep1 != rep2")
+    if sc._swap_fault is None:
+        try:
+            _check_swap_facts(sc)
+            sc._swap_fault = ()
+        except SwapBlockError as err:
+            sc._swap_fault = (str(err), err.witness)
+    if sc._swap_fault:
+        raise SwapBlockError(*sc._swap_fault)
+    if big_k is not None:
+        for detail, row_perm, col_perm in (("sigma K != K", s, None),
+                                           ("K sigma != K", None, s)):
+            where = _permuted_mismatch(big_k, big_k, row_perm, col_perm)
+            if where is not None:
+                raise SwapBlockError(detail, where)
+    idx = np.arange(len(s))
+    reps = np.flatnonzero(idx <= s if sign > 0 else idx < s)
+    return SwapBlock(sign, reps, s[reps], len(s))
+
+
+def _check_swap_facts(sc: SplitCasimir) -> None:
+    """The facts of ``swap_block`` that read neither the sign nor K;
+    raises SwapBlockError."""
+    s = sc.sigma
     n = sc.operator.rows
     if len(s) != n:
         raise SwapBlockError(f"sigma permutes {len(s)} coordinates, "
@@ -462,9 +513,6 @@ def swap_block(sc: SplitCasimir, sign: int,
     checks = [("sigma unit != P", sc.unit, sc.swap, s, None),
               ("unit sigma != P", sc.unit, sc.swap, None, s),
               ("sigma Chat sigma != Chat", sc.operator, sc.operator, s, s)]
-    if big_k is not None:
-        checks += [("sigma K != K", big_k, big_k, s, None),
-                   ("K sigma != K", big_k, big_k, None, s)]
     for detail, op, target, row_perm, col_perm in checks:
         where = _permuted_mismatch(op, target, row_perm, col_perm)
         if where is not None:
@@ -473,9 +521,6 @@ def swap_block(sc: SplitCasimir, sign: int,
     _, where = sc.basis().image_mismatch(sc.operator)
     if where is not None:
         raise SwapBlockError("unit Chat != Chat", where)
-    idx = np.arange(n)
-    reps = np.flatnonzero(idx <= s if sign > 0 else idx < s)
-    return SwapBlock(sign, reps, s[reps], n)
 
 
 _EXCEPTIONAL_SERIES = ("G", "F", "E")
@@ -697,13 +742,13 @@ def invariant_set(rep: Representation) -> Dict[str, SparseOp]:
         out["K"] = _outer_vec(alg.killing_inv, alg.killing)
         return out
     if rep.module_metric is not None:
-        out["K"] = _outer_vec(symmetric_block_inverse(rep.module_metric),
-                              rep.module_metric)
+        ginv = symmetric_block_inverse(rep.module_metric)
+        out["K"] = _outer_vec(ginv, rep.module_metric)
     if alg.name == "g2":
-        out["F"] = _cubic_square(rep, -1, Fraction(6))
+        out["F"] = _cubic_square(rep, ginv, -1, Fraction(6))
     if alg.name == "f4":
-        out["D"] = _cubic_square(rep, 1, Fraction(56, 3))
-        out["F"] = _t_squared_operator(rep)
+        out["D"] = _cubic_square(rep, ginv, 1, Fraction(56, 3))
+        out["F"] = _t_squared_operator(rep, ginv)
     if alg.name == "e7":
         # J @ J = -1, so J^-1 = -J and P1 = (1/56) vec(J) vec(J)^T
         from .exceptional import invariant_antisymmetric_form
@@ -718,17 +763,17 @@ def _outer_vec(m_up: SparseOp, m_down: SparseOp) -> SparseOp:
     return vec_columns([m_up]) @ vec_columns([m_down]).transpose()
 
 
-def _cubic_square(rep: Representation, sign: int, norm: Fraction
-                  ) -> SparseOp:
+def _cubic_square(rep: Representation, ginv: SparseOp, sign: int,
+                  norm: Fraction) -> SparseOp:
     """(X)^{i1i2}_{j1j2} = c t^{i1i2m} t_{mj1j2} for the invariant 3-tensor
     t of the module (symmetric for sign 1, antisymmetric for -1), indices
-    raised with the module metric g: c (g^-1 (x) g^-1) T g^-1 T^t with
+    raised with the module metric g (inverse ``ginv``):
+    c (g^-1 (x) g^-1) T g^-1 T^t with
     T = t_ijm as an n^2 x n operator (t_ijm = t_mij).  c is fixed by
     c t_{abm} t^{ab}_l = norm g_ml, which leaves X free of the scales of t
     and g; its trace is norm * n."""
     from .exceptional import invariant_tensor
     g = rep.module_metric
-    ginv = symmetric_block_inverse(g)
     t = invariant_tensor(rep, 3, sign)
     raised = kron(ginv, ginv) @ t
     square = t.transpose() @ raised
@@ -738,13 +783,12 @@ def _cubic_square(rep: Representation, sign: int, norm: Fraction
     return (raised @ ginv @ t.transpose()).scaled(c)
 
 
-def _t_squared_operator(rep: Representation) -> SparseOp:
+def _t_squared_operator(rep: Representation, ginv: SparseOp) -> SparseOp:
     """(F)^{i1i2}_{j1j2} = T_a^{i1i2} T_{a j1j2} in invariant form:
     -(1/d2) kappa^{ab} (T_a gbar)^{i1i2} (g T_b)_{j1j2}, that is
     -(1/d2) R kappa^-1 L^T with the columns vec(T_a gbar) of R and
-    vec(g T_b) of L."""
+    vec(g T_b) of L, gbar = ``ginv`` the inverse module metric."""
     g = rep.module_metric
-    ginv = symmetric_block_inverse(g)
     raised = vec_columns([t @ ginv for t in rep.generators])
     lowered = vec_columns([g @ t for t in rep.generators])
     return (raised @ rep.algebra.killing_inv @ lowered.transpose()).scaled(

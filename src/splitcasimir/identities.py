@@ -192,15 +192,23 @@ def trial_witness(seed: int, draw: int, residual: Vec) -> list:
 def _probe(target: str, method: str, dim: int, unit: RowBasis,
            residual: Callable[[Vec], Vec], trials: int, seed: int,
            block: Optional[SwapBlock] = None) -> VerificationReport:
-    """Randomized-exact zero test: ``residual`` of ``trials`` random
-    vectors v on the image of the row basis ``unit`` (of their ``block``
-    coordinates when a block is given); a FAIL names the first v with a
-    nonzero residual by `trial_witness` (v is the projected draw)."""
+    """Randomized-exact zero test: ``residual`` of ``trials`` random draws
+    v on the image of the unit of the row basis ``unit``, each passed as
+    the representative rows S unit v (``RowBasis.restrict``; v itself for
+    the identity) or, with a ``block``, as the block coordinates of
+    unit v.  A FAIL names the first v with a nonzero residual by
+    `trial_witness`, at a coordinate of the block or, on the rows, of the
+    full-space residual B times the row residual."""
     rng = np.random.default_rng(seed)
     for t in range(trials):
-        v = unit.project(Vec.random_exact(dim, rng))
-        res = residual(v if block is None else block.restrict(v))
+        v = Vec.random_exact(dim, rng)
+        if block is None:
+            res = residual(unit.restrict(v))
+        else:
+            res = residual(block.restrict(unit.project(v)))
         if not res.is_zero():
+            if block is None:
+                res = unit.expansion.matvec(res)
             return VerificationReport(target, "FAIL", method, t + 1,
                                       witness=trial_witness(seed, t + 1, res))
     return VerificationReport(target, "PASS", method, trials)
@@ -218,7 +226,14 @@ def verify_identity(op: SparseOp, ident: CharIdentity, unit: RowBasis,
     chain (``casimir.product_of_shifts``, on the unit's representative
     rows): it is zero iff the identity holds on every basis vector, and a
     FAIL names the first nonzero column.  randomized_exact applies the
-    factors to random subspace vectors.
+    factors to random subspace vectors on the representative rows: op is
+    checked exactly to lie in the unit's image (RowBasisError otherwise)
+    and compressed to A = (S op) B (``RowBasis.compress``), each draw v
+    becomes a = S unit v, and the residual is prod_i (A - r_i) a, with no
+    unit matvec per factor.  unit v = B a, op B = B A and unit B = B, so
+    the full-space residual is B times it; B is injective, so a trial
+    fails exactly when it fails on the full space, with the same witness
+    (the identity basis runs on the full space itself).
 
     With a swap ``block`` (randomized_exact only), ``op`` is the block
     S X B of an operator X that vanishes on the other block, such as C+-
@@ -238,7 +253,12 @@ def verify_identity(op: SparseOp, ident: CharIdentity, unit: RowBasis,
             return VerificationReport(target, "FAIL", method, j + 1,
                                       witness=[j])
         return VerificationReport(target, "PASS", method, dim)
-    if block is not None and 0 not in roots:
+    if block is None:
+        rows = unit.compress(op, "op")
+        return _probe(target, method, dim, unit,
+                      lambda a: apply_poly_factors(rows, roots, a),
+                      trials, seed)
+    if 0 not in roots:
         raise ValueError("a swap-block identity needs the root 0")
     shift = unit.shift(block)
     return _probe(target, method, dim, unit,

@@ -15,6 +15,7 @@ import numpy as np
 from .catalog import AdjointContext, adjoint_context, defining, parse_name
 from .casimir import (
     RowBasis,
+    RowBasisError,
     antisymmetrizer_4,
     e4_operator,
     q_minus,
@@ -61,6 +62,7 @@ class FamilyMember:
 class ProjectorFamily:
     members: List[FamilyMember]
     completeness_target: SparseOp
+    basis: RowBasis
     context: str = ""
     verification: Optional[dict] = field(default=None, repr=False)
 
@@ -84,8 +86,22 @@ class ProjectorFamily:
         1/|V| + 2/|Lambda| = 3/2049, with |V| = |Lambda| =
         2 PRODUCT_PROBE_RANGE + 1 the values a probe entry takes.
         ``false_pass_bound`` is that to the power of ``trials``, the number
-        of trials run (at most 19^-32 for the default 32).  A failing trial
-        reruns the per-pair products P_i y_j on its v to name the wrong
+        of trials run (at most 19^-32 for the default 32).
+
+        Above the bound the checks run on the representative rows of
+        ``basis``.  Each member is checked exactly once to lie in the
+        unit's image, P_j == B M_j with M_j = S P_j; one that does not
+        FAILs the family, named with the [row, col] where
+        P_j != B (S P_j).  Completeness is sum_j M_j == S T with
+        T == B (S T).  A trial forms y'_j = M_j v, w' = sum_j mu_j y'_j and
+        compares sum_i lambda_i (M_i B) w' with sum_j lambda_j mu_j y'_j
+        (``RowBasis.compress``): 2k matvecs on len(rows) rows.  Then
+        y_j = B y'_j, both sides of the full check are B times these, and
+        B is injective (S B = 1), so every trial has the full check's
+        verdict on the same draws.  For the identity basis
+        M_j = M_j B = P_j.  When a member or T leaves the image, the trials
+        and the sum run on the full members.  A failing trial reruns the
+        per-pair products P_i P_j v on the full members to name the wrong
         pairs.
         """
         report = {"traces": True, "idempotent": True, "orthogonal": True,
@@ -96,12 +112,14 @@ class ProjectorFamily:
                 report["traces"] = False
                 report["failures"].append(
                     f"trace({m.label}) = {tr} != {m.expected_dim}")
-        total = combine((1, m.operator) for m in self.members)
-        if total != self.completeness_target:
-            report["complete"] = False
-            report["failures"].append("sum of members != completeness target")
         dim = self.completeness_target.rows
         ops = [m.operator for m in self.members]
+        heads, tails, target = ops, ops, self.completeness_target
+        if dim > MATERIALIZED_PRODUCT_MAX_DIM:
+            heads, tails, target = self._rows(report, ops)
+        if combine((1, h) for h in heads) != target:
+            report["complete"] = False
+            report["failures"].append("sum of members != completeness target")
         if dim <= MATERIALIZED_PRODUCT_MAX_DIM:
             report.update(method="exact_full", trials=0,
                           false_pass_bound=Fraction(0))
@@ -119,18 +137,13 @@ class ProjectorFamily:
                 v = Vec(rng.integers(-r, r + 1, size=dim))
                 lam = [int(x) for x in rng.integers(-r, r + 1, size=len(ops))]
                 mu = [int(x) for x in rng.integers(-r, r + 1, size=len(ops))]
-                images = [p.matvec(v) for p in ops]
+                images = [h.matvec(v) for h in heads]
                 w = vec_combine(zip(mu, images))
                 want = vec_combine(
                     (a * b, y) for a, b, y in zip(lam, mu, images))
-                got = vec_combine(zip(lam, (p.matvec(w) for p in ops)))
+                got = vec_combine(zip(lam, (p.matvec(w) for p in tails)))
                 if got != want:
-                    for i, pi in enumerate(ops):
-                        for j, y in enumerate(images):
-                            image = pi.matvec(y)
-                            if not (image == y if i == j else image.is_zero()):
-                                self._product_failure(report, i, j,
-                                                      f" (trial {t})")
+                    self._name_pairs(report, ops, v, t)
                     run = t + 1
                     break
             sides = 2 * r + 1  # |V| = |Lambda|
@@ -140,6 +153,32 @@ class ProjectorFamily:
         report["all_pass"] = not report["failures"]
         self.verification = report
         return report
+
+    def _rows(self, report: dict, ops: List[SparseOp]
+              ) -> Tuple[List[SparseOp], List[SparseOp], SparseOp]:
+        """(M_j, M_j B, S T) on the representative rows, once every member
+        and T lie in the unit's image; else the full (P_j, P_j, T), each
+        member outside the image named in the failures with its witness
+        (a T outside it fails the sum, which lies in the image)."""
+        tails = []
+        for m, p in zip(self.members, ops):
+            try:
+                tails.append(self.basis.compress(p, f"P[{m.label}]"))
+            except RowBasisError as err:
+                report["failures"].append(str(err))
+        target, where = self.basis.image_mismatch(self.completeness_target)
+        if len(tails) < len(ops) or where is not None:
+            return ops, ops, self.completeness_target
+        return [self.basis.select(p) for p in ops], tails, target
+
+    def _name_pairs(self, report: dict, ops: List[SparseOp], v: Vec,
+                    t: int) -> None:
+        images = [p.matvec(v) for p in ops]
+        for i, pi in enumerate(ops):
+            for j, y in enumerate(images):
+                image = pi.matvec(y)
+                if not (image == y if i == j else image.is_zero()):
+                    self._product_failure(report, i, j, f" (trial {t})")
 
     def _product_failure(self, report: dict, i: int, j: int,
                          where: str) -> None:
@@ -210,7 +249,7 @@ def lagrange_family(op: SparseOp, ident: CharIdentity, unit: RowBasis,
                 raise ProjectorError(f"non-integer trace {tr}")
             dim = int(tr)
         members.append(FamilyMember(f"ev={aj}", proj, dim, eigenvalue=aj))
-    return ProjectorFamily(members, unit.unit, context=context)
+    return ProjectorFamily(members, unit.unit, unit, context=context)
 
 
 def refine_family(family: ProjectorFamily,
@@ -233,7 +272,7 @@ def refine_family(family: ProjectorFamily,
                 continue
             out.append(FamilyMember(f"{m.label}|{tag}", prod, dim,
                                     eigenvalue=m.eigenvalue, refinement=tag))
-    return ProjectorFamily(out, family.completeness_target,
+    return ProjectorFamily(out, family.completeness_target, family.basis,
                            context=family.context + "+refined")
 
 
@@ -320,7 +359,8 @@ def exceptional_adjoint_family(name: str) -> ProjectorFamily:
             _EXCEPTIONAL_FAMILY_TABLE[an.family], eigen):
         op = ip.scaled(c_ip) + cp.scaled(c_cp) + k.scaled(c_k)
         members.append(FamilyMember(label, op, dim, eigenvalue=ev))
-    return ProjectorFamily(members, unit, context=f"{name} adjoint")
+    return ProjectorFamily(members, unit, ctx.sc.basis(),
+                           context=f"{name} adjoint")
 
 
 def sl_adjoint_family(n: int) -> ProjectorFamily:
@@ -417,7 +457,8 @@ def x1x2_split(name: str) -> ProjectorFamily:
         FamilyMember("X1=ad", cm.scaled(-2), dim_g),
         FamilyMember("X2", cm.scaled(2) + p_minus, dim_g * (dim_g - 3) // 2),
     ]
-    return ProjectorFamily(members, p_minus, context=f"{name} X1/X2")
+    return ProjectorFamily(members, p_minus, ctx.sc.basis(),
+                           context=f"{name} X1/X2")
 
 
 def universal_symmetric_family(name: str) -> ProjectorFamily:
@@ -481,6 +522,7 @@ def universal_symmetric_family(name: str) -> ProjectorFamily:
     live = [m for m in members if not (m.expected_dim == 0
                                        and m.operator.is_zero())]
     dropped = [m.label for m in members if m not in live]
-    fam = ProjectorFamily(live, p_plus, context=f"{name} universal symmetric")
+    fam = ProjectorFamily(live, p_plus, ctx.sc.basis(),
+                          context=f"{name} universal symmetric")
     fam.dropped_zero_members = dropped
     return fam

@@ -396,6 +396,52 @@ def test_kono_drinfeld_e6_exact_and_e7_randomized():
             assert (lhs - rhs).is_zero()
 
 
+def test_f4_invariant_set_inverts_the_metric_once(monkeypatch):
+    from splitcasimir import casimir
+    _, rep = defining("f4")
+    inverse = casimir.symmetric_block_inverse
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return inverse(m)
+    monkeypatch.setattr(casimir, "symmetric_block_inverse", counted)
+    inv = invariant_set(rep)
+    assert len(calls) == 1 and {"K", "D", "F"} <= set(inv)
+
+
+def test_swap_facts_are_checked_once_per_split_casimir(monkeypatch):
+    # sigma, the unit and Chat are compared once; only the K facts run on
+    # every block that reads K
+    from splitcasimir import casimir
+    ta = sosp_adjoint_tensor(4, -1)
+    sc, big_k = ta.casimir, ta.ops["K"]
+    mismatch = casimir._permuted_mismatch
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return mismatch(*args)
+    monkeypatch.setattr(casimir, "_permuted_mismatch", counted)
+    counts = []
+    for sign, k in ((-1, None), (1, big_k), (-1, None), (1, big_k)):
+        swap_block(sc, sign, k)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [3, 2, 0, 2]
+    # a failed fact is kept and named again, with its witness
+    sigma = sc.sigma.copy()
+    sigma[[0, 1, 2]] = sigma[[1, 2, 0]]
+    bad = casimir.SplitCasimir(sc.operator, sc.rep_pair, sc.convention,
+                               sc.row_basis, sc.swap, sigma)
+    details = []
+    for sign in (1, -1):
+        with pytest.raises(casimir.SwapBlockError) as err:
+            swap_block(bad, sign)
+        details.append((str(err.value), err.value.witness))
+    assert details[0] == details[1] and "involution" in details[0][0]
+
+
 def test_swap_conjugation_fixes_casimir():
     # P Chat P = Chat when rep1 = rep2
     for name in ["sl(3)", "g2"]:

@@ -279,7 +279,8 @@ def _variant(fam, ops=None, dims=None):
     return ProjectorFamily(
         [FamilyMember(m.label, ops.get(i, m.operator),
                       dims.get(i, m.expected_dim))
-         for i, m in enumerate(fam.members)], fam.completeness_target)
+         for i, m in enumerate(fam.members)], fam.completeness_target,
+        basis=fam.basis)
 
 
 def _unit_op(n, r, c):
@@ -310,6 +311,54 @@ def test_weighted_check_costs_2k_matvecs_per_trial(so7_adjoint, monkeypatch):
     monkeypatch.setattr(SparseOp, "matvec", counted)
     assert so7_adjoint.verify()["all_pass"]
     assert len(calls) == 2 * len(so7_adjoint.members) * PRODUCT_TRIALS
+
+
+def test_weighted_check_runs_on_the_representative_rows(so7_adjoint,
+                                                        monkeypatch):
+    # every so(7) family above the materialized bound: 2k matvecs per
+    # trial, each on at most the 441 representative rows of the 2401
+    fams = [x1x2_split("so(7)"), so7_adjoint,
+            universal_symmetric_family("so(7)")]
+    calls = []
+    matvec = SparseOp.matvec
+
+    def counted(op, v):
+        calls.append(op.rows)
+        return matvec(op, v)
+
+    for fam in fams:
+        assert fam.completeness_target.rows == 2401
+        assert len(fam.basis.rows) == 441
+        monkeypatch.setattr(SparseOp, "matvec", counted)
+        rep = fam.verify()
+        monkeypatch.undo()
+        assert rep["all_pass"] and rep["trials"] == PRODUCT_TRIALS
+        assert len(calls) == 2 * len(fam.members) * PRODUCT_TRIALS
+        assert max(calls) <= 441
+        calls.clear()
+
+
+def test_member_outside_the_image_fails_with_its_witness(so7_adjoint):
+    # +E and -E at (0, c) on two members: coordinate 0 is (0, 0, 0, 0),
+    # which the so unit kills, so neither member lies in the unit's image;
+    # traces and the sum are unchanged
+    p0, p1 = (m.operator for m in so7_adjoint.members[:2])
+    c = int(so7_adjoint.basis.rows[3])
+    e = _unit_op(p0.rows, 0, c)
+    rep = _variant(so7_adjoint, ops={0: p0 + e, 1: p1 - e}).verify()
+    assert rep["traces"] and rep["complete"]
+    assert not rep["all_pass"]
+    labels = [m.label for m in so7_adjoint.members[:2]]
+    assert rep["failures"][:2] == [
+        f"P[{label}] is not in the unit's image at [0, {c}]"
+        for label in labels]
+    # the trials ran on the full members and name the wrong pairs too
+    assert any(f.endswith("wrong (trial 0)") for f in rep["failures"])
+    # a target outside the image fails the sum, which lies in the image
+    off = ProjectorFamily(so7_adjoint.members,
+                          so7_adjoint.completeness_target + e,
+                          so7_adjoint.basis).verify()
+    assert off["failures"] == ["sum of members != completeness target"]
 
 
 def test_weighted_check_fails_doubled_member(so7_adjoint):

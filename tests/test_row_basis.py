@@ -18,14 +18,20 @@ from splitcasimir.casimir import (
 )
 from splitcasimir.catalog import adjoint_context
 from splitcasimir.classical import build_classical
-from splitcasimir.identities import adjoint_identity, minimal_polynomial
-from splitcasimir.kernel import KernelError, SparseOp, combine
-from splitcasimir.rootdata import series_rank
-from splitcasimir.projectors import (
-    ProjectorError,
-    lagrange_basis,
-    lagrange_family,
+from splitcasimir.identities import (
+    adjoint_identity,
+    minimal_polynomial,
+    verify_identity,
 )
+from splitcasimir.kernel import (
+    KernelError,
+    SparseOp,
+    Vec,
+    apply_poly_factors,
+    combine,
+)
+from splitcasimir.rootdata import series_rank
+from splitcasimir.projectors import lagrange_basis, lagrange_family
 
 NAMES = ["sl(3)", "sl(4)", "sp(4)", "sp(6)", "so(7)"]
 
@@ -164,14 +170,45 @@ def test_perturbed_unit_is_refused():
         RowBasis.of_pairs(bad, *pair_basis("sp", 4)).head
     assert err.value.detail in ("unit B != B", "B S unit != unit")
     assert len(err.value.witness) == 2
-    # the exact chain has no randomized precheck to stop it first
-    with pytest.raises(RowBasisError):
+    first = (err.value.detail, err.value.witness)
+    # the exact chain and lagrange_family's randomized precheck, which
+    # runs on the rows, both stop at the basis facts
+    with pytest.raises(RowBasisError) as err:
         product_of_shifts(sc.operator, ident.roots,
                           unit=RowBasis.of_pairs(bad, *pair_basis("sp", 4)))
-    # lagrange_family's randomized precheck refuses it before the basis
-    with pytest.raises(ProjectorError):
+    assert (err.value.detail, err.value.witness) == first
+    with pytest.raises(RowBasisError) as err:
         lagrange_family(sc.operator, ident,
                         unit=RowBasis.of_pairs(bad, *pair_basis("sp", 4)))
+    assert (err.value.detail, err.value.witness) == first
+
+
+def test_randomized_identity_on_the_rows_names_the_full_residual():
+    # an operator perturbed inside the unit's image (unit E added): the
+    # randomized check on the representative rows FAILs with the
+    # [seed, draw, coordinate] of the full-space residual
+    ta = sosp_adjoint_tensor(7, 1)
+    sc, basis = ta.casimir, ta.casimir.basis()
+    ident = adjoint_identity("so(7)")
+    r = int(basis.rows[10])
+    e = SparseOp(sc.unit.rows, sc.unit.cols, np.array([r]), np.array([r]),
+                 np.array([1]))
+    bad = sc.operator + (sc.unit @ e).scaled(Fraction(1, 3))
+    assert basis.lift(bad) is not None
+    got = verify_identity(bad, ident, basis, "randomized_exact", trials=4,
+                          seed=5)
+    rng = np.random.default_rng(5)
+    want = None
+    for t in range(4):
+        v = sc.unit.matvec(Vec.random_exact(sc.unit.rows, rng))
+        res = apply_poly_factors(bad, ident.roots, v, unit=sc.unit)
+        if not res.is_zero():
+            want = ("FAIL", t + 1, [5, t + 1, int(np.flatnonzero(res.data)[0])])
+            break
+    assert want is not None
+    assert (got.status, got.trials, got.witness) == want
+    assert verify_identity(sc.operator, ident, basis, "randomized_exact",
+                           trials=4, seed=5).passed
 
 
 def test_left_factor_off_the_image_is_refused():
