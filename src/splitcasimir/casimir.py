@@ -79,10 +79,15 @@ class RowBasis:
     Then X = B (S X) holds exactly when unit X = X, and for such an X,
     X @ Y = B ((S X) @ Y): a product whose left factor lies in the image
     runs on len(rows) rows and is expanded (``kernel.expand``), and B is
-    injective.  Vectors of the image are B a for a = S unit v
-    (``restrict``), and x acts on them as (S x) B acts on a
-    (``compress``): the randomized checks run there.  The facts are
-    checked on first use and remembered.
+    injective.  Such an X also satisfies X B = B A with A = (S X) B
+    (``compress``), the operator X induces on the image in the
+    coordinates of the rows: vectors of the image are B a for
+    a = S unit v (``restrict``), and X acts on them as A acts on a.  So
+    X^k B = B A^k, and when X also commutes with the unit (``image``
+    checks both), p(X) unit = p(X) B (S unit) = B p(A) (S unit) exactly
+    for every polynomial p (``embed``): powers, Lagrange members and
+    shifted products of X run on len(rows) x len(rows) operators.  The
+    facts are checked on first use and remembered.
 
     ``RowBasis.identity(n)`` is the basis of the identity (S = B = 1), whose
     facts hold by construction: its methods return their argument, or op
@@ -164,6 +169,10 @@ class RowBasis:
             raise RowBasisError(f"{name} is not in the unit's image", where)
         return sx
 
+    def on_rows(self, m: SparseOp) -> SparseOp:
+        """m B."""
+        return m @ self.expansion
+
     def compress(self, x: SparseOp, name: str = "X") -> SparseOp:
         """(S x) B, the operator an x in the unit's image induces on the
         image in the coordinates of the representative rows, once
@@ -172,7 +181,7 @@ class RowBasis:
         statement about x on the image holds exactly when it holds for
         (S x) B on the rows: x u = w for u = B a and w = B c exactly when
         ((S x) B) a = c."""
-        return self.lift(x, name) @ self.expansion
+        return self.on_rows(self.lift(x, name))
 
     def matmul(self, x: SparseOp, y: SparseOp, name: str = "X") -> SparseOp:
         """x @ y as B ((S x) @ y), for an x in the unit's image."""
@@ -180,29 +189,37 @@ class RowBasis:
 
     def powers(self, x: SparseOp, top: int) -> List[SparseOp]:
         """[x^2, ..., x^top] for an x in the unit's image: x is checked
-        once and each power is B ((S x^(k-1)) @ x), the rows
-        S x^k = (S x^(k-1)) x running from S x."""
+        once, and since x = B (S x) and x B = B A for A = (S x) B,
+        x^k = x^(k-1) B (S x) = B A^(k-1) (S x), the rows
+        A^(k-1) (S x) running from S x by products with the
+        len(rows) x len(rows) operator A."""
         rows = self.lift(x)
+        a = self.on_rows(rows)
         out = []
         for _ in range(top - 1):
-            rows = rows @ x
+            rows = a @ rows
             out.append(self.expand(rows))
         return out
 
-    def chain(self, op: SparseOp) -> Tuple[SparseOp, SparseOp]:
-        """(S unit, (S unit) @ op), the start of a chain that builds
-        polynomials p(op) unit as B sum_k p_k (S unit) op^k, once its
-        premises hold exactly: op lies in the unit's image, op == B (S op)
-        (one pass; RowBasisError with a witness otherwise), and commutes
-        with the unit, checked on the rows as (S op) @ unit ==
-        (S unit) @ op (KernelError with a witness otherwise).  Then
-        S (p(op) unit) = (S unit) p(op), and B restores the other rows."""
-        head = self.head
-        first = head @ op
-        where = _first_difference(self.lift(op, "op") @ self.unit, first)
+    def image(self, op: SparseOp) -> SparseOp:
+        """A = (S op) B, on which polynomials of op are built (``embed``),
+        once its premises hold exactly: op lies in the unit's image,
+        op == B (S op) (one pass; RowBasisError with a witness otherwise),
+        and commutes with the unit, checked on the rows as
+        A (S unit) == S op (KernelError with a witness otherwise).  The
+        left side is S (op B (S unit)) = S (op unit), and both op unit and
+        op lie in the image, on which S is injective."""
+        rows = self.lift(op, "op")
+        a = self.on_rows(rows)
+        where = _first_difference(a @ self.head, rows)
         if where is not None:
             raise KernelError(f"unit does not commute with op at {where}")
-        return head, first
+        return a
+
+    def embed(self, x: SparseOp) -> SparseOp:
+        """B (x (S unit)): p(op) unit for x = p(A) and A = ``image(op)``,
+        since op B = B A and unit = B (S unit)."""
+        return self.expand(x @ self.head)
 
     def project(self, v: Vec) -> Vec:
         """unit v."""
@@ -240,10 +257,13 @@ class _IdentityBasis(RowBasis):
     def image_mismatch(self, x: SparseOp) -> Tuple[SparseOp, Optional[list]]:
         return x, None
 
-    def chain(self, op: SparseOp) -> Tuple[SparseOp, SparseOp]:
-        return self.unit, op
+    def on_rows(self, m: SparseOp) -> SparseOp:
+        return m
 
-    def compress(self, x: SparseOp, name: str = "X") -> SparseOp:
+    def image(self, op: SparseOp) -> SparseOp:
+        return op
+
+    def embed(self, x: SparseOp) -> SparseOp:
         return x
 
     def project(self, v: Vec) -> Vec:
@@ -262,15 +282,16 @@ def product_of_shifts(op: SparseOp, roots: Sequence[ScalarLike],
     basis.  The first root acts first, as in ``kernel.apply_poly_factors``,
     so column j is that function's image of ``unit`` e_j.
 
-    ``RowBasis.chain`` checks the premises (op in the unit's image and
-    commuting with it).  Every partial product is then a polynomial in op
-    times unit, so a shift needs no product, and the chain
-    M <- M @ op - r M runs on the representative rows from the chain's
-    start; the basis expands the result."""
-    acc, first = unit.chain(op)
+    ``RowBasis.image`` checks the premises (op in the unit's image and
+    commuting with it) and gives A = (S op) B, with op B = B A.  The
+    product is then B prod_i (A - r_i) (S unit) exactly: the chain
+    M <- A @ M - r M runs on len(rows) x len(rows) operators, and
+    ``RowBasis.embed`` applies S unit and B once at the end."""
+    a = unit.image(op)
+    acc = SparseOp.identity(a.rows)
     for k, r in enumerate(roots):
-        acc = combine([(1, first if k == 0 else acc @ op), (-r, acc)])
-    return unit.expand(acc)
+        acc = combine([(1, a if k == 0 else a @ acc), (-r, acc)])
+    return unit.embed(acc)
 
 
 def pair_basis(kind: str, n: int) -> Tuple[np.ndarray, SparseOp]:

@@ -389,7 +389,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
-    if out:
+    """Write to the file ``out``, or to stdout when it is absent or "-"."""
+    if out and out != "-":
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)

@@ -223,8 +223,8 @@ def verify_identity(op: SparseOp, ident: CharIdentity, unit: RowBasis,
     plain operator).
 
     exact_full builds prod_i (op - r_i * unit) * unit as one sparse operator
-    chain (``casimir.product_of_shifts``, on the unit's representative
-    rows): it is zero iff the identity holds on every basis vector, and a
+    chain (``casimir.product_of_shifts``, on A = (S op) B from
+    ``RowBasis.image``): it is zero iff the identity holds on every basis vector, and a
     FAIL names the first nonzero column.  randomized_exact applies the
     factors to random subspace vectors on the representative rows: op is
     checked exactly to lie in the unit's image (RowBasisError otherwise)

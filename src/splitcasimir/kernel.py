@@ -680,7 +680,7 @@ def apply_poly_factors(op: SparseOp, roots: Sequence[ScalarLike], v: Vec,
 
     ``unit`` defaults to the identity; passing a subspace projector makes
     the factors act as shifts on that subspace (callers feed subspace
-    vectors).
+    vectors).  A root 0 applies no shift: its factor is op alone.
     """
     if op.rows != op.cols:
         raise DimensionMismatchError("apply_poly_factors needs a square op")
@@ -688,6 +688,9 @@ def apply_poly_factors(op: SparseOp, roots: Sequence[ScalarLike], v: Vec,
         raise DimensionMismatchError("vector length mismatch")
     out = v
     for r in roots:
+        if r == 0:
+            out = op.matvec(out)
+            continue
         shifted = out if unit is None else unit.matvec(out)
         out = op.matvec(out) - shifted.scaled(r)
     return out

@@ -95,10 +95,10 @@ class ProjectorFamily:
         P_j != B (S P_j).  Completeness is sum_j M_j == S T with
         T == B (S T).  A trial forms y'_j = M_j v, w' = sum_j mu_j y'_j and
         compares sum_i lambda_i (M_i B) w' with sum_j lambda_j mu_j y'_j
-        (``RowBasis.compress``): 2k matvecs on len(rows) rows.  Then
-        y_j = B y'_j, both sides of the full check are B times these, and
-        B is injective (S B = 1), so every trial has the full check's
-        verdict on the same draws.  For the identity basis
+        (M_i B is ``RowBasis.compress`` of P_i): 2k matvecs on len(rows)
+        rows.  Then y_j = B y'_j, both sides of the full check are B times
+        these, and B is injective (S B = 1), so every trial has the full
+        check's verdict on the same draws.  For the identity basis
         M_j = M_j B = P_j.  When a member or T leaves the image, the trials
         and the sum run on the full members.  A failing trial reruns the
         per-pair products P_i P_j v on the full members to name the wrong
@@ -159,17 +159,18 @@ class ProjectorFamily:
         """(M_j, M_j B, S T) on the representative rows, once every member
         and T lie in the unit's image; else the full (P_j, P_j, T), each
         member outside the image named in the failures with its witness
-        (a T outside it fails the sum, which lies in the image)."""
-        tails = []
+        (a T outside it fails the sum, which lies in the image).  One
+        ``lift`` per member gives M_j = S P_j, and M_j B follows from it."""
+        heads = []
         for m, p in zip(self.members, ops):
             try:
-                tails.append(self.basis.compress(p, f"P[{m.label}]"))
+                heads.append(self.basis.lift(p, f"P[{m.label}]"))
             except RowBasisError as err:
                 report["failures"].append(str(err))
         target, where = self.basis.image_mismatch(self.completeness_target)
-        if len(tails) < len(ops) or where is not None:
+        if len(heads) < len(ops) or where is not None:
             return ops, ops, self.completeness_target
-        return [self.basis.select(p) for p in ops], tails, target
+        return heads, [self.basis.on_rows(h) for h in heads], target
 
     def _name_pairs(self, report: dict, ops: List[SparseOp], v: Vec,
                     t: int) -> None:
@@ -217,31 +218,35 @@ def lagrange_family(op: SparseOp, ident: CharIdentity, unit: RowBasis,
     the identity's roots, for the unit of the row basis ``unit``
     (``SplitCasimir.basis``; ``RowBasis.identity`` for a plain operator).
 
-    The identity is checked first (randomized_exact, 4 trials).  All members
-    share one chain of powers M_k = M_0 @ op^k (k < number of roots) on the
-    representative rows, from M_0 = S unit: P_j = B sum_k L_j[k] M_k
-    (``lagrange_basis``), summed by ``combine``.  ``RowBasis.chain`` checks
-    the premises exactly (op lies in the unit's image and commutes with
-    it), and each member equals the factor-by-factor product once they
-    hold.  For the identity, M_0 is the identity and M_1 is op itself.
+    ``RowBasis.image`` checks the premises exactly, once (op lies in the
+    unit's image and commutes with it), and gives A = (S op) B, with
+    op B = B A.  The identity is then checked on A (randomized_exact, 4
+    trials, on the identity basis of the rows): B is injective, so it
+    holds for A exactly when it holds for op on the unit's image.  All
+    members share the powers A^k (k < number of roots), and
+    P_j = L_j(op) unit = B L_j(A) (S unit) (``RowBasis.embed``), with
+    L_j(A) = sum_k L_j[k] A^k (``lagrange_basis``) summed by ``combine``;
+    each member equals the factor-by-factor product.  For the identity
+    basis A is op itself and ``embed`` returns its argument.
 
     Repeated roots are rejected by CharIdentity itself; non-primitive members
     are the caller's business (see refine_family).
     """
-    rep = verify_identity(op, ident, unit, method="randomized_exact",
-                          trials=4, target="lagrange precheck")
-    if not rep.passed:
-        raise ProjectorError("characteristic identity fails; no family")
     try:
-        head, first = unit.chain(op)
+        a = unit.image(op)
     except KernelError as err:
         raise ProjectorError(f"{err}; no family") from err
-    powers = [head, first]
+    rep = verify_identity(a, ident, RowBasis.identity(a.rows),
+                          method="randomized_exact", trials=4,
+                          target="lagrange precheck")
+    if not rep.passed:
+        raise ProjectorError("characteristic identity fails; no family")
+    powers = [SparseOp.identity(a.rows), a]
     while len(powers) < len(ident.roots):
-        powers.append(powers[-1] @ op)
+        powers.append(powers[-1] @ a)
     members = []
     for aj, coeffs in zip(ident.roots, lagrange_basis(ident.roots)):
-        proj = unit.expand(combine(zip(coeffs, powers)))
+        proj = unit.embed(combine(zip(coeffs, powers)))
         dim = (expected_dims or {}).get(aj)
         if dim is None:
             tr = proj.trace()
@@ -345,10 +350,10 @@ def exceptional_adjoint_family(name: str) -> ProjectorFamily:
     cp, cm = ctx.sc.parts()
     unit, swap, k = ctx.ops["I"], ctx.ops["P"], ctx.big_k
     dim_g = ctx.dim_g
-    ip = unit + swap
+    half = Fraction(1, 2)
     members = [
         FamilyMember("ad", cm.scaled(-2), dim_g, Fraction(-1, 2)),
-        FamilyMember("X2", (unit - swap).scaled(Fraction(1, 2)) + cm.scaled(2),
+        FamilyMember("X2", combine([(half, unit), (-half, swap), (2, cm)]),
                      dim_g * (dim_g - 3) // 2, Fraction(0)),
         FamilyMember("1", k.scaled(Fraction(1, dim_g)), 1, Fraction(-1)),
     ]
@@ -357,7 +362,7 @@ def exceptional_adjoint_family(name: str) -> ProjectorFamily:
     eigen = (-b2t, -a2t)  # smaller member is Y2(beta), larger is Y2(alpha)
     for (label, dim, c_ip, c_cp, c_k), ev in zip(
             _EXCEPTIONAL_FAMILY_TABLE[an.family], eigen):
-        op = ip.scaled(c_ip) + cp.scaled(c_cp) + k.scaled(c_k)
+        op = combine([(c_ip, unit), (c_ip, swap), (c_cp, cp), (c_k, k)])
         members.append(FamilyMember(label, op, dim, eigenvalue=ev))
     return ProjectorFamily(members, unit, ctx.sc.basis(),
                            context=f"{name} adjoint")
@@ -451,11 +456,14 @@ def x1x2_split(name: str) -> ProjectorFamily:
     """P1 = -2 C-, P2 = 2 C- + P_minus: the two antisymmetric components."""
     ctx = adjoint_context(name)
     _, cm = ctx.sc.parts()
-    p_minus = (ctx.ops["I"] - ctx.ops["P"]).scaled(Fraction(1, 2))
+    unit, swap = ctx.ops["I"], ctx.ops["P"]
+    half = Fraction(1, 2)
+    p_minus = combine([(half, unit), (-half, swap)])
     dim_g = ctx.dim_g
     members = [
         FamilyMember("X1=ad", cm.scaled(-2), dim_g),
-        FamilyMember("X2", cm.scaled(2) + p_minus, dim_g * (dim_g - 3) // 2),
+        FamilyMember("X2", combine([(half, unit), (-half, swap), (2, cm)]),
+                     dim_g * (dim_g - 3) // 2),
     ]
     return ProjectorFamily(members, p_minus, ctx.sc.basis(),
                            context=f"{name} X1/X2")
@@ -476,17 +484,17 @@ def universal_symmetric_family(name: str) -> ProjectorFamily:
     unit, swap, k = ctx.ops["I"], ctx.ops["P"], ctx.big_k
     dim_g = ctx.dim_g
     assert universal_dim_g(pt) == dim_g
-    p_plus = (unit + swap).scaled(Fraction(1, 2))
+    half = Fraction(1, 2)
+    p_plus = combine([(half, unit), (half, swap)])
     on_line, _ = exceptional_line_check(pt)
     if on_line and cp.rows > MATERIALIZED_PRODUCT_MAX_DIM:
         # C+^2 is affine in C+, I+P, K on the exceptional line (verified
         # independently); saves materializing C+^2 at e7/e8 scale
         from .identities import universal_mu
         mu = universal_mu(dim_g)
-        cp2 = cp.scaled(Fraction(-1, 6)) + (unit + swap + k).scaled(mu)
+        square = [(Fraction(-1, 6), cp), (mu, unit), (mu, swap), (mu, k)]
     else:
-        (cp2,) = ctx.sc.basis().powers(cp, 2)
-    ip = unit + swap
+        square = [(1, ctx.sc.basis().powers(cp, 2)[0])]
     members = []
     degenerate = []
     names = ("alpha", "beta", "gamma")
@@ -501,20 +509,19 @@ def universal_symmetric_family(name: str) -> ProjectorFamily:
             # complement added below
             degenerate.append(which)
             continue
+        # pref (C+^2 + (1/2 - a/(2t)) C+ + s (I + P - (2a/(a - 2t)) K))
         pref = 4 * t * t / ((b - a) * (c - a))
-        op = (cp2 + cp.scaled(Fraction(1, 2) - a / (2 * t))
-              + (ip - k.scaled(2 * a / (a - 2 * t))).scaled(
-                  b * c / (8 * t * t))).scaled(pref)
+        shift = b * c / (8 * t * t)
+        terms = square + [(half - a / (2 * t), cp), (shift, unit),
+                          (shift, swap), (-shift * 2 * a / (a - 2 * t), k)]
+        op = combine((pref * x, term) for x, term in terms)
         dim = universal_dim_y2(pt, which)
         assert dim.denominator == 1
         members.append(FamilyMember(f"Y2({which})", op, int(dim)))
     members.append(FamilyMember("X0", k.scaled(Fraction(1, dim_g)), 1))
     if degenerate:
-        rest = p_plus
-        covered = 0
-        for m in members:
-            rest = rest - m.operator
-            covered += m.expected_dim
+        rest = combine([(1, p_plus)] + [(-1, m.operator) for m in members])
+        covered = sum(m.expected_dim for m in members)
         total_sym = dim_g * (dim_g + 1) // 2
         members.append(FamilyMember(
             "Y2(" + "+".join(degenerate) + ")|merged", rest,

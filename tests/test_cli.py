@@ -85,6 +85,19 @@ def test_cli_exit_codes_and_output(tmp_path):
     assert data["summary"]["FAIL"] == 0
 
 
+@pytest.mark.parametrize("command", [["verify", "--algebra", "sl(2)"],
+                                     ["vogel-table"]])
+def test_cli_out_dash_writes_to_stdout(command, tmp_path, monkeypatch,
+                                       capsys):
+    # "-" is stdout, as when --out is absent, and never a file named "-"
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 0
+    want = capsys.readouterr().out
+    assert main(command + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == want and want
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_vogel_defaults():
     rc = main(["vogel", "--algebra", "sl(3),g2", "--out", "/dev/null"])
     assert rc == 0

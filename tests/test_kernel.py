@@ -432,6 +432,30 @@ def test_poly_of_op_and_shifts():
     assert np.array_equal(shifts.to_dense_fractions(), want)
 
 
+def test_root_zero_applies_no_shift(monkeypatch):
+    # a root 0 is op alone: the unit is never applied for it, and the
+    # result equals the shifted form with r = 0
+    rng = np.random.default_rng(53)
+    a = random_exact_op(rng, 5, 5, 0.6)
+    unit = SparseOp.identity(5).scaled(2)
+    v = Vec.random_exact(5, rng)
+    roots = [0, Fraction(1, 3), 0, -2]
+    want = v
+    for r in roots:
+        want = a.matvec(want) - unit.matvec(want).scaled(r)
+    matvec = SparseOp.matvec
+    applied = []
+
+    def counted(self, w):
+        applied.append(self is unit)
+        return matvec(self, w)
+    monkeypatch.setattr(SparseOp, "matvec", counted)
+    got = apply_poly_factors(a, roots, v, unit=unit)
+    assert got == want
+    assert (got.scale, got.data.dtype) == (want.scale, want.data.dtype)
+    assert applied.count(True) == 2 and applied.count(False) == 4
+
+
 def test_product_of_shifts_with_unit_pins_factor_order():
     rng = np.random.default_rng(59)
     n, k = 5, 2
@@ -485,7 +509,8 @@ def test_product_of_shifts_with_unit_pins_factor_order():
 
 def test_product_of_shifts_reuses_the_commutation_product(monkeypatch):
     # the sp(4) adjoint on V^(x4) with one root dropped, so the residual is
-    # nonzero: the chain starts from the op @ unit of the commutation check
+    # nonzero: the chain runs on A = (S op) B, whose commutation check is
+    # one product on the representative rows
     from splitcasimir.catalog import adjoint_context
     from splitcasimir.identities import adjoint_identity
     sc = adjoint_context("sp(4)").sc
@@ -508,9 +533,10 @@ def test_product_of_shifts_reuses_the_commutation_product(monkeypatch):
         return matmul(self, other)
     monkeypatch.setattr(SparseOp, "__matmul__", counted)
     got = product_of_shifts(op, roots, basis)
-    # (S unit) @ op and (S op) @ unit on the representative rows, then one
-    # product per later root
-    assert len(calls) == 2 + len(roots) - 1
+    # A = (S op) @ B and the commutation product A @ (S unit) (the lift
+    # selects and expands without a product), one product per later root,
+    # and the embed prod (S unit)
+    assert len(calls) == 1 + 1 + (len(roots) - 1) + 1
     assert got == want["unit"] and not got.is_zero()
     calls.clear()
     assert product_of_shifts(op, roots,

@@ -2,6 +2,7 @@
 representative rows equal the full-row products, and every broken premise
 is refused with a witness."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -282,3 +283,83 @@ def test_identity_basis_adds_no_product_and_no_row_pass(monkeypatch):
     assert (rep.status, rep.method) == ("PASS", "exact_full")
     rep = verify_adjoint_identity("f4", "exact_full")
     assert (rep.status, rep.method) == ("PASS", "exact_full")
+
+
+def _so5_dead_entry():
+    # so(5) Chat plus an entry at coordinate (0, 0, 0, 0), where both site
+    # pairs are diagonal and the unit vanishes: op != B (S op) there
+    ta = sosp_adjoint_tensor(5, 1)
+    op = ta.casimir.operator
+    extra = SparseOp(op.rows, op.cols, np.array([0]), np.array([0]),
+                     np.array([1]), op.scale)
+    return ta.casimir.basis(), op + extra
+
+
+def test_image_refuses_an_op_off_the_image():
+    basis, bad = _so5_dead_entry()
+    with pytest.raises(RowBasisError) as err:
+        basis.image(bad)
+    assert err.value.detail == "op is not in the unit's image"
+    assert err.value.witness == [0, 0]
+
+
+def test_image_refuses_an_op_in_the_image_that_does_not_commute():
+    ta = sosp_adjoint_tensor(4, -1)
+    basis, unit = ta.casimir.basis(), ta.casimir.unit
+    x = unit @ ta.ops["P13"]
+    assert basis.lift(x) is not None
+    with pytest.raises(KernelError, match="does not commute") as err:
+        basis.image(x)
+    # the witness [row, col] is an entry where S (x unit) != S x
+    row, col = map(int, re.search(r"at \[(\d+), (\d+)\]",
+                                  str(err.value)).groups())
+    diff = basis.select(x @ unit) - basis.select(x)
+    assert (row, col) in set(zip(diff.row.tolist(), diff.col.tolist()))
+
+
+def test_identity_basis_image_and_embed_add_no_product(monkeypatch):
+    from splitcasimir import casimir, kernel
+    rng = np.random.default_rng(3)
+    op = SparseOp.from_triplets(6, 6, [(int(i), int(j), int(v)) for i, j, v
+                                       in rng.integers(0, 6, size=(12, 3))])
+    basis = RowBasis.identity(6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product, selection or expansion")
+    monkeypatch.setattr(SparseOp, "__matmul__", refuse)
+    for module in (casimir, kernel):
+        monkeypatch.setattr(module, "compress", refuse)
+        monkeypatch.setattr(module, "expand", refuse)
+    assert basis.image(op) is op
+    assert basis.embed(op) is op
+
+
+def _naive_member(op, unit, roots, aj):
+    # unit prod_{i != j} (op - a_i unit) / (a_j - a_i), factor by factor on
+    # the full space
+    proj, denom = unit, Fraction(1)
+    for ai in roots:
+        if ai != aj:
+            proj = proj @ (op - unit.scaled(ai))
+            denom *= aj - ai
+    return proj.scaled(1 / denom)
+
+
+@pytest.mark.parametrize("name", ["so(5)", "sp(4)", "sl(4)"])
+def test_image_builds_equal_naive_full_space_products(name):
+    sc = adjoint_context(name).sc
+    op, unit, basis = sc.operator, sc.unit, sc.basis()
+    roots = adjoint_identity(name).roots
+    a = basis.image(op)
+    assert a.rows == a.cols == len(basis.rows)
+    fam = lagrange_family(op, adjoint_identity(name), unit=basis)
+    for m in fam.members:
+        assert m.operator == _naive_member(op, unit, roots, m.eigenvalue)
+    for rs in (roots, roots[1:], roots[:1]):
+        want = unit
+        for r in rs:
+            want = (op - unit.scaled(r)) @ want
+        assert product_of_shifts(op, rs, unit=basis) == want
+    assert not product_of_shifts(op, roots[1:], unit=basis).is_zero()
+    cp, _ = sc.parts()
+    assert basis.powers(cp, 3) == [cp @ cp, cp @ cp @ cp]
